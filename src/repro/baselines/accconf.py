@@ -73,7 +73,7 @@ class AccConfProvider(Provider):
         if interest.is_registration():
             self._handle_share_registration(interest, in_face)
             return
-        obj = self._chunk_index.get(Name(interest.name))
+        obj = self.content_object(interest.name)
         if obj is None:
             self.unroutable_drops += 1
             return

@@ -71,7 +71,7 @@ class PlainProvider(Provider):
         if interest.is_registration():
             self._handle_registration(interest, in_face)
             return
-        obj = self._chunk_index.get(Name(interest.name))
+        obj = self.content_object(interest.name)
         if obj is None:
             self.unroutable_drops += 1
             return

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from functools import lru_cache
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.access_level import validate_level
 from repro.core.config import TacticConfig
@@ -31,7 +32,7 @@ from repro.crypto.chacha20 import chacha20_encrypt
 from repro.crypto.keywrap import wrap_key
 from repro.crypto.pki import Certificate, CertificateStore
 from repro.ndn.link import Face
-from repro.ndn.name import Name
+from repro.ndn.name import Name, NameLike
 from repro.ndn.packets import Data, Interest
 from repro.sim.engine import Simulator
 
@@ -99,6 +100,13 @@ class ClientDirectory:
         return entry.access_level if entry is not None else None
 
 
+@lru_cache(maxsize=None)
+def chunk_labels(num_chunks: int) -> FrozenSet[str]:
+    """The last name components ``chunk-0`` .. ``chunk-<num_chunks-1>``,
+    one set shared by every object with that many chunks."""
+    return frozenset(f"chunk-{index}" for index in range(num_chunks))
+
+
 @dataclass
 class ContentObject:
     """One published object: a name prefix fanning out into chunks."""
@@ -154,7 +162,8 @@ class Provider(ContentRouterMixin, TacticRouterBase):
         self.online = True
         #: Lazily built signed manifests by object prefix.
         self._manifests: Dict[Name, object] = {}
-        self._chunk_index: Dict[Name, ContentObject] = {}
+        #: Published objects by prefix components (see content_object).
+        self._objects: Dict[Tuple[str, ...], ContentObject] = {}
         self.master_key = hashlib.sha256(f"master:{node_id}".encode()).digest()
         cert_store.register(
             Certificate(
@@ -180,8 +189,19 @@ class Provider(ContentRouterMixin, TacticRouterBase):
                 key_nonce=hashlib.sha256(f"{self.node_id}:{index}".encode()).digest()[:12],
             )
             self.catalog.append(obj)
-            for name in obj.chunk_names():
-                self._chunk_index[name] = obj
+            self._objects[obj.prefix.components] = obj
+
+    def content_object(self, name: NameLike) -> Optional[ContentObject]:
+        """The published object ``name`` is a chunk of, or None.
+
+        A name matches when its prefix is an object's and its last
+        component is one of that object's ``chunk-<i>`` labels.
+        """
+        components = Name(name).components
+        obj = self._objects.get(components[:-1]) if components else None
+        if obj is None or components[-1] not in chunk_labels(obj.num_chunks):
+            return None
+        return obj
 
     def content_key_for(self, obj: ContentObject) -> bytes:
         """Per-object key derived from the catalog master key."""
@@ -212,7 +232,7 @@ class Provider(ContentRouterMixin, TacticRouterBase):
             if is_manifest_name(interest.name):
                 self._serve_manifest(interest, in_face)
                 return
-        obj = self._chunk_index.get(Name(interest.name))
+        obj = self.content_object(interest.name)
         if obj is None:
             self.unroutable_drops += 1
             return

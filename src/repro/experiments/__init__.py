@@ -15,23 +15,43 @@ Table V     :mod:`repro.experiments.table5_bf_resets`
 ==========  ====================================================
 """
 
-from repro.experiments.runner import (
-    RunResult,
-    SCHEME_REGISTRY,
-    build_assembly,
-    run_scenario,
-)
-from repro.experiments.scenario import Scenario
-from repro.experiments.sweeps import SweepSpec, aggregate, render_sweep, run_sweep
+from __future__ import annotations
 
-__all__ = [
-    "RunResult",
-    "SCHEME_REGISTRY",
-    "Scenario",
-    "SweepSpec",
-    "aggregate",
-    "build_assembly",
-    "render_sweep",
-    "run_scenario",
-    "run_sweep",
-]
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import (
+        RunResult,
+        SCHEME_REGISTRY,
+        build_assembly,
+        run_scenario,
+    )
+    from repro.experiments.scenario import Scenario
+    from repro.experiments.sweeps import SweepSpec, aggregate, render_sweep, run_sweep
+
+#: Re-export -> defining module, resolved on first access (PEP 562) so
+#: ``repro.experiments.runner`` loads without the sweep engine.
+_EXPORTS = {
+    "RunResult": "runner",
+    "SCHEME_REGISTRY": "runner",
+    "build_assembly": "runner",
+    "run_scenario": "runner",
+    "Scenario": "scenario",
+    "SweepSpec": "sweeps",
+    "aggregate": "sweeps",
+    "render_sweep": "sweeps",
+    "run_sweep": "sweeps",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = list(_EXPORTS)

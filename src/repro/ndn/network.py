@@ -1,16 +1,16 @@
 """Network assembly: nodes, links, and FIB population.
 
 A :class:`Network` owns the simulator, every node, and every link, and
-computes shortest-path routes (networkx, latency-weighted) from each
-router toward each announced name prefix — the role a routing protocol
-(NLSR) plays in a real NDN deployment.
+computes latency-weighted shortest-path routes (Dijkstra over the
+routable nodes) from each router toward each announced name prefix —
+the role a routing protocol (NLSR) plays in a real NDN deployment.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.ndn.link import Link
 from repro.ndn.name import Name, NameLike
@@ -25,7 +25,9 @@ class Network:  # simlint: disable=SL014 (one per scenario)
         self.sim = sim
         self.nodes: Dict[str, Node] = {}
         self.links: List[Link] = []
-        self._graph = nx.Graph()
+        #: Routing graph: routable node id -> {neighbor id: link latency},
+        #: neighbors in link-creation order.
+        self._adjacency: Dict[str, Dict[str, float]] = {}
         #: (prefix, origin) pairs, remembered so routes can be recomputed
         #: after topology changes (link failure/restoration).
         self._announcements: List[Tuple[Name, Node]] = []
@@ -41,7 +43,7 @@ class Network:  # simlint: disable=SL014 (one per scenario)
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self.nodes[node.node_id] = node
         if routable:
-            self._graph.add_node(node.node_id)
+            self._adjacency[node.node_id] = {}
         return node
 
     def connect(
@@ -64,9 +66,49 @@ class Network:  # simlint: disable=SL014 (one per scenario)
             loss_rate=loss_rate,
         )
         self.links.append(link)
-        if a.node_id in self._graph and b.node_id in self._graph:
-            self._graph.add_edge(a.node_id, b.node_id, weight=latency, link=link)
+        self._add_edge(a.node_id, b.node_id, latency)
         return link
+
+    def _add_edge(self, a: str, b: str, latency: float) -> None:
+        adjacency = self._adjacency
+        if a in adjacency and b in adjacency:
+            adjacency[a][b] = latency
+            adjacency[b][a] = latency
+
+    def _shortest_paths(
+        self, source: str, target: Optional[str] = None
+    ) -> Tuple[Dict[str, float], Dict[str, str]]:
+        """Latency-weighted Dijkstra from ``source``.
+
+        Returns ``(dist, pred)``: distances in settle order and each
+        reached node's predecessor on its shortest path.  Ties are
+        broken deterministically: the heap orders equal distances by
+        push order, and a predecessor is replaced only by a strictly
+        shorter path, so among equal-cost paths the first one found
+        wins.  Stops once ``target`` is settled.
+        """
+        adjacency = self._adjacency
+        dist: Dict[str, float] = {}
+        best: Dict[str, float] = {source: 0}
+        pred: Dict[str, str] = {}
+        tiebreak = count()
+        fringe: List[Tuple[float, int, str]] = [(0, next(tiebreak), source)]
+        while fringe:
+            distance, _, node = heappop(fringe)
+            if node in dist:
+                continue
+            dist[node] = distance
+            if node == target:
+                break
+            for other, latency in adjacency[node].items():
+                if other in dist:
+                    continue
+                candidate = distance + latency
+                if other not in best or candidate < best[other]:
+                    best[other] = candidate
+                    pred[other] = node
+                    heappush(fringe, (candidate, next(tiebreak), other))
+        return dist, pred
 
     # ------------------------------------------------------------------
     # Routing
@@ -83,21 +125,21 @@ class Network:  # simlint: disable=SL014 (one per scenario)
         spuriously cheaper than any live path).
         """
         prefix = Name(prefix)
-        if origin.node_id not in self._graph:
+        if origin.node_id not in self._adjacency:
             raise ValueError(f"origin {origin.node_id!r} is not routable")
         if (prefix, origin) not in self._announcements:
             self._announcements.append((prefix, origin))
-        lengths, paths = nx.single_source_dijkstra(self._graph, origin.node_id)
+        lengths, pred = self._shortest_paths(origin.node_id)
         if replace:
             for node in self.nodes.values():
                 node.fib.remove(prefix)
-        for node_id, path in paths.items():
+        for node_id, length in lengths.items():
             if node_id == origin.node_id:
                 continue
             node = self.nodes[node_id]
-            next_hop = self.nodes[path[-2]]  # path runs origin -> ... -> node
-            face = node.face_toward(next_hop)
-            node.fib.add_if_cheaper(prefix, face, cost=lengths[node_id])
+            # The predecessor on the origin -> node path is the next hop.
+            face = node.face_toward(self.nodes[pred[node_id]])
+            node.fib.add_if_cheaper(prefix, face, cost=length)
 
     def announce_prefixes(self, announcements: Iterable[Tuple[NameLike, Node]]) -> None:
         for prefix, origin in announcements:
@@ -123,8 +165,8 @@ class Network:  # simlint: disable=SL014 (one per scenario)
         if link is None:
             raise LookupError(f"no link between {a.node_id} and {b.node_id}")
         link.up = False
-        if self._graph.has_edge(a.node_id, b.node_id):
-            self._graph.remove_edge(a.node_id, b.node_id)
+        self._adjacency.get(a.node_id, {}).pop(b.node_id, None)
+        self._adjacency.get(b.node_id, {}).pop(a.node_id, None)
         for node in (a, b):
             node.fib.purge_face(link.face_of(node))
         if reroute:
@@ -137,8 +179,7 @@ class Network:  # simlint: disable=SL014 (one per scenario)
         if link is None:
             raise LookupError(f"no link between {a.node_id} and {b.node_id}")
         link.up = True
-        if a.node_id in self._graph and b.node_id in self._graph:
-            self._graph.add_edge(a.node_id, b.node_id, weight=link.latency, link=link)
+        self._add_edge(a.node_id, b.node_id, link.latency)
         if reroute:
             self.reannounce()
         return link
@@ -164,13 +205,10 @@ class Network:  # simlint: disable=SL014 (one per scenario)
     def total_bytes(self) -> int:
         return sum(link.bytes_sent for link in self.links)
 
-    def routable_graph(self) -> nx.Graph:
-        """A copy of the routing graph (for tests and analysis)."""
-        return self._graph.copy()
-
     def path_latency(self, a: Node, b: Node) -> Optional[float]:
-        """Propagation latency of the routed path between two routers."""
-        try:
-            return nx.dijkstra_path_length(self._graph, a.node_id, b.node_id)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        """Propagation latency of the routed path between two routers
+        (None when either is unroutable or they are partitioned)."""
+        if a.node_id not in self._adjacency:
             return None
+        lengths, _ = self._shortest_paths(a.node_id, target=b.node_id)
+        return lengths.get(b.node_id)

@@ -38,84 +38,85 @@ Everything is off by default; an unconfigured run pays nothing beyond
 a handful of ``None`` checks.
 """
 
-from repro.obs.audit import DECISION_KINDS, DecisionAudit, DecisionRecord
-from repro.obs.flightrec import FlightRecorder
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import SimProfiler, StackSampler, merge_collapsed
-from repro.obs.samplers import PeriodicSampler
-from repro.obs.session import (
-    TelemetryConfig,
-    TelemetrySession,
-    current_telemetry,
-    set_default_telemetry,
-)
-from repro.obs.spans import SPAN_EVENTS, Span, SpanBuilder, SpanRecorder
+from __future__ import annotations
 
-_PERF_EXPORTS = ("PERF_PHASES", "PerfObservatory", "merge_perf_reports")
-_FLEETPERF_EXPORTS = (
-    "FLEETPERF_PHASES",
-    "FleetPerf",
-    "WorkerLifecycle",
-    "attribute_speedup",
-    "merge_fleetperf",
-)
-_STATESCOPE_EXPORTS = (
-    "STATESCOPE_SERIES",
-    "StateScope",
-    "deep_sizeof",
-    "merge_statescope",
-    "statescope_metrics",
-)
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.obs.audit import DECISION_KINDS, DecisionAudit, DecisionRecord
+    from repro.obs.fleetperf import (
+        FLEETPERF_PHASES,
+        FleetPerf,
+        WorkerLifecycle,
+        attribute_speedup,
+        merge_fleetperf,
+    )
+    from repro.obs.flightrec import FlightRecorder
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.perf import PERF_PHASES, PerfObservatory, merge_perf_reports
+    from repro.obs.profiler import SimProfiler, StackSampler, merge_collapsed
+    from repro.obs.samplers import PeriodicSampler
+    from repro.obs.session import (
+        TelemetryConfig,
+        TelemetrySession,
+        current_telemetry,
+        set_default_telemetry,
+    )
+    from repro.obs.spans import SPAN_EVENTS, Span, SpanBuilder, SpanRecorder
+    from repro.obs.statescope import (
+        STATESCOPE_SERIES,
+        StateScope,
+        deep_sizeof,
+        merge_statescope,
+        statescope_metrics,
+    )
+
+#: Re-export -> defining module.  Every submodule is imported on first
+#: access (PEP 562): a run that attaches one instrument loads only that
+#: one, and the ``python -m`` CLIs of perf / fleetperf / statescope run
+#: without runpy's already-in-sys.modules warning.
+_EXPORTS = {
+    "DECISION_KINDS": "audit",
+    "DecisionAudit": "audit",
+    "DecisionRecord": "audit",
+    "FLEETPERF_PHASES": "fleetperf",
+    "FleetPerf": "fleetperf",
+    "WorkerLifecycle": "fleetperf",
+    "attribute_speedup": "fleetperf",
+    "merge_fleetperf": "fleetperf",
+    "FlightRecorder": "flightrec",
+    "MetricsRegistry": "metrics",
+    "PERF_PHASES": "perf",
+    "PerfObservatory": "perf",
+    "merge_perf_reports": "perf",
+    "SimProfiler": "profiler",
+    "StackSampler": "profiler",
+    "merge_collapsed": "profiler",
+    "PeriodicSampler": "samplers",
+    "TelemetryConfig": "session",
+    "TelemetrySession": "session",
+    "current_telemetry": "session",
+    "set_default_telemetry": "session",
+    "SPAN_EVENTS": "spans",
+    "Span": "spans",
+    "SpanBuilder": "spans",
+    "SpanRecorder": "spans",
+    "STATESCOPE_SERIES": "statescope",
+    "StateScope": "statescope",
+    "deep_sizeof": "statescope",
+    "merge_statescope": "statescope",
+    "statescope_metrics": "statescope",
+}
 
 
-def __getattr__(name):
-    # repro.obs.perf / repro.obs.fleetperf are imported lazily (like
-    # repro.obs.history) so their ``python -m`` CLIs run without
-    # runpy's already-in-sys.modules warning.
-    if name in _PERF_EXPORTS:
-        from repro.obs import perf
-
-        return getattr(perf, name)
-    if name in _FLEETPERF_EXPORTS:
-        from repro.obs import fleetperf
-
-        return getattr(fleetperf, name)
-    if name in _STATESCOPE_EXPORTS:
-        from repro.obs import statescope
-
-        return getattr(statescope, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
 
 
-__all__ = [
-    "DECISION_KINDS",
-    "DecisionAudit",
-    "DecisionRecord",
-    "FLEETPERF_PHASES",
-    "FleetPerf",
-    "FlightRecorder",
-    "MetricsRegistry",
-    "PERF_PHASES",
-    "PerfObservatory",
-    "WorkerLifecycle",
-    "attribute_speedup",
-    "merge_fleetperf",
-    "PeriodicSampler",
-    "STATESCOPE_SERIES",
-    "SimProfiler",
-    "StackSampler",
-    "StateScope",
-    "SPAN_EVENTS",
-    "deep_sizeof",
-    "merge_statescope",
-    "statescope_metrics",
-    "merge_collapsed",
-    "merge_perf_reports",
-    "Span",
-    "SpanBuilder",
-    "SpanRecorder",
-    "TelemetryConfig",
-    "TelemetrySession",
-    "current_telemetry",
-    "set_default_telemetry",
-]
+__all__ = list(_EXPORTS)

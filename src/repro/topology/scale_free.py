@@ -14,10 +14,9 @@ access points hanging off the edge routers.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
-
-import networkx as nx
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.sim.rng import seeded_stream
 
@@ -66,9 +65,10 @@ class TopologyPlan:
 
     def validate(self) -> None:
         """Sanity checks: connectivity and complete attachment maps."""
-        graph = nx.Graph()
+        neighbors: Dict[str, List[str]] = {}
         for link in self.links:
-            graph.add_edge(link.a, link.b)
+            neighbors.setdefault(link.a, []).append(link.b)
+            neighbors.setdefault(link.b, []).append(link.a)
         all_ids = (
             self.core_ids
             + self.edge_ids
@@ -76,14 +76,70 @@ class TopologyPlan:
             + self.ap_ids
             + self.user_ids
         )
-        missing = [i for i in all_ids if i not in graph]
+        missing = [i for i in all_ids if i not in neighbors]
         if missing:
             raise ValueError(f"nodes with no links: {missing[:5]}")
-        if not nx.is_connected(graph):
+        if not neighbors:
+            raise ValueError("topology has no nodes")
+        start = next(iter(neighbors))
+        reached = {start}
+        frontier = deque([start])
+        while frontier:
+            for other in neighbors[frontier.popleft()]:
+                if other not in reached:
+                    reached.add(other)
+                    frontier.append(other)
+        if len(reached) != len(neighbors):
             raise ValueError("topology is not connected")
         for user in self.user_ids:
             if user not in self.user_ap:
                 raise ValueError(f"user {user} has no access point")
+
+
+def barabasi_albert_adjacency(n: int, m: int, seed: int) -> Dict[int, List[int]]:
+    """Barabási–Albert preferential attachment on nodes ``0..n-1``.
+
+    The draws are the standard reference generator's, one for one: a
+    star on ``m + 1`` nodes, then each new node fills a set of ``m``
+    distinct targets by ``choice`` over the degree-repeated node list.
+    tests/test_topology.py pins the result against golden edge lists.
+    Neighbor lists keep insertion order, which :func:`adjacency_edges`
+    and the hub ranking depend on.
+    """
+    if m < 1 or m >= n:
+        raise ValueError(f"Barabási–Albert needs 1 <= m < n (m={m}, n={n})")
+    rng = seeded_stream(seed)
+    adjacency: Dict[int, List[int]] = {0: list(range(1, m + 1))}
+    for spoke in range(1, m + 1):
+        adjacency[spoke] = [0]
+    # Each node repeated once per incident edge (preferential attachment).
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets: Set[int] = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        adjacency[source] = list(targets)
+        for target in targets:
+            adjacency[target].append(source)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return adjacency
+
+
+def adjacency_edges(adjacency: Dict[int, List[int]]) -> Iterator[Tuple[int, int]]:
+    """Each undirected edge once, in adjacency-iteration order."""
+    done: Set[int] = set()
+    for node, neighbors in adjacency.items():
+        for other in neighbors:
+            if other not in done:
+                yield node, other
+        done.add(node)
+
+
+def hubs_by_degree(adjacency: Dict[int, List[int]]) -> List[int]:
+    """Nodes by descending degree; equal degrees keep insertion order
+    (``sorted`` is stable under ``reverse=True``)."""
+    return sorted(adjacency, key=lambda node: len(adjacency[node]), reverse=True)
 
 
 def generate_scale_free_plan(
@@ -117,8 +173,8 @@ def generate_scale_free_plan(
     plan.provider_ids = [f"prov-{i}" for i in range(num_providers)]
 
     # ISP core: Barabási–Albert scale-free graph.
-    core_graph = nx.barabasi_albert_graph(num_core, ba_attachment, seed=seed)
-    for a, b in core_graph.edges():
+    core_graph = barabasi_albert_adjacency(num_core, ba_attachment, seed)
+    for a, b in adjacency_edges(core_graph):
         plan.links.append(
             LinkSpec(
                 a=f"core-{a}",
@@ -132,8 +188,7 @@ def generate_scale_free_plan(
     # Providers sit at the top of the hierarchy: attach to the
     # highest-degree core routers (hubs), one provider per hub,
     # wrapping around if providers outnumber hubs.
-    hubs = sorted(core_graph.degree, key=lambda kv: kv[1], reverse=True)
-    hub_ids = [f"core-{node}" for node, _ in hubs]
+    hub_ids = [f"core-{node}" for node in hubs_by_degree(core_graph)]
     for i, provider in enumerate(plan.provider_ids):
         anchor = hub_ids[i % len(hub_ids)]
         plan.provider_core[provider] = anchor

@@ -45,6 +45,30 @@ class TestCatalog:
         levels = [obj.access_level for obj in net.provider.catalog[:6]]
         assert levels == [1, 2, 3, 1, 2, 3]
 
+    def test_content_object_accepts_exactly_the_chunk_names(self, net):
+        provider = net.provider
+        published = {
+            name: obj for obj in provider.catalog for name in obj.chunk_names()
+        }
+        for name, obj in published.items():
+            assert provider.content_object(name) is obj
+        last = provider.catalog[-1]
+        rejected = [
+            "/",
+            "/prov-0",
+            last.prefix,
+            last.prefix / f"chunk-{last.num_chunks}",
+            last.prefix / "chunk-01",
+            last.prefix / "chunk--1",
+            last.prefix / "manifest",
+            last.chunk_name(0) / "extra",
+            Name("/prov-0") / f"obj-{len(provider.catalog)}" / "chunk-0",
+            Name("/prov-1/obj-0/chunk-0"),
+        ]
+        for name in rejected:
+            assert Name(name) not in published
+            assert provider.content_object(name) is None, name
+
     def test_chunk_payload_deterministic(self, net):
         obj = net.provider.catalog[0]
         name = obj.chunk_name(0)
