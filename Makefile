@@ -38,7 +38,7 @@ bench:
 
 # The performance benchmarks only: engine fan-out speedup + cache
 # round-trip (writes BENCH_parallel.json), sim-core throughput with
-# the phase breakdown (writes BENCH_simcore.json + the flamegraph
+# the layer table (writes BENCH_simcore.json + the flamegraph
 # source), and the Bloom hot-path micro-benchmarks.
 # docs/PERFORMANCE.md explains how to read the output.
 perf:

@@ -8,21 +8,20 @@ paper's 2000-second ns-3 runs) in three configurations:
 1. **off** — the plain engine loop, no instruments: the headline
    ``events_per_sec`` number and the baseline ROADMAP item 1's 10×
    overhaul is judged against.
-2. **observed** — the same scenario under the
-   :class:`~repro.obs.perf.PerfObservatory` with a
-   :class:`~repro.obs.profiler.StackSampler` alongside: the per-phase
-   breakdown, handler table, and collapsed stacks
+2. **traced** — the same scenario under the
+   :class:`~repro.obs.layers.LayerTracer` with a
+   :class:`~repro.obs.profiler.StackSampler` alongside: the per-layer
+   table (calls, total and self seconds) and collapsed stacks
    (``results/flame_simcore.txt``).
 3. **replica** — a verbatim copy of the seed hot loop driven over the
-   engine's internals, vs ``sim.run()``, to measure what the observatory
-   *hooks* cost when disabled (``observatory_off_overhead_pct``).
+   engine's internals, vs ``sim.run()``, to measure what the engine's
+   loop selection costs over the bare loop (``off_overhead_pct``).
 
 The document is written to ``benchmarks/results/BENCH_simcore.json``
 AND the repo root ``BENCH_simcore.json``, and — when
 ``REPRO_HISTORY_DIR`` is set — recorded in the run-history store so
 ``python -m repro.obs.history diff --figure simcore`` gates throughput
-regressions in CI.  Two local runs diff with
-``python -m repro.obs.perf report``.
+regressions in CI.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import time
 from benchmarks.conftest import RESULTS_DIR, publish
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
-from repro.obs.perf import PerfObservatory
+from repro.obs.layers import LayerTracer
 from repro.obs.profiler import StackSampler
 from repro.sim.engine import Simulator
 
@@ -67,8 +66,8 @@ def _replica_sim(events: int = REPLICA_EVENTS) -> Simulator:
 def _drain_replica(sim: Simulator, until=None) -> None:
     """The seed repo's hot loop, verbatim, over the engine internals.
 
-    No ``self.perf`` selection, no observability branches at all — the
-    floor the instrumented-but-disabled engine is compared against.
+    No loop selection, no sanitizer branch at all — the floor the
+    engine's ``run()`` is compared against.
     """
     heap = sim._heap
     while heap and not sim._stopped:
@@ -113,7 +112,7 @@ def _paired_best(drain_a, drain_b, repeats: int):
 
 
 def test_simcore_throughput():
-    # -- 1. hook cost when disabled: seed-loop replica vs run() --------
+    # -- 1. loop selection cost: seed-loop replica vs run() -----------
     # Measured first, on a fresh heap: a large live object graph (the
     # scenario runs below retain one) adds several percent of noise to
     # these few-ms loop timings.
@@ -135,21 +134,26 @@ def test_simcore_throughput():
     wall_off = best_off.wall_seconds
     events_per_sec = events_off / wall_off if wall_off > 0 else 0.0
 
-    # -- 3. observed: the same scenario under the observatory ----------
-    perf = PerfObservatory(timeline_interval=1000)
+    # -- 3. traced: the same scenario under the layer tracer ----------
     sampler = StackSampler(interval=0.002)
     sampler.start()
     try:
-        observed = run_scenario(_scenario(), perf=perf)
+        with LayerTracer() as tracer:
+            traced = run_scenario(_scenario())
     finally:
         sampler.stop()
-    report = perf.report()
+    report = tracer.report()
+    layers = report["layers"]
+    loop_s = layers["sim.loop"]["total_s"]
+    # Σ self over the traced wall: the share of the traced window the
+    # layer table explains.
+    coverage = sum(row["self_s"] for row in layers.values()) / report["wall_seconds"]
 
-    # The observatory must not change what the simulation does…
-    assert observed.sim.events_executed == events_off
+    # The tracer must not change what the simulation does…
+    assert traced.sim.events_executed == events_off
     assert report["events"] == events_off
-    # …and its phase self-times must explain the observed loop wall.
-    assert report["phase_coverage"] >= 0.9
+    # …and its layer self times must explain the traced wall.
+    assert coverage >= 0.9
 
     from repro.obs.history import host_metadata
 
@@ -166,32 +170,21 @@ def test_simcore_throughput():
         "events_executed": events_off,
         "wall_seconds_off": round(wall_off, 4),
         "events_per_sec": round(events_per_sec, 1),
-        "events_per_sec_observed": round(report["events_per_second"], 1),
-        "observatory_overhead_pct": round(
-            (report["wall_seconds"] / wall_off - 1.0) * 100.0, 1
-        )
+        "events_per_sec_traced": round(events_off / loop_s, 1),
+        "tracer_overhead_pct": round((loop_s / wall_off - 1.0) * 100.0, 1)
         if wall_off > 0
         else 0.0,
-        "observatory_off_overhead_pct": round(off_overhead_pct, 2),
-        "phase_coverage": round(report["phase_coverage"], 4),
-        "phases": {
+        "off_overhead_pct": round(off_overhead_pct, 2),
+        "phase_coverage": round(coverage, 4),
+        "layers": {
             name: {
                 "calls": row["calls"],
-                "self_seconds": round(row["self_seconds"], 4),
-                "cum_seconds": round(row["cum_seconds"], 4),
-                "self_share": round(row["self_share"], 4),
+                "total_s": round(row["total_s"], 4),
+                "self_s": round(row["self_s"], 4),
+                "self_share": round(row["self_s"] / report["wall_seconds"], 4),
             }
-            for name, row in report["phases"].items()
+            for name, row in layers.items()
         },
-        "handlers_top": [
-            {
-                "handler": row["handler"],
-                "calls": row["calls"],
-                "seconds": round(row["seconds"], 4),
-                "share": round(row["share"], 4),
-            }
-            for row in report["handlers"][:10]
-        ],
         "flame_samples": sampler.samples,
     }
     blob = json.dumps(document, indent=2) + "\n"
@@ -212,7 +205,7 @@ def test_simcore_throughput():
             metrics={
                 "events_per_sec": round(events_per_sec, 1),
                 "events_executed": events_off,
-                "phase_coverage": round(report["phase_coverage"], 4),
+                "phase_coverage": round(coverage, 4),
             },
             wall_seconds=wall_off,
         )
@@ -225,13 +218,11 @@ def test_simcore_throughput():
                 f"{DURATION:g}s virtual @ scale {SCALE:g}",
                 f"  events executed        {events_off:>12,}",
                 f"  events/sec (off)       {events_per_sec:>12,.0f}",
-                f"  events/sec (observed)  "
-                f"{report['events_per_second']:>12,.0f}",
-                f"  hook cost when off     {off_overhead_pct:>11.2f}%",
-                f"  phase coverage         "
-                f"{report['phase_coverage']:>11.1%}",
+                f"  events/sec (traced)    {events_off / loop_s:>12,.0f}",
+                f"  run() vs seed loop     {off_overhead_pct:>11.2f}%",
+                f"  layer coverage         {coverage:>11.1%}",
                 "",
-                perf.render(),
+                tracer.render(),
             ]
         ),
     )

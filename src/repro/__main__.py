@@ -203,17 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     telemetry.add_argument(
         "--profile", action="store_true",
-        help="wall-clock the event loop and print a per-category report",
+        help="run under the layer tracer and print per-layer calls, total "
+        "and self seconds (docs/PERFORMANCE.md)",
     )
     telemetry.add_argument(
         "--heartbeat", type=float, default=0.0, metavar="SECONDS",
-        help="with --profile: print a liveness pulse every N wall seconds",
-    )
-    telemetry.add_argument(
-        "--perf", action="store_true",
-        help="attach the hot-path performance observatory: per-phase "
-        "cost accounting (heap/dispatch/PIT/CS/BF/link/crypto) printed "
-        "per run and merged fleet-wide (docs/PERFORMANCE.md)",
+        help="print wall time, virtual time and events executed every N "
+        "wall seconds",
     )
     telemetry.add_argument(
         "--flame-out", metavar="PATH", default=None,
@@ -315,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _telemetry_config(args) -> "TelemetryConfig | None":
     if not (args.metrics_out or args.trace_out or args.sample_interval
-            or args.profile or args.perf or args.flame_out):
+            or args.profile or args.heartbeat or args.flame_out):
         return None
     from repro.obs.session import TelemetryConfig
 
@@ -326,7 +322,6 @@ def _telemetry_config(args) -> "TelemetryConfig | None":
         sample_interval=args.sample_interval,
         profile=args.profile,
         heartbeat=args.heartbeat,
-        perf=args.perf,
         flame_path=args.flame_out,
         flame_interval=args.flame_interval,
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.sim.rng import Stream, seeded_stream
 
@@ -53,13 +53,6 @@ class ComputationCostModel:
     """
 
     costs: Dict[str, OpCost] = field(default_factory=dict)
-    #: Optional :class:`~repro.obs.perf.PerfObservatory` (``None`` =
-    #: off); :meth:`sample` charges itself to the ``crypto.cost`` phase
-    #: when set.  Excluded from comparison/repr: it is an instrument,
-    #: not part of the model's identity.  Note PAPER_COST_MODEL is a
-    #: shared module-level instance, which is why uninstall only clears
-    #: hooks still pointing at the departing observatory.
-    perf: Optional[Any] = field(default=None, compare=False, repr=False)
 
     def sample(self, op: str, rng: Stream) -> float:
         # Allocation-free charging: one dict probe plus the RNG draw.
@@ -69,17 +62,10 @@ class ComputationCostModel:
         cost = self.costs.get(op)
         if cost is None:
             return 0.0
-        perf = self.perf
-        if perf is None:
-            std = cost.std
-            if std <= 0.0:
-                return max(0.0, cost.mean)
-            return max(0.0, rng.gauss(cost.mean, std))
-        began = perf.clock()
-        try:
-            return cost.sample(rng)
-        finally:
-            perf.account("crypto.cost", perf.clock() - began)
+        std = cost.std
+        if std <= 0.0:
+            return max(0.0, cost.mean)
+        return max(0.0, rng.gauss(cost.mean, std))
 
     def mean(self, op: str) -> float:
         cost = self.costs.get(op)

@@ -123,7 +123,8 @@ def _execute_spec(
     inside the function: a freshly spawned interpreter only pays for
     the simulator once it actually runs something.
 
-    ``telemetry_args`` (``{"profile": bool, "sample_interval": float}``)
+    ``telemetry_args`` (``{"profile": bool, "sample_interval": float,
+    "flame": bool}``)
     asks for the fleet telemetry round-trip: the run attaches a
     session and its finalize record travels home in
     ``summary.telemetry``.  In-process runs reuse the process-default
@@ -177,7 +178,6 @@ def _execute_spec(
                 collect=True,
                 profile=bool(telemetry_args.get("profile", False)),
                 sample_interval=telemetry_args.get("sample_interval"),
-                perf=bool(telemetry_args.get("perf", False)),
                 flame=bool(telemetry_args.get("flame", False)),
             )
 
@@ -430,10 +430,6 @@ class ExperimentEngine:
         #: fleet-wide metrics view.  Deterministic: for a fixed seed the
         #: serial and parallel merges are bit-identical.
         self.fleet_registry = MetricsRegistry()
-        #: Fleet-wide perf-observatory view: per-run phase reports
-        #: merged in submission order (counts and seconds sum; see
-        #: :func:`repro.obs.perf.merge_perf_reports`).
-        self.fleet_perf: Dict[str, Any] = {}
         #: Fleet-wide collapsed flamegraph stacks (sample counts sum).
         self.fleet_flame: Dict[str, int] = {}
         self.stats = ExecStats()
@@ -487,7 +483,6 @@ class ExperimentEngine:
                 "sample_interval": (
                     default_config.sample_interval if default_config else None
                 ),
-                "perf": default_config.perf if default_config else False,
                 "flame": bool(
                     default_config
                     and (default_config.flame or default_config.flame_path)
@@ -657,11 +652,6 @@ class ExperimentEngine:
             metrics = envelope.get("metrics")
             if metrics:
                 self.fleet_registry.merge_snapshot(metrics)
-            perf = envelope.get("perf")
-            if perf:
-                from repro.obs.perf import merge_perf_reports
-
-                merge_perf_reports(self.fleet_perf, perf)
             flame = envelope.get("flame")
             if flame and flame.get("stacks"):
                 from repro.obs.profiler import merge_collapsed

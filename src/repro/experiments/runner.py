@@ -352,7 +352,6 @@ def run_scenario(
     sanitizer: Optional[object] = None,
     audit: Optional[object] = None,
     flightrec: Optional[object] = None,
-    perf: Optional[object] = None,
     statescope: Optional[object] = None,
 ) -> RunResult:
     """Assemble and execute one scenario end to end.
@@ -366,12 +365,7 @@ def run_scenario(
     ``audit`` attaches an explicit :class:`~repro.obs.audit.
     DecisionAudit` (env fallback ``REPRO_AUDIT``/``REPRO_AUDIT_OUT``);
     ``flightrec`` installs an explicit :class:`~repro.obs.flightrec.
-    FlightRecorder` (env fallback ``REPRO_FLIGHTREC``).  ``perf``
-    installs an explicit :class:`~repro.obs.perf.PerfObservatory`
-    (benchmarks use this for a tight measurement window: it is
-    installed after any session-created observatory, so it wins, and
-    its start/stop bracket exactly the ``sim.run`` call — which is
-    what makes the phase-coverage figure honest).  ``statescope``
+    FlightRecorder` (env fallback ``REPRO_FLIGHTREC``).  ``statescope``
     installs an explicit :class:`~repro.obs.statescope.StateScope`
     (env fallback ``REPRO_STATESCOPE``/``REPRO_STATESCOPE_OUT``); the
     scope is finalized before the telemetry session so its record rides
@@ -436,8 +430,6 @@ def run_scenario(
         statescope.start(horizon=horizon)
         if session is not None:
             session.statescope = statescope
-    if perf is not None:
-        perf.install(sim, network=assembly.network)
 
     _seed_stale_tags(assembly)
 
@@ -449,14 +441,16 @@ def run_scenario(
             offset += config.tag_expiry + 0.5  # wait out the stale tag
         attacker.start(at=min(offset, duration), until=duration)
 
-    if perf is not None:
-        perf.start()
     began = time.perf_counter()
-    sim.run(until=horizon)
+    try:
+        sim.run(until=horizon)
+    except BaseException:
+        # Restore the layer shims and stop the heartbeat before the
+        # error propagates.
+        if session is not None:
+            session.close()
+        raise
     wall = time.perf_counter() - began
-    if perf is not None:
-        perf.stop()
-        perf.uninstall()
 
     if statescope is not None:
         statescope.finalize()

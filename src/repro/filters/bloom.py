@@ -91,12 +91,6 @@ class BloomFilter:
         #: Optional :class:`~repro.qa.simsan.SimSan` (``None`` = off).
         #: Receives per-insert count checks and sampled fill checks.
         self.san = None
-        #: Optional :class:`~repro.obs.perf.PerfObservatory` (``None``
-        #: = off).  insert/contains/reset charge themselves to the
-        #: ``filters.bloom`` phase via the leaf ``account`` hook (the
-        #: cheap two-clock-read variant — BF lookups are the hottest
-        #: router op, so no context-manager machinery on this path).
-        self.perf = None
 
     # ------------------------------------------------------------------
     # Hashing
@@ -113,16 +107,6 @@ class BloomFilter:
     # ------------------------------------------------------------------
     def insert(self, item: Item) -> None:
         """Insert ``item``; counts every call (duplicates included) for FPP."""
-        perf = self.perf
-        if perf is None:
-            return self._insert(item)
-        began = perf.clock()
-        try:
-            return self._insert(item)
-        finally:
-            perf.account("filters.bloom", perf.clock() - began)
-
-    def _insert(self, item: Item) -> None:
         for idx in self._indices(item):
             self._bits[idx >> 3] |= 1 << (idx & 7)
         self.count += 1
@@ -137,16 +121,6 @@ class BloomFilter:
         :meth:`_indices` — lookups are the hottest router operation and
         the list allocation dominated the per-call cost.
         """
-        perf = self.perf
-        if perf is None:
-            return self._contains(item)
-        began = perf.clock()
-        try:
-            return self._contains(item)
-        finally:
-            perf.account("filters.bloom", perf.clock() - began)
-
-    def _contains(self, item: Item) -> bool:
         self.total_lookups += 1
         self.lookups_since_reset += 1
         digest = hashlib.blake2b(_item_bytes(item), digest_size=16).digest()
@@ -180,16 +154,6 @@ class BloomFilter:
         One fresh zeroed bytearray beats writing every byte in a Python
         loop — resets fire thousands of times in the small-filter runs.
         """
-        perf = self.perf
-        if perf is None:
-            return self._reset()
-        began = perf.clock()
-        try:
-            return self._reset()
-        finally:
-            perf.account("filters.bloom", perf.clock() - began)
-
-    def _reset(self) -> None:
         self._bits = bytearray(len(self._bits))
         self.count = 0
         self.reset_count += 1

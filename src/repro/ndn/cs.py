@@ -17,7 +17,7 @@ confirm.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from repro.ndn.name import Name, NameLike
 from repro.ndn.packets import Data
@@ -65,10 +65,6 @@ class ContentStore:  # simlint: disable=SL014 (QA tests stub methods per instanc
         #: Optional :class:`~repro.qa.simsan.SimSan`; same ``None`` = off
         #: idiom.  Receives an occupancy-bound callback per insert.
         self.san: Optional[object] = None
-        #: Optional :class:`~repro.obs.perf.PerfObservatory`; same
-        #: ``None`` = off idiom.  lookup/insert charge themselves to
-        #: the ``ndn.cs`` phase when set.
-        self.perf: Optional[Any] = None
 
     def __len__(self) -> int:
         return len(self._store)
@@ -81,13 +77,6 @@ class ContentStore:  # simlint: disable=SL014 (QA tests stub methods per instanc
         stripped so cached content is request-neutral)."""
         if self.capacity <= 0:
             return
-        perf = self.perf
-        if perf is None:
-            return self._insert(data)
-        with perf.phase("ndn.cs"):
-            return self._insert(data)
-
-    def _insert(self, data: Data) -> None:
         clean = data.copy()
         clean.tag = None
         clean.nack = None
@@ -121,13 +110,6 @@ class ContentStore:  # simlint: disable=SL014 (QA tests stub methods per instanc
 
     def lookup(self, name: NameLike, now: Optional[float] = None) -> Optional[Data]:
         """Exact-match lookup; returns a fresh copy or None."""
-        perf = self.perf
-        if perf is None:
-            return self._lookup(name, now)
-        with perf.phase("ndn.cs"):
-            return self._lookup(name, now)
-
-    def _lookup(self, name: NameLike, now: Optional[float] = None) -> Optional[Data]:
         if type(name) is not Name:
             name = Name(name)
         data = self._store.get(name)

@@ -10,7 +10,7 @@ are the defaults provided by :mod:`repro.topology`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.ndn.packets import packet_span_id
 from repro.sim.engine import Simulator
@@ -52,19 +52,14 @@ class Face:
         link = self.link
         sim = link.sim
         trace = sim.trace
-        if (
-            link.perf is not None
-            or not link.up
-            or link.loss_rate > 0.0
-            or (trace._n_subs and trace.enabled)
-        ):
+        if not link.up or link.loss_rate > 0.0 or (trace._n_subs and trace.enabled):
             return link.transmit(packet, src=self.node)
         # Allocation-free fast path for the headline configuration
-        # (link up, lossless, no observatory, no trace subscriber): the
-        # same serialization arithmetic — identical expression forms,
-        # so float results are bit-identical — and the same
-        # ``schedule_at`` call as :meth:`Link._transmit`, minus the
-        # branches that configuration can never take.  The drop-tail
+        # (link up, lossless, no trace subscriber): the same
+        # serialization arithmetic — identical expression forms, so
+        # float results are bit-identical — and the same ``schedule_at``
+        # call as :meth:`Link.transmit`, minus the branches that
+        # configuration can never take.  The drop-tail
         # case defers to the slow path, which recomputes the identical
         # backlog (no RNG, no state mutated yet) and handles counters
         # and span traces.
@@ -76,7 +71,7 @@ class Face:
         busy = next_free[node_id]
         start = now if now >= busy else busy
         if (start - now) * link.bandwidth_bps / 8.0 > link.queue_bytes:
-            return link._transmit(packet, src=self.node)
+            return link.transmit(packet, src=self.node)
         next_free[node_id] = start + tx_time
         sim.schedule_at(
             start + tx_time + link.latency, self.peer.receive, packet, self.remote_face
@@ -125,10 +120,6 @@ class Link:  # simlint: disable=SL014 (one per edge; observability hooks attach 
         self.packets_sent = 0
         self.packets_dropped = 0
         self.bytes_sent = 0
-        #: Optional :class:`~repro.obs.perf.PerfObservatory`; when set,
-        #: ``transmit`` charges itself to the ``ndn.link`` phase
-        #: (``None`` = off, same idiom as the component ``san`` hooks).
-        self.perf: Optional[Any] = None
         face_a = self._faces[node_a.node_id]
         face_b = self._faces[node_b.node_id]
         face_a.peer, face_a.remote_face = node_b, face_b
@@ -151,13 +142,6 @@ class Link:  # simlint: disable=SL014 (one per edge; observability hooks attach 
         behaviour responsible for the paper's "minimal amount of network
         packet losses".
         """
-        perf = self.perf
-        if perf is None:
-            return self._transmit(packet, src)
-        with perf.phase("ndn.link"):
-            return self._transmit(packet, src)
-
-    def _transmit(self, packet: object, src: "Node") -> bool:
         if not self.up:
             self.packets_dropped += 1
             self._trace_span_drop(packet, src, "link-down")

@@ -59,7 +59,7 @@ class Pit:
 
     __slots__ = (
         "entry_lifetime", "capacity", "_entries", "expired_records",
-        "rejections", "on_timeout", "on_aggregate", "san", "perf",
+        "rejections", "on_timeout", "on_aggregate", "san",
     )
 
     def __init__(self, entry_lifetime: float = 2.0, capacity: int = 0) -> None:
@@ -78,10 +78,6 @@ class Pit:
         #: Optional :class:`~repro.qa.simsan.SimSan`; same ``None`` = off
         #: idiom.  Receives record-conservation and occupancy callbacks.
         self.san: Optional[Any] = None
-        #: Optional :class:`~repro.obs.perf.PerfObservatory`; same
-        #: ``None`` = off idiom.  The public find/insert/consume paths
-        #: charge themselves to the ``ndn.pit`` phase when set.
-        self.perf: Optional[Any] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -107,13 +103,6 @@ class Pit:
 
     def find(self, name: NameLike, now: Optional[float] = None) -> Optional[PitEntry]:
         """Return the live entry for ``name``; expired entries are purged."""
-        perf = self.perf
-        if perf is None:
-            return self._find(name, now)
-        with perf.phase("ndn.pit"):
-            return self._find(name, now)
-
-    def _find(self, name: NameLike, now: Optional[float] = None) -> Optional[PitEntry]:
         if type(name) is not Name:
             name = Name(name)
         entry = self._entries.get(name)
@@ -143,19 +132,12 @@ class Pit:
         dropped and ``rejections`` incremented; the requester recovers
         via its request expiry).
         """
-        perf = self.perf
-        if perf is None:
-            return self._insert(name, record, now)
-        with perf.phase("ndn.pit"):
-            return self._insert(name, record, now)
-
-    def _insert(self, name: NameLike, record: PitRecord, now: float) -> bool:
         if type(name) is not Name:
             name = Name(name)
-        entry = self._find(name, now)
+        entry = self.find(name, now)
         if entry is None:
             if self.capacity and len(self._entries) >= self.capacity:
-                self._purge_expired(now)
+                self.purge_expired(now)
                 if len(self._entries) >= self.capacity:
                     self.rejections += 1
                     if self.san is not None:
@@ -179,16 +161,9 @@ class Pit:
 
     def consume(self, name: NameLike, now: Optional[float] = None) -> Optional[PitEntry]:
         """Remove and return the entry for ``name`` (Data arrival)."""
-        perf = self.perf
-        if perf is None:
-            return self._consume(name, now)
-        with perf.phase("ndn.pit"):
-            return self._consume(name, now)
-
-    def _consume(self, name: NameLike, now: Optional[float] = None) -> Optional[PitEntry]:
         if type(name) is not Name:
             name = Name(name)
-        entry = self._find(name, now)
+        entry = self.find(name, now)
         if entry is not None:
             del self._entries[name]
             if self.san is not None:
@@ -203,15 +178,6 @@ class Pit:
         Used by edge routers on NACK arrival: "rE drops the request with
         Tu from its PIT" (Protocol 2, lines 19-20).
         """
-        perf = self.perf
-        if perf is None:
-            return self._drop_record(name, predicate)
-        with perf.phase("ndn.pit"):
-            return self._drop_record(name, predicate)
-
-    def _drop_record(
-        self, name: NameLike, predicate: Callable[[PitRecord], bool]
-    ) -> int:
         if type(name) is not Name:
             name = Name(name)
         entry = self._entries.get(name)
@@ -228,13 +194,6 @@ class Pit:
 
     def purge_expired(self, now: float) -> int:
         """Drop every expired entry; returns number of records dropped."""
-        perf = self.perf
-        if perf is None:
-            return self._purge_expired(now)
-        with perf.phase("ndn.pit"):
-            return self._purge_expired(now)
-
-    def _purge_expired(self, now: float) -> int:
         dead = [name for name, e in self._entries.items() if now > e.expires_at]
         dropped = 0
         for name in dead:

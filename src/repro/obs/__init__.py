@@ -10,14 +10,13 @@ One package gathers everything a run can tell you about itself:
 - :mod:`repro.obs.samplers` — periodic virtual-time sampling of live
   state (PIT occupancy, CS hit ratio, Bloom-filter fill, link queues,
   pending events);
-- :mod:`repro.obs.profiler` — a wall-clock profiler for the event loop
-  (events/sec, per-callback-category time, heap high-water mark) plus
-  a statistical stack sampler emitting collapsed-stack flamegraph
-  input;
-- :mod:`repro.obs.perf` — the hot-path performance observatory:
-  nestable phase accounting over the engine and the NDN fast path
-  (heap ops, dispatch, PIT/CS/Bloom/link/crypto), the source of
-  ``BENCH_simcore.json``'s per-phase breakdown;
+- :mod:`repro.obs.layers` — the per-layer tracer behind ``--profile``:
+  call-through shims over the public entry points of every layer
+  (event loop, NDN forwarding, TACTIC enforcement, crypto, engine)
+  with exact per-layer self times, the source of
+  ``BENCH_simcore.json``'s layer table;
+- :mod:`repro.obs.profiler` — a statistical stack sampler emitting
+  collapsed-stack flamegraph input;
 - :mod:`repro.obs.session` — the glue: one
   :class:`~repro.obs.session.TelemetrySession` per run, attached by the
   experiment runner and driven by ``python -m repro`` flags;
@@ -53,9 +52,9 @@ if TYPE_CHECKING:
         merge_fleetperf,
     )
     from repro.obs.flightrec import FlightRecorder
+    from repro.obs.layers import ENTRY_POINTS, LayerTracer
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.perf import PERF_PHASES, PerfObservatory, merge_perf_reports
-    from repro.obs.profiler import SimProfiler, StackSampler, merge_collapsed
+    from repro.obs.profiler import StackSampler, merge_collapsed
     from repro.obs.samplers import PeriodicSampler
     from repro.obs.session import (
         TelemetryConfig,
@@ -74,7 +73,7 @@ if TYPE_CHECKING:
 
 #: Re-export -> defining module.  Every submodule is imported on first
 #: access (PEP 562): a run that attaches one instrument loads only that
-#: one, and the ``python -m`` CLIs of perf / fleetperf / statescope run
+#: one, and the ``python -m`` CLIs of fleetperf / statescope run
 #: without runpy's already-in-sys.modules warning.
 _EXPORTS = {
     "DECISION_KINDS": "audit",
@@ -86,11 +85,9 @@ _EXPORTS = {
     "attribute_speedup": "fleetperf",
     "merge_fleetperf": "fleetperf",
     "FlightRecorder": "flightrec",
+    "ENTRY_POINTS": "layers",
+    "LayerTracer": "layers",
     "MetricsRegistry": "metrics",
-    "PERF_PHASES": "perf",
-    "PerfObservatory": "perf",
-    "merge_perf_reports": "perf",
-    "SimProfiler": "profiler",
     "StackSampler": "profiler",
     "merge_collapsed": "profiler",
     "PeriodicSampler": "samplers",

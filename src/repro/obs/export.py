@@ -38,7 +38,6 @@ __all__ = [
     "TRACE_FORMATS",
     "chrome_trace_events",
     "fleet_trace_events",
-    "perf_counter_events",
     "state_counter_events",
     "write_chrome_trace",
     "write_fleet_trace",
@@ -187,51 +186,6 @@ def chrome_trace_events(
                 "args": args,
             }
         )
-    return events
-
-
-def perf_counter_events(timeline: Sequence, pid: int = 1) -> List[dict]:
-    """Render a perf-observatory timeline as Chrome counter tracks.
-
-    ``timeline`` is the observatory's ``(virtual_time, events_executed,
-    {phase: cum_wall_seconds})`` snapshots.  Each snapshot becomes two
-    counter ("C") samples: ``perf.phase_ms`` — wall milliseconds spent
-    per phase *since the previous snapshot* (a stacked track showing
-    where host time goes across virtual time) — and ``perf.events``,
-    the cumulative dispatched-event count.  The ``engine.loop``
-    envelope phase is omitted: its cumulative time only settles when
-    the loop exits, so mid-run deltas would read as zero.
-    """
-    events: List[dict] = []
-    previous: Dict[str, float] = {}
-    for entry in timeline:
-        time_s, executed, cumulative = entry[0], entry[1], entry[2]
-        deltas = {
-            phase: round((seconds - previous.get(phase, 0.0)) * 1e3, 6)
-            for phase, seconds in sorted(cumulative.items())
-            if phase != "engine.loop"
-        }
-        events.append(
-            {
-                "name": "perf.phase_ms",
-                "ph": "C",
-                "pid": pid,
-                "tid": 0,
-                "ts": time_s * _MICROS,
-                "args": deltas,
-            }
-        )
-        events.append(
-            {
-                "name": "perf.events",
-                "ph": "C",
-                "pid": pid,
-                "tid": 0,
-                "ts": time_s * _MICROS,
-                "args": {"executed": executed},
-            }
-        )
-        previous = dict(cumulative)
     return events
 
 
@@ -408,22 +362,18 @@ def write_chrome_trace(
 ) -> int:
     """Write a Chrome trace document covering ``runs`` (one pid each).
 
-    ``runs`` is ``[(run_label, records), ...]`` — or, with observers
-    attached, ``[(run_label, records, perf_timeline, state_timeline),
-    ...]`` where the optional third element (may be None) renders as
-    counter tracks via :func:`perf_counter_events` and the optional
-    fourth via :func:`state_counter_events`.  Returns the event count.
+    ``runs`` is ``[(run_label, records), ...]`` — or, with statescope
+    attached, ``[(run_label, records, state_timeline), ...]`` where the
+    optional third element (may be None) renders as counter tracks via
+    :func:`state_counter_events`.  Returns the event count.
     The whole document is rewritten on every call — trace-event JSON
     has no append form — so partial invocations stay loadable.
     """
     events: List[dict] = []
     for index, entry in enumerate(runs):
         run, records = entry[0], entry[1]
-        counters = entry[2] if len(entry) > 2 else None
-        state_counters = entry[3] if len(entry) > 3 else None
+        state_counters = entry[2] if len(entry) > 2 else None
         events.extend(chrome_trace_events(records, pid=index + 1, run=run))
-        if counters:
-            events.extend(perf_counter_events(counters, pid=index + 1))
         if state_counters:
             events.extend(state_counter_events(state_counters, pid=index + 1))
     document = {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -3,9 +3,8 @@
 ``BENCH_parallel.json``'s one measured datapoint — ``parallel_speedup:
 0.776`` on a single-core host — says the spawn-pool engine is *slower*
 than serial, but nothing about why.  This module is the yardstick the
-multicore overhaul (ROADMAP item 2) will be gated on, the same pattern
-:mod:`repro.obs.perf` set for the sim core: measure with phase
-attribution first, optimize with confidence second.
+multicore overhaul will be gated on: measure with
+phase attribution first, optimize with confidence second.
 
 Two cooperating recorders cover the fleet:
 
@@ -37,8 +36,7 @@ phase-coverage invariant (the ``BENCH_simcore`` discipline, ≥ 0.9
 asserted by the benchmark).
 
 Phase names are compile-time constants declared in
-:data:`FLEETPERF_PHASES` and linted by simlint rule SL015 (the SL009
-discipline for the fleet layer).
+:data:`FLEETPERF_PHASES` and linted by simlint rule SL015.
 
 Cross-process timestamps: workers and parent both read
 ``time.perf_counter``, which on Linux is ``CLOCK_MONOTONIC`` — one
@@ -54,8 +52,7 @@ The module also carries the attribution-report CLI::
 
 which renders the attribution table and exits 1 on regression (coverage
 below ``--min-coverage``, or speedup regressed beyond ``--tolerance``
-percent against the baseline document) and 2 on bad input — the same
-exit contract as ``python -m repro.obs.perf report``.
+percent against the baseline document) and 2 on bad input.
 """
 
 from __future__ import annotations

@@ -1,23 +1,9 @@
-"""Wall-clock profiling of the event loop.
+"""Statistical stack sampling of the event loop (flamegraph input).
 
-When :attr:`Simulator.profiler <repro.sim.engine.Simulator.profiler>`
-is set, the engine switches to an instrumented run loop that clocks
-every callback and reports the heap size at each dispatch.  The
-profiler aggregates by *callback category* — the callback's
-``__qualname__`` (e.g. ``Node.receive``, ``Client._pump``) — so the
-report answers "where does the wall time go" at the granularity the
-codebase is organized in.
-
-The report carries:
-
-- events executed and events/sec over the profiled window,
-- per-category call count, cumulative seconds, and share of the total,
-- the event-heap high-water mark,
-- the process heap high-water mark (``ru_maxrss``) when the platform
-  exposes :mod:`resource`.
-
-An optional *heartbeat* writes a one-line progress pulse to a stream
-every ``heartbeat`` wall seconds — the long-run liveness signal.
+A :class:`StackSampler` samples the running thread's Python stack from
+a side thread and folds the samples into Brendan Gregg's collapsed-stack
+format; :func:`write_collapsed` and :func:`merge_collapsed` persist and
+aggregate them (the ``--flame-out`` flag).
 """
 
 from __future__ import annotations
@@ -26,144 +12,9 @@ import os
 import sys
 import threading
 import time
-from typing import Callable, Dict, Optional, TextIO
-
-try:  # pragma: no cover - platform-dependent
-    import resource
-except ImportError:  # pragma: no cover - non-POSIX
-    resource = None
+from typing import Callable, Dict, Optional
 
 
-def _category(callback: Callable) -> str:
-    return getattr(callback, "__qualname__", repr(callback))
-
-
-class SimProfiler:
-    """Per-callback-category wall-clock accounting for one run."""
-
-    def __init__(
-        self,
-        heartbeat: float = 0.0,
-        stream: Optional[TextIO] = None,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
-        self.clock = clock
-        self.heartbeat = heartbeat
-        self.stream = stream
-        self.calls: Dict[str, int] = {}
-        self.seconds: Dict[str, float] = {}
-        self.events = 0
-        self.heap_high_water = 0
-        self.started_at: Optional[float] = None
-        self.stopped_at: Optional[float] = None
-        self._next_beat: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    # Hooks called by the engine's instrumented loop
-    # ------------------------------------------------------------------
-    def observe_heap(self, size: int) -> None:
-        if size > self.heap_high_water:
-            self.heap_high_water = size
-
-    def record(self, callback: Callable, elapsed: float) -> None:
-        category = _category(callback)
-        self.calls[category] = self.calls.get(category, 0) + 1
-        self.seconds[category] = self.seconds.get(category, 0.0) + elapsed
-        self.events += 1
-        if self._next_beat is not None:
-            now = self.clock()
-            if now >= self._next_beat:
-                self._next_beat = now + self.heartbeat
-                self._emit_heartbeat(now)
-
-    # ------------------------------------------------------------------
-    # Window control
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        self.started_at = self.clock()
-        if self.heartbeat > 0 and self.stream is not None:
-            self._next_beat = self.started_at + self.heartbeat
-
-    def stop(self) -> None:
-        self.stopped_at = self.clock()
-        self._next_beat = None
-
-    def wall_seconds(self) -> float:
-        if self.started_at is None:
-            return 0.0
-        end = self.stopped_at if self.stopped_at is not None else self.clock()
-        return max(0.0, end - self.started_at)
-
-    def events_per_second(self) -> float:
-        wall = self.wall_seconds()
-        return self.events / wall if wall > 0 else 0.0
-
-    def max_rss_bytes(self) -> Optional[int]:
-        """Process high-water resident set, or None when unavailable."""
-        if resource is None:
-            return None
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        # Linux reports kilobytes; macOS reports bytes.
-        return rss if rss > 1 << 32 else rss * 1024
-
-    def _emit_heartbeat(self, now: float) -> None:
-        if self.stream is None:
-            return
-        self.stream.write(
-            f"[obs] {now - self.started_at:8.1f}s wall  "
-            f"{self.events} events  {self.events_per_second():,.0f} ev/s  "
-            f"heap<= {self.heap_high_water}\n"
-        )
-        self.stream.flush()
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def report(self, top: int = 0) -> dict:
-        """JSON-serializable summary; ``top`` limits categories (0 = all)."""
-        total = sum(self.seconds.values()) or 1.0
-        ranked = sorted(self.seconds, key=self.seconds.get, reverse=True)
-        if top:
-            ranked = ranked[:top]
-        return {
-            "events": self.events,
-            "wall_seconds": self.wall_seconds(),
-            "events_per_second": self.events_per_second(),
-            "heap_high_water": self.heap_high_water,
-            "max_rss_bytes": self.max_rss_bytes(),
-            "categories": [
-                {
-                    "category": category,
-                    "calls": self.calls[category],
-                    "seconds": self.seconds[category],
-                    "share": self.seconds[category] / total,
-                }
-                for category in ranked
-            ],
-        }
-
-    def render(self, top: int = 15) -> str:
-        """Human-readable report for terminal output."""
-        data = self.report(top=top)
-        lines = [
-            f"profiled {data['events']} events in {data['wall_seconds']:.3f}s wall "
-            f"({data['events_per_second']:,.0f} events/sec), "
-            f"event-heap high water {data['heap_high_water']}",
-        ]
-        if data["max_rss_bytes"] is not None:
-            lines.append(f"max RSS {data['max_rss_bytes'] / (1 << 20):.1f} MiB")
-        lines.append(f"{'category':<42} {'calls':>9} {'seconds':>9} {'share':>6}")
-        for row in data["categories"]:
-            lines.append(
-                f"{row['category']:<42.42} {row['calls']:>9} "
-                f"{row['seconds']:>9.4f} {row['share']:>5.1%}"
-            )
-        return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Statistical sampling (flamegraphs)
-# ----------------------------------------------------------------------
 def _frame_label(code) -> str:
     """``module.Qualified.name`` — stable across samples so identical
     stacks collapse (line numbers would fragment them)."""
@@ -184,8 +35,8 @@ class StackSampler:
     flamegraph input format (``frame;frame;frame count`` per line, root
     first).  The *target* thread pays nothing: sampling rides the GIL
     from the side, which is what makes this the honest complement to
-    the phase observatory (phases tell you *which subsystem*, samples
-    tell you *which line of Python*).
+    the layer tracer (layers tell you *which subsystem*, samples tell
+    you *which line of Python*).
 
     Collapsed dicts from parallel workers merge by summing counts
     (:func:`merge_collapsed`), so fleet flamegraphs aggregate exactly

@@ -1,13 +1,14 @@
 """Per-run telemetry sessions: the glue between flags and instruments.
 
 ``python -m repro`` translates its ``--metrics-out`` / ``--trace-out``
-/ ``--sample-interval`` / ``--profile`` flags into one
+/ ``--sample-interval`` / ``--profile`` / ``--heartbeat`` flags into one
 :class:`TelemetryConfig` and installs it as the process default via
 :func:`set_default_telemetry`.  The experiment runner then attaches a
 :class:`TelemetrySession` to every scenario it executes: the session
 wires a fresh :class:`~repro.obs.metrics.MetricsRegistry`, a trace
 recorder over the known substrate events *plus* the ``span.*``
-lifecycle events, a periodic sampler, and the wall-clock profiler —
+lifecycle events, a periodic sampler, the per-layer tracer
+(:class:`~repro.obs.layers.LayerTracer`) and a wall-clock heartbeat —
 whichever subset the config enables — and, at :meth:`~TelemetrySession.
 finalize`, bridges the run's router :class:`~repro.core.metrics.
 OpCounters` and user totals into labeled counters before persisting.
@@ -28,11 +29,12 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import SimProfiler
 from repro.obs.samplers import PeriodicSampler
 from repro.obs.spans import SPAN_EVENTS
 from repro.sim.engine import Simulator
@@ -73,10 +75,9 @@ class TelemetryConfig:
     #: ``trace_event`` document for chrome://tracing / Perfetto).
     trace_format: str = "jsonl"
     sample_interval: Optional[float] = None
+    #: Run under the :class:`~repro.obs.layers.LayerTracer` and report
+    #: per-layer calls, total and self seconds (the ``--profile`` flag).
     profile: bool = False
-    #: Attach the :class:`~repro.obs.perf.PerfObservatory` (phase-level
-    #: hot-path accounting; the ``--perf`` flag).
-    perf: bool = False
     #: Collapsed-stack output path for the statistical sampler (the
     #: ``--flame-out`` flag); setting it implies sampling.
     flame_path: Optional[str] = None
@@ -85,10 +86,11 @@ class TelemetryConfig:
     flame: bool = False
     #: Stack-sampling period in seconds.
     flame_interval: float = 0.005
-    #: Wall-clock heartbeat period in seconds (0 = off); requires
-    #: ``profile`` since the pulse rides the profiled loop.
+    #: Wall-clock heartbeat period in seconds (0 = off): a daemon
+    #: thread prints wall time, ``sim.now`` and events executed, so the
+    #: pulse costs the event loop nothing.
     heartbeat: float = 0.0
-    #: Stream for profiler reports and heartbeats (None = stderr).
+    #: Stream for profile reports and heartbeats (None = stderr).
     stream: Optional[object] = None
     #: In-memory envelope mode: collect metrics/profile into the
     #: session's ``record`` without writing files or printing reports.
@@ -105,7 +107,7 @@ class TelemetryConfig:
             or self.trace_path
             or self.sample_interval
             or self.profile
-            or self.perf
+            or self.heartbeat
             or self.flame_path
             or self.flame
             or self.collect
@@ -147,17 +149,14 @@ class TelemetryWriter:
         self,
         records: Iterable[TraceRecord],
         run: str,
-        counters: Optional[list] = None,
         state_counters: Optional[list] = None,
     ) -> int:
         """Persist one run's trace records.
 
-        ``counters`` optionally carries the perf observatory's timeline
-        (``(virtual_time, events, {phase: cum_seconds})`` snapshots)
-        and ``state_counters`` the statescope timeline
+        ``state_counters`` optionally carries the statescope timeline
         (``(virtual_time, {series: value})`` samples); the chrome
-        format renders both as counter tracks alongside the event
-        slices, the jsonl format ignores them.
+        format renders it as counter tracks alongside the event slices,
+        the jsonl format ignores it.
         """
         if not self.config.trace_path:
             return 0
@@ -168,7 +167,7 @@ class TelemetryWriter:
             from repro.obs.export import write_chrome_trace
 
             batch = list(records)
-            self._trace_runs.append((run, batch, counters, state_counters))
+            self._trace_runs.append((run, batch, state_counters))
             write_chrome_trace(self.config.trace_path, self._trace_runs)
             return len(batch)
         mode = "a" if self._trace_started else "w"
@@ -210,8 +209,7 @@ class TelemetrySession:
         self.registry = MetricsRegistry()
         self.recorder = None
         self.sampler = None
-        self.profiler = None
-        self.perf = None
+        self.tracer = None
         self.flame = None
         #: The finalize record (set by :meth:`finalize`); in ``collect``
         #: mode this is the whole point of the session.
@@ -225,6 +223,9 @@ class TelemetrySession:
         #: rides the finalize record and its timeline becomes Chrome
         #: counter tracks.
         self.statescope = None
+        self._closed = False
+        self._beat_stop: Optional[threading.Event] = None
+        self._beat_thread: Optional[threading.Thread] = None
 
         if config.trace_path:
             # Imported here: experiments.tracelog sits above obs in the
@@ -240,23 +241,63 @@ class TelemetrySession:
                 self.sampler.install_standard_probes(network)
             self.sampler.start()
         if config.profile:
-            self.profiler = SimProfiler(
-                heartbeat=config.heartbeat,
-                stream=config.stream or sys.stderr,
-            )
-            sim.profiler = self.profiler
-            self.profiler.start()
-        if config.perf:
-            from repro.obs.perf import PerfObservatory
+            from repro.obs.layers import LayerTracer
 
-            self.perf = PerfObservatory(timeline_interval=1000)
-            self.perf.install(sim, network=network)
-            self.perf.start()
+            self.tracer = LayerTracer().__enter__()
         if config.flame or config.flame_path:
             from repro.obs.profiler import StackSampler
 
             self.flame = StackSampler(interval=config.flame_interval)
             self.flame.start()
+        if config.heartbeat > 0:
+            self._beat_stop = threading.Event()
+            self._beat_thread = threading.Thread(
+                target=self._heartbeat,
+                args=(config.heartbeat, config.stream or sys.stderr),
+                name="repro-heartbeat",
+                daemon=True,
+            )
+            self._beat_thread.start()
+
+    def _heartbeat(self, period: float, stream) -> None:
+        """Print a liveness pulse every ``period`` wall seconds.
+
+        Runs on its own thread and only reads the simulator's clock and
+        event counter, so every run loop (``_drain``, the C kernel, the
+        sanitized loop) keeps its per-event cost.
+        """
+        began = time.perf_counter()
+        while not self._beat_stop.wait(period):
+            stream.write(
+                f"[obs] {time.perf_counter() - began:8.1f}s wall  "
+                f"sim.now={self.sim.now:.3f}s  "
+                f"{self.sim.events_executed} events\n"
+            )
+            stream.flush()
+
+    def close(self) -> None:
+        """Detach every instrument; idempotent.
+
+        :meth:`finalize` calls this first, and the runner calls it when
+        a run raises, so the layer shims are always restored and the
+        heartbeat thread is always stopped and joined.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            if self.tracer is not None:
+                self.tracer.__exit__(None, None, None)
+            if self.flame is not None:
+                self.flame.stop()
+            if self.sampler is not None:
+                self.sampler.stop()
+            if self.recorder is not None:
+                self.recorder.stop()
+        finally:
+            if self._beat_thread is not None:
+                self._beat_stop.set()
+                self._beat_thread.join()
 
     # ------------------------------------------------------------------
     # Finalization
@@ -343,18 +384,7 @@ class TelemetrySession:
 
     def finalize(self, wall_seconds: float = 0.0) -> dict:
         """Detach instruments, bridge counters, persist, return the record."""
-        if self.profiler is not None:
-            self.profiler.stop()
-            self.sim.profiler = None
-        if self.perf is not None:
-            self.perf.stop()
-            self.perf.uninstall()
-        if self.flame is not None:
-            self.flame.stop()
-        if self.sampler is not None:
-            self.sampler.stop()
-        if self.recorder is not None:
-            self.recorder.stop()
+        self.close()
         self._bridge_collector()
         self._bridge_audit()
         record = {
@@ -364,8 +394,7 @@ class TelemetrySession:
             "events_executed": self.sim.events_executed,
             "metrics": self.registry.snapshot(),
             "samples": self.sampler.series_dict() if self.sampler else [],
-            "profile": self.profiler.report() if self.profiler else None,
-            "perf": self.perf.report() if self.perf else None,
+            "profile": self.tracer.report() if self.tracer else None,
             "flame": self.flame.report() if self.flame else None,
             "statescope": (
                 self.statescope.record() if self.statescope is not None else None
@@ -382,21 +411,16 @@ class TelemetrySession:
             writer.append_trace(
                 self.recorder.records,
                 run=self.label,
-                counters=self.perf.timeline if self.perf else None,
                 state_counters=(
                     self.statescope.timeline if self.statescope is not None else None
                 ),
             )
         if self.flame is not None and self.config.flame_path:
             writer.add_flame(self.flame.collapsed)
-        if self.profiler is not None:
+        if self.tracer is not None:
             stream = self.config.stream or sys.stderr
             header = f"── profile: {self.label or 'run'} ──"
-            stream.write(header + "\n" + self.profiler.render() + "\n")
-        if self.perf is not None:
-            stream = self.config.stream or sys.stderr
-            header = f"── perf: {self.label or 'run'} ──"
-            stream.write(header + "\n" + self.perf.render() + "\n")
+            stream.write(header + "\n" + self.tracer.render() + "\n")
         return record
 
 

@@ -119,7 +119,6 @@ class FileScan:
     events: Set[str] = field(default_factory=set)
     metrics: Set[str] = field(default_factory=set)
     decisions: Set[str] = field(default_factory=set)
-    phases: Set[str] = field(default_factory=set)
     fleet_phases: Set[str] = field(default_factory=set)
     statescope: Set[str] = field(default_factory=set)
 
@@ -142,7 +141,6 @@ def scan_file(
     scan.events = registries.declared_events
     scan.metrics = registries.declared_metrics
     scan.decisions = registries.declared_decisions
-    scan.phases = registries.declared_phases
     scan.fleet_phases = registries.declared_fleet_phases
     scan.statescope = registries.declared_statescope
     empty_ctx = LintContext()
@@ -172,7 +170,6 @@ def _judge_and_filter(
         ctx.declared_events |= scan.events
         ctx.declared_metrics |= scan.metrics
         ctx.declared_decisions |= scan.decisions
-        ctx.declared_phases |= scan.phases
         ctx.declared_fleet_phases |= scan.fleet_phases
         ctx.declared_statescope |= scan.statescope
 

@@ -79,13 +79,8 @@ _METRIC_REGISTRY_NAMES = ("METRIC_NAMES",)
 #: Decision-kind registries recognised for SL008
 #: (:data:`repro.obs.audit.DECISION_KINDS`).
 _DECISION_REGISTRY_NAMES = ("DECISION_KINDS",)
-#: Perf-phase registries recognised for SL009
-#: (:data:`repro.obs.perf.PERF_PHASES`).
-_PHASE_REGISTRY_NAMES = ("PERF_PHASES",)
 #: Fleet-phase registries recognised for SL015
-#: (:data:`repro.obs.fleetperf.FLEETPERF_PHASES`).  Checked *before*
-#: the generic ``*_PHASES`` suffix match so the fleet vocabulary never
-#: leaks into SL009's perf-phase registry.
+#: (:data:`repro.obs.fleetperf.FLEETPERF_PHASES`).
 _FLEETPERF_REGISTRY_NAMES = ("FLEETPERF_PHASES",)
 #: Statescope series registries recognised for SL016
 #: (:data:`repro.obs.statescope.STATESCOPE_SERIES`).
@@ -217,7 +212,6 @@ class LintContext:
     declared_events: Set[str] = field(default_factory=set)
     declared_metrics: Set[str] = field(default_factory=set)
     declared_decisions: Set[str] = field(default_factory=set)
-    declared_phases: Set[str] = field(default_factory=set)
     declared_fleet_phases: Set[str] = field(default_factory=set)
     declared_statescope: Set[str] = field(default_factory=set)
 
@@ -245,8 +239,6 @@ class LintContext:
                     self.declared_fleet_phases.update(strings)
                 elif name in _STATESCOPE_REGISTRY_NAMES:
                     self.declared_statescope.update(strings)
-                elif name in _PHASE_REGISTRY_NAMES or name.endswith("_PHASES"):
-                    self.declared_phases.update(strings)
 
 
 def _collect_strings(node: ast.AST) -> List[str]:
@@ -356,7 +348,7 @@ class WallClockRule(Rule):
     Virtual time comes from ``sim.now``; a ``time.time()`` anywhere in
     a sim-affecting module couples event timing to the host machine and
     silently breaks same-seed reproducibility.  Wall-clock measurement
-    belongs in :mod:`repro.obs` (profiler) and the experiment harness,
+    belongs in :mod:`repro.obs` (layer tracer) and the experiment harness,
     both of which are out of scope for this rule.
     """
 
@@ -675,54 +667,6 @@ class DecisionKindRule(ContextRule):
         return None
 
 
-class PerfPhaseRule(ContextRule):
-    """SL009: perf phase names must be declared in PERF_PHASES.
-
-    The performance observatory's phase taxonomy
-    (:data:`repro.obs.perf.PERF_PHASES`) is the schema of
-    ``BENCH_simcore.json``, the per-phase regression gate, and the
-    Chrome-trace counter tracks.  A typo'd phase at any
-    ``perf.phase(...)`` / ``perf.account(...)`` call site would
-    silently fork that schema — and a *computed* phase name would
-    defeat static checking entirely, so non-literal names are findings
-    in their own right (the SL008 discipline).  Like SL003/SL007/SL008
-    the rule stays quiet when the scan saw no phase registry at all.
-    """
-
-    code = "SL009"
-    title = "perf phase names must be declared in PERF_PHASES"
-
-    _CALL_ATTRS = {"phase", "account"}
-
-    def applies_to(self, module: Module) -> bool:
-        if "/" not in module.relpath:
-            return True
-        return module.relpath.startswith(SIM_AFFECTING_PREFIXES + ("obs/",))
-
-    def collect(self, module: Module) -> Iterator[Candidate]:
-        for node in module.index.calls:
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in self._CALL_ATTRS:
-                yield self._candidate(module, node)
-
-    def judge(self, cand: Candidate, ctx: LintContext) -> Optional[Finding]:
-        if not ctx.declared_phases:
-            return None
-        if not cand.literal:
-            return self._cand_finding(
-                cand,
-                f"perf {cand.attr}() phase name must be a string literal "
-                f"so the phase taxonomy stays statically checkable",
-            )
-        if cand.name not in ctx.declared_phases:
-            return self._cand_finding(
-                cand,
-                f"perf phase {cand.name!r} is not declared in PERF_PHASES "
-                f"(repro.obs.perf)",
-            )
-        return None
-
-
 class FleetPhaseRule(ContextRule):
     """SL015: fleet phase names must be declared in FLEETPERF_PHASES.
 
@@ -733,8 +677,8 @@ class FleetPhaseRule(ContextRule):
     A typo'd phase at any ``charge(...)`` call site — worker lifecycle
     or parent collector — would silently fork that schema, and a
     computed name would defeat static checking, so non-literal names
-    are findings in their own right (the SL009 discipline).  Like
-    SL003/SL007/SL008/SL009 the rule stays quiet when the scan saw no
+    are findings in their own right (the SL008 discipline).  Like
+    SL003/SL007/SL008 the rule stays quiet when the scan saw no
     fleet-phase registry at all.
     """
 
@@ -783,7 +727,7 @@ class StateScopeSeriesRule(ContextRule):
     at a ``track(...)`` call site would silently open an unregistered
     series that the summary/merge layers drop, and a computed name
     would defeat static checking, so non-literal names are findings in
-    their own right (the SL009/SL015 discipline).  Like those rules it
+    their own right (the SL008/SL015 discipline).  Like those rules it
     stays quiet when the scan saw no statescope registry at all.
     """
 
@@ -926,7 +870,6 @@ ALL_RULES: Sequence[Rule] = (
     DirectRunScenarioRule(),
     FleetEventRule(),
     DecisionKindRule(),
-    PerfPhaseRule(),
     SlotsRule(),
     FleetPhaseRule(),
     StateScopeSeriesRule(),

@@ -3,7 +3,7 @@
 Installs invariant hooks into a :class:`~repro.sim.engine.Simulator`
 and the nodes/tables attached to it.  When *not* installed the
 substrate pays nothing: the engine selects a sanitized run loop only
-when ``sim.sanitizer`` is set (same pattern as the profiler), and the
+when ``sim.sanitizer`` is set, and the
 table hook attributes (``pit.san`` / ``cs.san`` / ``bloom.san``)
 default to ``None`` behind single attribute checks on cold-ish paths.
 

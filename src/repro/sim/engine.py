@@ -8,7 +8,6 @@ or absolute (``schedule_at``) callbacks.
 
 from __future__ import annotations
 
-import heapq
 import os
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
@@ -74,23 +73,10 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
         self.events_executed = 0
         self.rng = RngRegistry(seed)
         self.trace = TraceHub()
-        #: Optional :class:`~repro.obs.profiler.SimProfiler`.  When set,
-        #: ``run`` switches to an instrumented loop that wall-clocks every
-        #: callback; the ``None`` default keeps the hot loop untouched.
-        self.profiler = None
-        #: Optional :class:`~repro.qa.simsan.SimSan`.  Same pattern as the
-        #: profiler: when set, ``run`` uses a sanitized loop that checks
-        #: clock monotonicity and hashes the event stream; ``None`` keeps
-        #: the hot loop untouched.  Takes precedence over the profiler.
+        #: Optional :class:`~repro.qa.simsan.SimSan`.  When set, ``run``
+        #: uses a sanitized loop that checks clock monotonicity and hashes
+        #: the event stream; ``None`` keeps the hot loop untouched.
         self.sanitizer = None
-        #: Optional :class:`~repro.obs.perf.PerfObservatory`.  When set,
-        #: ``run``/``step`` switch to an observed loop that charges heap
-        #: pops, dispatch, and per-handler time to named phases.  Unlike
-        #: the profiler/sanitizer loops the observed loop *composes*: it
-        #: honors an attached sanitizer or profiler internally (same
-        #: sanitizer-over-profiler precedence).  ``None`` keeps every
-        #: hot path untouched.
-        self.perf: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -129,13 +115,7 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
             )
         event = Event(time, callback, args, priority)
         event.on_cancel = self._note_cancel
-        perf = self.perf
-        if perf is None:
-            heappush(self._heap, (time, priority, event.seq, event))
-        else:
-            began = perf.clock()
-            heappush(self._heap, (time, priority, event.seq, event))
-            perf.account("engine.push", perf.clock() - began)
+        heappush(self._heap, (time, priority, event.seq, event))
         self._live += 1
         return event
 
@@ -176,12 +156,8 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
         self._running = True
         self._stopped = False
         try:
-            if self.perf is not None:
-                self._run_observed(until)
-            elif self.sanitizer is not None:
+            if self.sanitizer is not None:
                 self._run_sanitized(until)
-            elif self.profiler is not None:
-                self._run_profiled(until)
             elif _C_KERNEL is not None:
                 _C_KERNEL(self, until)
             else:
@@ -236,111 +212,24 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
                 self.events_executed += 1
                 event.callback(*event.args)
 
-    def _run_observed(self, until: Optional[float]) -> None:
-        """The ``run`` loop with phase-attributed cost accounting.
-
-        Unlike the profiler/sanitizer loops this one composes: when a
-        sanitizer and/or profiler is also attached, their hooks fire
-        exactly as in their dedicated loops (sanitizer precedence over
-        the profiler unchanged), so the event digest and profile match
-        an unobserved run.  The whole loop runs inside the
-        ``engine.loop`` phase so that per-phase *self* times partition
-        the loop's wall clock.
-        """
-        heap = self._heap
-        perf = self.perf
-        san = self.sanitizer
-        profiler = self.profiler if san is None else None
-        clock = perf.clock
-        account = perf.account
-        # Batched clock reads: two per dispatched event (one closing the
-        # pop bookkeeping, one closing the dispatch), with the dispatch-
-        # closing read carried over as the next iteration's pop-opening
-        # read.  The seed loop read the clock four times per event; the
-        # cost of the loop's own bookkeeping (note_event, the while
-        # condition) now lands in ``engine.pop`` instead of
-        # ``engine.loop`` self time — the partition invariant (self
-        # times sum to the loop wall) is unchanged.
-        stamp = clock()
-        perf._push_at("engine.loop", stamp)
-        try:
-            while heap and not self._stopped:
-                began = stamp
-                event = heap[0][3]
-                if event.cancelled:
-                    heappop(heap)
-                    stamp = clock()
-                    account("engine.pop", stamp - began)
-                    continue
-                if until is not None and event.time > until:
-                    account("engine.pop", clock() - began)
-                    break
-                if profiler is not None:
-                    profiler.observe_heap(len(heap))
-                heappop(heap)
-                self._live -= 1
-                event.on_cancel = None
-                stamp = clock()
-                account("engine.pop", stamp - began)
-                if san is not None:
-                    san.before_event(event, self._now)
-                self._now = event.time
-                self.events_executed += 1
-                perf._push_at("engine.dispatch", stamp)
-                event.callback(*event.args)
-                stamp = clock()
-                elapsed = perf._pop_at(stamp, handler=event.callback)
-                if profiler is not None:
-                    profiler.record(event.callback, elapsed)
-                perf.note_event(self._now)
-        finally:
-            perf._pop()
-
-    def _run_profiled(self, until: Optional[float]) -> None:
-        """The ``run`` loop with per-callback wall-clock accounting.
-
-        Kept as a separate loop so the unprofiled path pays nothing; the
-        extra work per event is two clock reads and one dict update in
-        the profiler.
-        """
-        heap = self._heap
-        profiler = self.profiler
-        clock = profiler.clock
-        while heap and not self._stopped:
-            event = heap[0][3]
-            if event.cancelled:
-                heapq.heappop(heap)
-                continue
-            if until is not None and event.time > until:
-                break
-            profiler.observe_heap(len(heap))
-            heapq.heappop(heap)
-            self._live -= 1
-            event.on_cancel = None
-            self._now = event.time
-            self.events_executed += 1
-            began = clock()
-            event.callback(*event.args)
-            profiler.record(event.callback, clock() - began)
-
     def _run_sanitized(self, until: Optional[float]) -> None:
         """The ``run`` loop with SimSan invariant hooks.
 
-        A separate loop (like ``_run_profiled``) so the unsanitized
-        path pays nothing; the extra work per event is one method call
-        into the sanitizer, which checks clock monotonicity and folds
-        the event into the determinism hash.
+        A separate loop so the unsanitized path pays nothing; the extra
+        work per event is one method call into the sanitizer, which
+        checks clock monotonicity and folds the event into the
+        determinism hash.
         """
         heap = self._heap
         san = self.sanitizer
         while heap and not self._stopped:
             event = heap[0][3]
             if event.cancelled:
-                heapq.heappop(heap)
+                heappop(heap)
                 continue
             if until is not None and event.time > until:
                 break
-            heapq.heappop(heap)
+            heappop(heap)
             self._live -= 1
             event.on_cancel = None
             san.before_event(event, self._now)
@@ -351,77 +240,24 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
     def step(self) -> bool:
         """Execute exactly one pending event.  Returns False when drained.
 
-        Routes through the same sanitizer/profiler/perf hooks as
-        ``run`` (in the same precedence order), so single-stepping a
-        simulation produces the identical event digest, profile, and
-        phase attribution a full ``run`` would.  (The one exception is
-        the ``engine.loop`` envelope phase, which belongs to the run
-        *loop* rather than to any single event and is therefore not
-        entered per step.)
+        Routes through the same sanitizer hook as ``run``, so
+        single-stepping a simulation produces the identical event digest
+        a full ``run`` would.
         """
-        if self.perf is not None:
-            return self._step_observed()
         heap = self._heap
         while heap:
-            event = heap[0][3]
-            if event.cancelled:
-                heapq.heappop(heap)
-                continue
-            san = self.sanitizer
-            profiler = self.profiler if san is None else None
-            if profiler is not None:
-                profiler.observe_heap(len(heap))
-            heapq.heappop(heap)
-            self._live -= 1
-            event.on_cancel = None
-            if san is not None:
-                san.before_event(event, self._now)
-            self._now = event.time
-            self.events_executed += 1
-            if profiler is not None:
-                clock = profiler.clock
-                began = clock()
-                event.callback(*event.args)
-                profiler.record(event.callback, clock() - began)
-            else:
-                event.callback(*event.args)
-            return True
-        return False
-
-    def _step_observed(self) -> bool:
-        """One :meth:`step` with the same phase accounting as
-        :meth:`_run_observed` (minus the ``engine.loop`` envelope,
-        which spans a whole run rather than one event)."""
-        heap = self._heap
-        perf = self.perf
-        clock = perf.clock
-        account = perf.account
-        while heap:
-            began = clock()
             event = heap[0][3]
             if event.cancelled:
                 heappop(heap)
-                account("engine.pop", clock() - began)
                 continue
-            san = self.sanitizer
-            profiler = self.profiler if san is None else None
-            if profiler is not None:
-                profiler.observe_heap(len(heap))
             heappop(heap)
             self._live -= 1
             event.on_cancel = None
-            stamp = clock()
-            account("engine.pop", stamp - began)
-            if san is not None:
-                san.before_event(event, self._now)
+            if self.sanitizer is not None:
+                self.sanitizer.before_event(event, self._now)
             self._now = event.time
             self.events_executed += 1
-            perf._push_at("engine.dispatch", stamp)
             event.callback(*event.args)
-            elapsed = perf._pop_at(clock(), handler=event.callback)
-            if profiler is not None:
-                profiler.record(event.callback, elapsed)
-            perf.note_event(self._now)
             return True
         return False
 
@@ -432,7 +268,7 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next live event, or None when drained."""
         while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
+            heappop(self._heap)
         return self._heap[0][0] if self._heap else None
 
     def pending(self) -> int:

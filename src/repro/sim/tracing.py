@@ -8,7 +8,7 @@ code, mirroring ns-3's trace-source design without its ceremony.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,11 +34,6 @@ class TraceHub:  # simlint: disable=SL014 (one per sim; instruments attach attri
         self._subs: Dict[str, List[Subscriber]] = {}
         self.enabled = True
         self._n_subs = 0
-        #: Optional :class:`~repro.obs.perf.PerfObservatory`; when set,
-        #: delivered emissions are charged to the ``trace.emit`` phase.
-        #: The subscriber-less early-outs above stay unaccounted — they
-        #: are the zero-telemetry fast path and cost one dict lookup.
-        self.perf: Optional[Any] = None
 
     def subscribe(self, name: str, fn: Subscriber) -> None:
         self._subs.setdefault(name, []).append(fn)
@@ -79,24 +74,10 @@ class TraceHub:  # simlint: disable=SL014 (one per sim; instruments attach attri
         star = self._subs.get("*")
         if not exact and not star:
             return
-        perf = self.perf
-        if perf is None:
-            record = TraceRecord(name=name, time=time, payload=payload)
-            if exact:
-                for fn in list(exact):
-                    fn(record)
-            if star:
-                for fn in list(star):
-                    fn(record)
-            return
-        began = perf.clock()
-        try:
-            record = TraceRecord(name=name, time=time, payload=payload)
-            if exact:
-                for fn in list(exact):
-                    fn(record)
-            if star:
-                for fn in list(star):
-                    fn(record)
-        finally:
-            perf.account("trace.emit", perf.clock() - began)
+        record = TraceRecord(name=name, time=time, payload=payload)
+        if exact:
+            for fn in list(exact):
+                fn(record)
+        if star:
+            for fn in list(star):
+                fn(record)

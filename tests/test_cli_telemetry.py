@@ -41,7 +41,7 @@ class TestCliFlags:
         assert code == 0
         out = capsys.readouterr()
         assert "Table IV" in out.out
-        assert "events/sec" in out.err  # profiler report went to stderr
+        assert "events/sec" in out.err  # layer table went to stderr
 
         document = json.loads(metrics_path.read_text())
         assert document["runs"]
@@ -50,6 +50,10 @@ class TestCliFlags:
         assert run["virtual_seconds"] > 0
         assert "tactic_router_ops_total" in run["metrics"]
         assert run["profile"]["events"] == run["events_executed"]
+        layers = run["profile"]["layers"]
+        assert "sim.loop" in layers
+        own = sum(row["self_s"] for row in layers.values())
+        assert own == pytest.approx(layers["sim.loop"]["total_s"], rel=0.01)
         assert run["samples"], "sampler produced no series"
 
         lines = trace_path.read_text().splitlines()

@@ -1,34 +1,28 @@
-"""The perf observatory: nestable phase accounting, the observed engine
-loop, zero-behaviour-change guarantees, flamegraph sampling, fleet
-merges, and the benchmark diff CLI."""
+"""The per-layer tracer behind ``--profile`` (``repro.obs.layers``):
+exact self-time arithmetic, traced runs that compute what untraced runs
+compute, shim install and restore, flamegraph sampling, and the
+telemetry envelope."""
 
 from __future__ import annotations
 
-import json
+import importlib.util
+import io
+import pathlib
+import threading
 
 import pytest
 
-from repro.exec import ExperimentEngine, ScenarioSpec
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
+from repro.filters.bloom import BloomFilter
 from repro.obs.history import RunHistory, diff_entries
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.perf import (
-    PERF_PHASES,
-    PerfObservatory,
-    compare_reports,
-    main as perf_main,
-    merge_perf_reports,
-)
-from repro.obs.profiler import (
-    SimProfiler,
-    StackSampler,
-    merge_collapsed,
-    write_collapsed,
-)
-from repro.obs.session import TelemetryConfig, set_default_telemetry
+from repro.obs.layers import ENTRY_POINTS, LayerTracer, resolve
+from repro.obs.profiler import StackSampler, merge_collapsed, write_collapsed
+from repro.obs.session import TelemetryConfig
 from repro.qa.simsan import SimSan
 from repro.sim.engine import Simulator
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class FakeClock:
@@ -48,124 +42,117 @@ def _tiny_scenario(seed=2):
     return Scenario.paper_topology(1, duration=2.0, seed=seed, scale=0.1)
 
 
+def _row(tracer, name):
+    return tracer.report()["layers"][name]
+
+
 # ---------------------------------------------------------------------------
-# Phase arithmetic (fake clock, exact numbers)
+# Self-time arithmetic (fake clock, exact numbers)
 # ---------------------------------------------------------------------------
 class TestPhaseAccounting:
     def test_flat_phase_self_equals_cum(self):
-        perf = PerfObservatory(clock=FakeClock())
-        with perf.phase("ndn.pit"):
-            pass
-        # push reads t=0, pop reads t=1 -> elapsed 1.0
-        assert perf.calls == {"ndn.pit": 1}
-        assert perf.self_seconds["ndn.pit"] == pytest.approx(1.0)
-        assert perf.cum_seconds["ndn.pit"] == pytest.approx(1.0)
+        tracer = LayerTracer(clock=FakeClock())
+        tracer.wrap("ndn.pit", lambda: None)()
+        # start reads t=0, end reads t=1 -> elapsed 1.0
+        assert _row(tracer, "ndn.pit") == {"calls": 1, "total_s": 1.0, "self_s": 1.0}
 
     def test_nested_phase_debits_parent_self(self):
-        perf = PerfObservatory(clock=FakeClock())
-        # outer: push@0 ... inner push@1, pop@2 ... outer pop@3.
-        with perf.phase("engine.dispatch"):
-            with perf.phase("filters.bloom"):
-                pass
-        assert perf.cum_seconds["engine.dispatch"] == pytest.approx(3.0)
-        assert perf.cum_seconds["filters.bloom"] == pytest.approx(1.0)
+        tracer = LayerTracer(clock=FakeClock())
+        inner = tracer.wrap("filters.contains", lambda: None)
+        # outer: start@0 ... inner start@1, end@2 ... outer end@3.
+        tracer.wrap("ndn.receive", inner)()
+        assert _row(tracer, "ndn.receive")["total_s"] == pytest.approx(3.0)
+        assert _row(tracer, "filters.contains")["total_s"] == pytest.approx(1.0)
         # Outer self = 3 - 1 (child elapsed); selves partition the wall.
-        assert perf.self_seconds["engine.dispatch"] == pytest.approx(2.0)
-        assert perf.self_seconds["filters.bloom"] == pytest.approx(1.0)
+        assert _row(tracer, "ndn.receive")["self_s"] == pytest.approx(2.0)
+        assert _row(tracer, "filters.contains")["self_s"] == pytest.approx(1.0)
 
     def test_account_is_leaf_and_debits_parent(self):
-        perf = PerfObservatory(clock=FakeClock())
-        with perf.phase("engine.dispatch"):  # push@0 ... pop@1
-            perf.account("engine.push", 0.25)
-        assert perf.self_seconds["engine.push"] == pytest.approx(0.25)
-        assert perf.cum_seconds["engine.push"] == pytest.approx(0.25)
-        assert perf.self_seconds["engine.dispatch"] == pytest.approx(0.75)
-        assert perf.cum_seconds["engine.dispatch"] == pytest.approx(1.0)
+        tracer = LayerTracer(clock=FakeClock())
+        leaf = tracer.wrap("filters.contains", lambda: None)
+        middle = tracer.wrap("core.bf_lookup", leaf)
+        # root@0 ( middle@1 ( leaf@2..3 ) 4 ) 5: only direct children
+        # are debited, so the root is charged for the middle's total.
+        tracer.wrap("core.edge", middle)()
+        assert _row(tracer, "filters.contains")["self_s"] == pytest.approx(1.0)
+        assert _row(tracer, "core.bf_lookup")["self_s"] == pytest.approx(2.0)
+        assert _row(tracer, "core.bf_lookup")["total_s"] == pytest.approx(3.0)
+        assert _row(tracer, "core.edge")["self_s"] == pytest.approx(2.0)
+        assert _row(tracer, "core.edge")["total_s"] == pytest.approx(5.0)
 
     def test_handler_attribution_on_pop(self):
-        perf = PerfObservatory(clock=FakeClock())
-
-        def deliver():
-            pass
-
-        perf._push("engine.dispatch")
-        elapsed = perf._pop(handler=deliver)
-        assert elapsed == pytest.approx(1.0)
-        key = deliver.__qualname__
-        assert perf.handler_calls[key] == 1
-        assert perf.handler_seconds[key] == pytest.approx(1.0)
-
-    def test_timeline_snapshots_every_interval(self):
-        perf = PerfObservatory(clock=FakeClock(), timeline_interval=2)
-        for virtual in (0.5, 1.0, 1.5, 2.0):
-            perf.note_event(virtual)
-        assert [entry[0] for entry in perf.timeline] == [1.0, 2.0]
-        assert [entry[1] for entry in perf.timeline] == [2, 4]
+        # Two entry points sharing a layer name (Pit.find and Pit.insert
+        # are both ndn.pit) fold into one row.
+        tracer = LayerTracer(clock=FakeClock())
+        find = tracer.wrap("ndn.pit", lambda: None)
+        insert = tracer.wrap("ndn.pit", lambda: None)
+        find()
+        insert()
+        insert()
+        assert _row(tracer, "ndn.pit") == {"calls": 3, "total_s": 3.0, "self_s": 3.0}
+        assert list(tracer.report()["layers"]) == ["ndn.pit"]
 
     def test_report_shares_sum_to_one(self):
-        perf = PerfObservatory(clock=FakeClock())
-        with perf.phase("engine.dispatch"):
-            with perf.phase("ndn.cs"):
-                pass
-        perf.account("engine.push", 0.5)
-        report = perf.report()
-        shares = [row["self_share"] for row in report["phases"].values()]
-        assert sum(shares) == pytest.approx(1.0)
-        assert set(report["phases"]) <= set(PERF_PHASES)
+        tracer = LayerTracer(clock=FakeClock())
+        cs = tracer.wrap("ndn.cs_lookup", lambda: None)
+        pit = tracer.wrap("ndn.pit", lambda: None)
+
+        def receive():
+            cs()
+            pit()
+
+        tracer.wrap("ndn.receive", receive)()
+        layers = tracer.report()["layers"]
+        own = sum(row["self_s"] for row in layers.values())
+        assert own == pytest.approx(layers["ndn.receive"]["total_s"])
 
     def test_phase_handles_are_cached(self):
-        perf = PerfObservatory()
-        assert perf.phase("ndn.pit") is perf.phase("ndn.pit")
+        with LayerTracer() as tracer:
+            pass
+        assert set(tracer.calls) == {row[2] for row in ENTRY_POINTS}
+        assert tracer.report()["layers"] == {}
 
 
 # ---------------------------------------------------------------------------
-# The observed engine loop
+# Traced engine runs
 # ---------------------------------------------------------------------------
 class TestObservedLoop:
-    def _sim_with_work(self, perf=None, events=10):
+    def _sim_with_work(self, events=10):
         sim = Simulator(seed=1)
-        if perf is not None:
-            sim.perf = perf
         log = []
         for index in range(events):
             sim.schedule_at(float(index), log.append, index)
         return sim, log
 
     def test_observed_run_charges_engine_phases(self):
-        perf = PerfObservatory()
-        sim, log = self._sim_with_work(perf=perf)
-        perf.start()
-        sim.run()
-        perf.stop()
+        sim, log = self._sim_with_work()
+        with LayerTracer() as tracer:
+            sim.run()
         assert log == list(range(10))
-        assert perf.events == 10
-        assert perf.calls["engine.loop"] == 1
-        assert perf.calls["engine.pop"] == 10
-        assert perf.calls["engine.dispatch"] == 10
-        assert perf.calls["engine.push"] == 10  # setup-time schedules
-        assert perf.handler_calls.get("list.append") == 10
+        report = tracer.report()
+        assert report["events"] == 10
+        assert report["layers"]["sim.loop"]["calls"] == 1
+        assert report["events_per_second"] > 0
 
     def test_observed_run_skips_cancelled(self):
-        perf = PerfObservatory()
-        sim, log = self._sim_with_work(perf=perf, events=5)
+        sim, log = self._sim_with_work(events=5)
         victim = sim.schedule_at(2.5, log.append, 99)
         sim.cancel(victim)
-        sim.run()
+        with LayerTracer() as tracer:
+            sim.run()
         assert log == list(range(5))
-        assert perf.events == 5
-        # The cancelled skip still pays a heap pop.
-        assert perf.calls["engine.pop"] == 6
+        assert tracer.events == 5 == sim.events_executed
 
     def test_observed_until_matches_plain_run(self):
         plain_sim, plain_log = self._sim_with_work()
         plain_sim.run(until=4.5)
-        perf = PerfObservatory()
-        obs_sim, obs_log = self._sim_with_work(perf=perf)
-        obs_sim.run(until=4.5)
-        assert obs_log == plain_log
-        assert obs_sim.events_executed == plain_sim.events_executed
-        assert obs_sim.now == plain_sim.now
-        assert perf.events == plain_sim.events_executed
+        traced_sim, traced_log = self._sim_with_work()
+        with LayerTracer() as tracer:
+            traced_sim.run(until=4.5)
+        assert traced_log == plain_log
+        assert traced_sim.events_executed == plain_sim.events_executed
+        assert traced_sim.now == plain_sim.now
+        assert tracer.events == plain_sim.events_executed
 
     def test_observed_composes_with_sanitizer_digest(self):
         reference = SimSan(mode="collect")
@@ -173,165 +160,151 @@ class TestObservedLoop:
         reference.install(sim)
         sim.run()
 
-        observed = SimSan(mode="collect")
-        perf = PerfObservatory()
-        sim2, _ = self._sim_with_work(perf=perf)
-        observed.install(sim2)
-        sim2.run()
+        traced = SimSan(mode="collect")
+        sim2, _ = self._sim_with_work()
+        traced.install(sim2)
+        with LayerTracer() as tracer:
+            sim2.run()
 
-        assert observed.stream_digest() == reference.stream_digest()
-        assert perf.events == 10
+        assert traced.stream_digest() == reference.stream_digest()
+        assert tracer.events == 10
 
     def test_observed_composes_with_profiler(self):
-        perf = PerfObservatory()
-        profiler = SimProfiler()
-        sim, _ = self._sim_with_work(perf=perf)
-        sim.profiler = profiler
-        sim.run()
-        assert profiler.calls.get("list.append") == 10
-        assert perf.handler_calls.get("list.append") == 10
-
-    def test_trace_emit_charged_when_subscribed(self):
-        perf = PerfObservatory()
-        sim = Simulator(seed=1)
-        sim.perf = perf
-        sim.trace.perf = perf
-        seen = []
-        sim.trace.subscribe("tick", lambda record: seen.append(record.time))
-        sim.schedule_at(1.0, lambda: sim.trace.emit("tick", sim.now))
-        sim.run()
-        assert seen == [1.0]
-        assert perf.calls.get("trace.emit") == 1
+        sim, log = self._sim_with_work()
+        sampler = StackSampler(interval=0.001)
+        sampler.start()
+        try:
+            with LayerTracer() as tracer:
+                sim.run()
+        finally:
+            sampler.stop()
+        assert log == list(range(10))
+        assert tracer.events == 10
+        assert sampler.report()["samples"] == sampler.samples
 
     def test_step_observed_matches_run_phases(self):
         def run_all(step):
-            perf = PerfObservatory()
-            sim, log = self._sim_with_work(perf=perf, events=6)
-            victim = sim.schedule_at(2.25, log.append, 99)
+            sim = Simulator(seed=1)
+            bloom = BloomFilter(capacity=64)
+            # Looked up per call, so the events reach the shim.
+            probe = lambda name: bloom.contains(name)  # noqa: E731
+            for index in range(6):
+                sim.schedule_at(float(index), probe, f"/n/{index}")
+            victim = sim.schedule_at(2.25, probe, "/dead")
             sim.cancel(victim)
-            sim.schedule_at(1.5, lambda: sim.schedule(0.1, log.append, -1))
-            if step:
-                while sim.step():
-                    pass
-            else:
-                sim.run()
-            return perf, log
+            with LayerTracer() as tracer:
+                if step:
+                    while sim.step():
+                        pass
+                else:
+                    sim.run()
+            return tracer.report()["layers"], sim
 
-        run_perf, run_log = run_all(step=False)
-        step_perf, step_log = run_all(step=True)
-        assert step_log == run_log
-        assert step_perf.events == run_perf.events
-        assert step_perf.handler_calls == run_perf.handler_calls
-        # step() has no loop envelope — the only permitted difference.
-        run_calls = dict(run_perf.calls)
-        assert run_calls.pop("engine.loop") == 1
-        assert "engine.loop" not in step_perf.calls
-        assert step_perf.calls == run_calls
+        run_layers, run_sim = run_all(step=False)
+        step_layers, step_sim = run_all(step=True)
+        assert step_sim.events_executed == run_sim.events_executed == 6
+        # step() is not the loop entry point — the only permitted
+        # difference between the two tables.
+        assert run_layers.pop("sim.loop")["calls"] == 1
+        assert "sim.loop" not in step_layers
+        calls = lambda layers: {name: row["calls"] for name, row in layers.items()}
+        assert calls(step_layers) == calls(run_layers) == {"filters.contains": 6}
 
 
 # ---------------------------------------------------------------------------
-# Install / uninstall across the hot-path surface
+# Install / restore across the entry-point table
 # ---------------------------------------------------------------------------
+def _current():
+    rows = [resolve(module, path) for module, path, _ in ENTRY_POINTS]
+    return [owner.__dict__[attr] for owner, attr in rows]
+
+
+class _Boom:
+    """A sanitizer stand-in whose first event hook raises."""
+
+    def install(self, sim, network=None):
+        sim.sanitizer = self
+
+    def before_event(self, event, now):
+        raise RuntimeError("boom")
+
+
 class TestInstallation:
     def test_install_reaches_components_and_uninstall_detaches(self):
-        result = run_scenario(_tiny_scenario())
-        perf = PerfObservatory()
-        perf.install(result.sim, network=result.network)
-        assert result.sim.perf is perf
-        assert result.sim.trace.perf is perf
-        nodes = list(result.network.nodes.values())
-        touched = 0
-        for node in nodes:
-            for attr in ("pit", "cs", "bloom", "cost_model"):
-                component = getattr(node, attr, None)
-                if component is not None and hasattr(component, "perf"):
-                    assert component.perf is perf
-                    touched += 1
-        assert touched > 0
-        for link in result.network.links:
-            assert link.perf is perf
-        perf.uninstall()
-        assert result.sim.perf is None
-        assert result.sim.trace.perf is None
-        for link in result.network.links:
-            assert link.perf is None
+        originals = _current()
+        with LayerTracer():
+            for shim, original in zip(_current(), originals):
+                assert shim is not original and shim.__wrapped__ is original
+        assert _current() == originals
 
     def test_uninstall_never_clobbers_a_successor(self):
-        sim = Simulator(seed=1)
-        first = PerfObservatory()
-        first.install(sim)
-        second = PerfObservatory()
-        second.install(sim)
-        first.uninstall()  # stale: sim.perf now belongs to `second`
-        assert sim.perf is second
+        originals = _current()
+        bloom = BloomFilter(capacity=16)
+        with LayerTracer() as outer:
+            outer_shims = _current()
+            with LayerTracer() as inner:
+                bloom.contains("x")
+            # The inner exit puts back the outer's shims, not the originals.
+            assert _current() == outer_shims
+            bloom.contains("y")
+        assert _current() == originals
+        assert _row(inner, "filters.contains")["calls"] == 1
+        assert _row(outer, "filters.contains")["calls"] == 2
+
+    def test_entry_points_resolve_and_match_perfbench(self):
+        assert all(callable(entry) for entry in _current())
+        path = REPO_ROOT / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert spans.ENTRY_POINTS == ENTRY_POINTS
+
+    def test_entry_points_restored_after_run_and_after_raise(self):
+        originals = _current()
+        with LayerTracer() as tracer:
+            run_scenario(_tiny_scenario())
+        assert tracer.events > 0
+        assert _current() == originals
+        with pytest.raises(RuntimeError):
+            with LayerTracer():
+                run_scenario(_tiny_scenario(), sanitizer=_Boom())
+        assert _current() == originals
+        # The --profile session restores them too when the run raises,
+        # and stops its heartbeat thread.
+        config = TelemetryConfig(
+            collect=True, profile=True, heartbeat=0.001, stream=io.StringIO()
+        )
+        with pytest.raises(RuntimeError):
+            run_scenario(_tiny_scenario(), telemetry=config, sanitizer=_Boom())
+        assert _current() == originals
+        assert not any(t.name == "repro-heartbeat" for t in threading.enumerate())
 
 
 # ---------------------------------------------------------------------------
-# Zero behaviour change: figure quantities bit-identical with perf on
+# Zero behaviour change: figure quantities bit-identical under the tracer
 # ---------------------------------------------------------------------------
 class TestZeroBehaviourChange:
     def test_metrics_identical_with_observatory_on(self):
         plain = run_scenario(_tiny_scenario())
-        perf = PerfObservatory(timeline_interval=500)
-        observed = run_scenario(_tiny_scenario(), perf=perf)
+        with LayerTracer() as tracer:
+            traced = run_scenario(_tiny_scenario())
 
-        assert observed.to_summary().metrics_dict() == \
+        assert traced.to_summary().metrics_dict() == \
             plain.to_summary().metrics_dict()
-        assert observed.sim.events_executed == plain.sim.events_executed
-        assert perf.events == plain.sim.events_executed
-        # Component phases actually fired on the real workload.
-        # (trace.emit is absent here: with no trace subscribers the hub
-        # early-returns before the perf guard — delivery costs nothing,
-        # so nothing is charged.)
-        for name in ("ndn.pit", "ndn.cs", "filters.bloom", "crypto.cost"):
-            assert perf.calls.get(name, 0) > 0, name
-        # After the run the runner detached everything.
-        assert observed.sim.perf is None
+        assert traced.sim.events_executed == plain.sim.events_executed
+        assert tracer.events == plain.sim.events_executed
+        layers = tracer.report()["layers"]
+        for name in ("ndn.pit", "ndn.cs_lookup", "filters.contains", "core.edge"):
+            assert layers[name]["calls"] > 0, name
 
     def test_run_scenario_report_covers_the_loop(self):
-        perf = PerfObservatory()
-        run_scenario(_tiny_scenario(), perf=perf)
-        report = perf.report()
-        assert report["phase_coverage"] >= 0.9
+        with LayerTracer() as tracer:
+            run_scenario(_tiny_scenario())
+        report = tracer.report()
+        own = sum(row["self_s"] for row in report["layers"].values())
+        assert own / report["wall_seconds"] >= 0.9
         assert report["events"] > 0
         assert report["events_per_second"] > 0
-
-
-# ---------------------------------------------------------------------------
-# Fleet merging
-# ---------------------------------------------------------------------------
-class TestMerging:
-    def _report(self, events=10, wall=2.0, self_s=1.0):
-        return {
-            "events": events,
-            "wall_seconds": wall,
-            "phases": {
-                "engine.dispatch": {
-                    "calls": events,
-                    "self_seconds": self_s,
-                    "cum_seconds": self_s,
-                }
-            },
-            "handlers": [
-                {"handler": "list.append", "calls": events, "seconds": self_s}
-            ],
-            "timeline": [[0.5, events, {}]],
-        }
-
-    def test_merge_sums_and_recomputes(self):
-        into = {}
-        merge_perf_reports(into, self._report(events=10, wall=2.0, self_s=1.0))
-        merge_perf_reports(into, self._report(events=30, wall=2.0, self_s=2.0))
-        assert into["events"] == 40
-        assert into["wall_seconds"] == pytest.approx(4.0)
-        assert into["events_per_second"] == pytest.approx(10.0)
-        dispatch = into["phases"]["engine.dispatch"]
-        assert dispatch["calls"] == 40
-        assert dispatch["self_seconds"] == pytest.approx(3.0)
-        assert dispatch["self_share"] == pytest.approx(1.0)
-        assert into["phase_coverage"] == pytest.approx(0.75)
-        assert into["handlers"]["list.append"]["calls"] == 40
-        assert "timeline" not in into  # per-run, dropped on merge
 
 
 # ---------------------------------------------------------------------------
@@ -377,57 +350,6 @@ class TestStackSampler:
 
 
 # ---------------------------------------------------------------------------
-# Benchmark diffing: compare_reports + CLI exit codes
-# ---------------------------------------------------------------------------
-class TestBenchmarkDiff:
-    BASE = {
-        "events_per_sec": 100_000.0,
-        "phases": {"engine.dispatch": {"self_seconds": 1.0}},
-    }
-
-    def test_clean_within_tolerance(self):
-        cand = dict(self.BASE, events_per_sec=95_000.0)
-        problems, lines = compare_reports(self.BASE, cand, tolerance_pct=10.0)
-        assert problems == []
-        assert any("events/sec" in line for line in lines)
-
-    def test_regression_beyond_tolerance(self):
-        cand = dict(self.BASE, events_per_sec=50_000.0)
-        problems, _ = compare_reports(self.BASE, cand, tolerance_pct=10.0)
-        assert problems and "regressed" in problems[0]
-
-    def test_improvement_is_clean(self):
-        cand = dict(self.BASE, events_per_sec=200_000.0)
-        problems, _ = compare_reports(self.BASE, cand, tolerance_pct=10.0)
-        assert problems == []
-
-    def test_accepts_raw_report_key(self):
-        cand = {"events_per_second": 99_000.0, "phases": {}}
-        problems, _ = compare_reports(self.BASE, cand, tolerance_pct=10.0)
-        assert problems == []
-
-    def _write(self, path, doc):
-        path.write_text(json.dumps(doc))
-        return str(path)
-
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        base = self._write(tmp_path / "a.json", self.BASE)
-        good = self._write(
-            tmp_path / "b.json", dict(self.BASE, events_per_sec=101_000.0)
-        )
-        bad = self._write(
-            tmp_path / "c.json", dict(self.BASE, events_per_sec=10_000.0)
-        )
-        assert perf_main(["report", base, good]) == 0
-        assert perf_main(["report", base, bad]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.err
-        # Wide tolerance lets the same pair pass.
-        assert perf_main(["report", base, bad, "--tolerance", "95"]) == 0
-        assert perf_main(["report", base, str(tmp_path / "missing.json")]) == 2
-
-
-# ---------------------------------------------------------------------------
 # History gate: append_benchmark + diff
 # ---------------------------------------------------------------------------
 class TestHistoryGate:
@@ -454,16 +376,16 @@ class TestHistoryGate:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry envelope + fleet round trip
+# Telemetry envelope
 # ---------------------------------------------------------------------------
 class TestTelemetryEnvelope:
     def test_collect_mode_run_carries_perf_report(self):
-        config = TelemetryConfig(collect=True, perf=True)
+        config = TelemetryConfig(collect=True, profile=True)
         result = run_scenario(_tiny_scenario(), telemetry=config)
-        record = result.telemetry.record
-        assert record["perf"] is not None
-        assert record["perf"]["events"] == result.sim.events_executed
-        assert record["perf"]["phases"]
+        profile = result.telemetry.record["profile"]
+        assert profile is not None
+        assert profile["events"] == result.sim.events_executed
+        assert profile["layers"]["sim.loop"]["calls"] == 1
 
     def test_collect_mode_flame_rides_envelope(self):
         config = TelemetryConfig(collect=True, flame=True, flame_interval=0.001)
@@ -472,24 +394,3 @@ class TestTelemetryEnvelope:
         assert flame is not None
         assert flame["samples"] >= 0
         assert isinstance(flame["stacks"], dict)
-
-    def test_engine_merges_fleet_perf(self):
-        set_default_telemetry(TelemetryConfig(collect=True, perf=True))
-        try:
-            engine = ExperimentEngine(
-                registry=MetricsRegistry(), use_cache=False, jobs=1
-            )
-            specs = [
-                ScenarioSpec.make(seed=seed, topology=1, duration=2.0, scale=0.1)
-                for seed in (1, 2)
-            ]
-            summaries = engine.run_specs(specs)
-        finally:
-            set_default_telemetry(None)
-        assert len(summaries) == 2
-        assert engine.fleet_perf
-        total = sum(
-            summary.telemetry["perf"]["events"] for summary in summaries
-        )
-        assert engine.fleet_perf["events"] == total
-        assert engine.fleet_perf["phases"]["engine.dispatch"]["calls"] > 0

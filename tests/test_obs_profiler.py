@@ -1,48 +1,49 @@
-"""Profiler, sampler, and scheduler-observability behaviour."""
+"""Profile and heartbeat, sampler, and scheduler-observability behaviour."""
 
 from __future__ import annotations
 
 import io
+import threading
+import time
 
 import pytest
 
+from repro.filters.bloom import BloomFilter
+from repro.obs.layers import LayerTracer
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import SimProfiler
 from repro.obs.samplers import PeriodicSampler
+from repro.obs.session import TelemetryConfig, TelemetrySession
 from repro.sim.engine import Simulator
 from tests.conftest import attach_client, build_mini_net
 
 
+def _profiled_session(sim, **options):
+    return TelemetrySession(TelemetryConfig(collect=True, profile=True, **options), sim)
+
+
 class TestSimProfiler:
+    """``--profile``: the run under the layer tracer, and ``--heartbeat``."""
+
     def test_categories_and_rates(self):
         sim = Simulator(seed=1)
-        profiler = SimProfiler()
-        sim.profiler = profiler
+        bloom = BloomFilter(capacity=64)
 
         def tick():
-            pass
+            bloom.contains("/a")
 
-        class Widget:
-            def poke(self):
-                pass
-
-        widget = Widget()
         for i in range(10):
             sim.schedule(0.1 * i, tick)
-            sim.schedule(0.1 * i + 0.05, widget.poke)
-        profiler.start()
+            sim.schedule(0.1 * i + 0.05, lambda: None)
+        session = _profiled_session(sim)
         sim.run()
-        profiler.stop()
+        report = session.finalize()["profile"]
 
-        report = profiler.report()
         assert report["events"] == 20
         assert report["events_per_second"] > 0
-        assert report["heap_high_water"] >= 1
-        categories = {row["category"]: row for row in report["categories"]}
-        qual = tick.__qualname__
-        assert categories[qual]["calls"] == 10
-        assert categories["TestSimProfiler.test_categories_and_rates.<locals>.Widget.poke"]["calls"] == 10
-        assert sum(row["share"] for row in report["categories"]) == pytest.approx(1.0)
+        assert report["layers"]["sim.loop"]["calls"] == 1
+        assert report["layers"]["filters.contains"]["calls"] == 10
+        own = sum(row["self_s"] for row in report["layers"].values())
+        assert own == pytest.approx(report["layers"]["sim.loop"]["total_s"])
 
     def test_profiled_run_executes_identically(self):
         def trail(sim):
@@ -58,41 +59,51 @@ class TestSimProfiler:
         plain.run()
 
         profiled = Simulator(seed=3)
-        profiled.profiler = SimProfiler()
         got = trail(profiled)
+        session = _profiled_session(profiled)
         profiled.run()
+        session.finalize()
         assert got == expected == ["a", "b"]
         assert profiled.events_executed == plain.events_executed
         assert profiled.now == plain.now
 
     def test_render_is_textual(self):
-        profiler = SimProfiler()
-        profiler.start()
-        profiler.record(len, 0.001)
-        profiler.stop()
-        text = profiler.render()
+        sim = Simulator(seed=1)
+        sim.schedule(1.0, lambda: None)
+        with LayerTracer() as tracer:
+            sim.run()
+        text = tracer.render()
         assert "events/sec" in text
-        assert "len" in text
+        assert "sim.loop" in text
 
     def test_heartbeat_writes_pulses(self):
         stream = io.StringIO()
-        fake_time = [0.0]
-        profiler = SimProfiler(
-            heartbeat=1.0, stream=stream, clock=lambda: fake_time[0]
+        sim = Simulator(seed=1)
+        for i in range(5):
+            sim.schedule(float(i), time.sleep, 0.02)
+        session = TelemetrySession(
+            TelemetryConfig(collect=True, heartbeat=0.005, stream=stream), sim
         )
-        profiler.start()
-        for _ in range(5):
-            fake_time[0] += 0.6
-            profiler.record(len, 0.0)
-        profiler.stop()
+        sim.run()
+        session.finalize()
         pulses = stream.getvalue().strip().splitlines()
-        assert len(pulses) == 2  # beats at t>=1.0 and t>=2.0 within 3.0s
-        assert "ev/s" in pulses[0]
+        assert len(pulses) >= 2
+        assert "sim.now=" in pulses[-1] and "events" in pulses[-1]
+        assert not any(t.name == "repro-heartbeat" for t in threading.enumerate())
 
-    def test_max_rss_reported_on_posix(self):
-        profiler = SimProfiler()
-        rss = profiler.max_rss_bytes()
-        assert rss is None or rss > 1 << 20
+    def test_heartbeat_stops_when_finalize_fails(self, tmp_path):
+        sim = Simulator(seed=1)
+        sim.schedule(1.0, lambda: None)
+        config = TelemetryConfig(
+            metrics_path=str(tmp_path / "missing" / "m.json"),
+            heartbeat=0.001,
+            stream=io.StringIO(),
+        )
+        session = TelemetrySession(config, sim)
+        sim.run()
+        with pytest.raises(OSError):
+            session.finalize()
+        assert not any(t.name == "repro-heartbeat" for t in threading.enumerate())
 
 
 class TestPeriodicSampler:

@@ -193,85 +193,90 @@ def test_step_feeds_sanitizer_like_run():
 
 
 def test_step_feeds_profiler_like_run():
-    from repro.obs.profiler import SimProfiler
+    from repro.filters.bloom import BloomFilter
+    from repro.obs.layers import LayerTracer
 
-    def build(profiler):
+    def traced(step):
         sim = Simulator(seed=7)
-        sim.profiler = profiler
+        bloom = BloomFilter(capacity=16)
         for i in range(5):
-            sim.schedule(float(i + 1), lambda: None)
-        return sim
+            sim.schedule(float(i + 1), lambda: bloom.contains("/x"))
+        with LayerTracer() as tracer:
+            if step:
+                _drain_by_stepping(sim)
+            else:
+                sim.run()
+        return tracer.report()["layers"]
 
-    ran = SimProfiler()
-    sim = build(ran)
-    sim.run()
-
-    stepped = SimProfiler()
-    sim2 = build(stepped)
-    _drain_by_stepping(sim2)
-
-    assert stepped.events == ran.events == 5
+    ran = traced(step=False)
+    stepped = traced(step=True)
+    assert ran["filters.contains"]["calls"] == stepped["filters.contains"]["calls"] == 5
+    # step() is not the loop entry point, so only run() is charged to it.
+    assert ran["sim.loop"]["calls"] == 1
+    assert "sim.loop" not in stepped
 
 
 def test_step_sanitizer_takes_precedence_over_profiler():
-    from repro.obs.profiler import SimProfiler
+    from repro.obs.session import TelemetryConfig, TelemetrySession
     from repro.qa.simsan import SimSan
 
     sim = Simulator(seed=7)
     san = SimSan(mode="collect", hash_events=True)
-    profiler = SimProfiler()
     sim.sanitizer = san
-    sim.profiler = profiler
     for i in range(3):
         sim.schedule(float(i + 1), lambda: None)
+    session = TelemetrySession(TelemetryConfig(collect=True, profile=True), sim)
     _drain_by_stepping(sim)
+    profile = session.finalize()["profile"]
+    # Stepping feeds the sanitizer every event; it never enters the
+    # loop entry point, so the profile charges no loop events.
     assert san.events_seen == 3
-    assert profiler.events == 0
+    assert profile["events"] == 0
+    assert "sim.loop" not in profile["layers"]
 
 
 def test_step_feeds_perf_like_run():
-    from repro.obs.perf import PerfObservatory
+    from repro.filters.bloom import BloomFilter
+    from repro.obs.session import TelemetryConfig, TelemetrySession
 
-    def build(perf):
+    def profiled(step):
         sim = Simulator(seed=7)
-        sim.perf = perf
+        bloom = BloomFilter(capacity=16)
         rng = sim.rng.stream("load")
         for i in range(12):
-            sim.schedule(rng.random() * 5.0, lambda: None)
-        victim = sim.schedule(2.5, lambda: None)
+            sim.schedule(rng.random() * 5.0, lambda: bloom.insert("/x"))
+        victim = sim.schedule(2.5, lambda: bloom.insert("/x"))
         sim.cancel(victim)
-        return sim
+        session = TelemetrySession(TelemetryConfig(collect=True, profile=True), sim)
+        if step:
+            _drain_by_stepping(sim)
+        else:
+            sim.run()
+        return sim, session.finalize()["profile"]["layers"]
 
-    ran = PerfObservatory()
-    sim = build(ran)
-    sim.run()
-
-    stepped = PerfObservatory()
-    sim2 = build(stepped)
-    _drain_by_stepping(sim2)
-
-    assert stepped.events == ran.events == 12
-    assert sim2.events_executed == sim.events_executed
-    assert stepped.handler_calls == ran.handler_calls
-    # The only permitted difference: run() wraps the whole loop in the
-    # engine.loop envelope phase; step() has no loop to envelope.
-    run_calls = dict(ran.calls)
-    assert run_calls.pop("engine.loop") == 1
-    assert "engine.loop" not in stepped.calls
-    assert stepped.calls == run_calls
+    ran_sim, ran = profiled(step=False)
+    stepped_sim, stepped = profiled(step=True)
+    assert stepped_sim.events_executed == ran_sim.events_executed == 12
+    assert stepped["filters.insert"]["calls"] == ran["filters.insert"]["calls"] == 12
+    assert set(ran) - set(stepped) == {"sim.loop"}
 
 
 def test_step_perf_composes_with_sanitizer():
-    from repro.obs.perf import PerfObservatory
+    from repro.obs.layers import LayerTracer
     from repro.qa.simsan import SimSan
 
-    sim = Simulator(seed=7)
-    perf = PerfObservatory()
-    san = SimSan(mode="collect", hash_events=True)
-    sim.perf = perf
-    sim.sanitizer = san
-    for i in range(3):
-        sim.schedule(float(i + 1), lambda: None)
-    _drain_by_stepping(sim)
-    assert perf.events == 3
-    assert san.events_seen == 3
+    def digest(step):
+        sim = Simulator(seed=7)
+        san = SimSan(mode="collect", hash_events=True)
+        sim.sanitizer = san
+        for i in range(3):
+            sim.schedule(float(i + 1), lambda: None)
+        with LayerTracer():
+            if step:
+                _drain_by_stepping(sim)
+            else:
+                sim.run()
+        assert san.events_seen == 3
+        return san.stream_digest()
+
+    assert digest(step=True) == digest(step=False)

@@ -450,11 +450,11 @@ def test_run_matches_seed_loop_full():
 
 
 def test_observed_loop_matches_seed_loop():
-    from repro.obs.perf import PerfObservatory
+    from repro.obs.layers import LayerTracer
 
     def observed(sim, until):
-        sim.perf = PerfObservatory()
-        sim.run(until)
+        with LayerTracer():
+            sim.run(until)
 
     got = _dispatch_digest(observed, None)
     expected = _dispatch_digest(_drain_seed_loop, None)
