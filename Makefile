@@ -51,8 +51,8 @@ perf:
 # history (second pass replays from the run cache, telemetry included),
 # then diff the two entries — non-zero exit on any metric drift or
 # wall-clock growth beyond the budget.  The CI job of the same name
-# uploads the engine events, merged fleet metrics, and Chrome trace
-# this leaves in $(REGRESS_DIR).  docs/OBSERVABILITY.md, "Fleet
+# uploads the engine events, merged fleet metrics (telemetry.json), and
+# Chrome trace this leaves in $(REGRESS_DIR).  docs/OBSERVABILITY.md, "Fleet
 # observability".
 REGRESS_DIR ?= .repro-regress
 
@@ -62,9 +62,8 @@ regress:
 		$(PYTHON) -m repro fig6 --duration 2 --scale 0.1 --jobs 1 \
 			--cache-dir $(REGRESS_DIR)/cache \
 			--history-dir $(REGRESS_DIR) \
-			--fleet-telemetry \
+			--obs telemetry --obs-out $(REGRESS_DIR) \
 			--engine-events $(REGRESS_DIR)/engine.events.jsonl \
-			--fleet-metrics-out $(REGRESS_DIR)/fleet-metrics.json \
 			--trace-out $(REGRESS_DIR)/trace.json --trace-format chrome \
 			> /dev/null || exit 1; \
 	done

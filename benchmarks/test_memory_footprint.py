@@ -41,8 +41,8 @@ SEED = 1
 
 def test_memory_footprint():
     scenario = Scenario.paper_topology(1, duration=DURATION, seed=SEED, scale=SCALE)
-    result = run_scenario(scenario, statescope=StateScope(interval=1.0))
-    record = result.statescope.record()
+    result = run_scenario(scenario, instruments=[StateScope(interval=1.0)])
+    record = result.instruments["statescope"]
 
     # The observatory must have seen the whole run: every registered
     # series sampled, trends fitted, and the conformance engine run.

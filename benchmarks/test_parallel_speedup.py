@@ -76,10 +76,10 @@ def test_parallel_matches_serial_and_speeds_up(tmp_path):
     specs = _sweep_specs()
 
     serial_wall, serial, _ = _timed_run(
-        specs, jobs=1, use_cache=False, fleetperf=True
+        specs, jobs=1, use_cache=False, obs=("fleetperf",)
     )
     parallel_wall, parallel, fleet_engine = _timed_run(
-        specs, jobs=JOBS, use_cache=False, fleetperf=True
+        specs, jobs=JOBS, use_cache=False, obs=("fleetperf",)
     )
     prime_wall, primed, _ = _timed_run(specs, jobs=1, cache_dir=tmp_path)
     cached_wall, cached, _ = _timed_run(specs, jobs=1, cache_dir=tmp_path)
@@ -105,7 +105,7 @@ def test_parallel_matches_serial_and_speeds_up(tmp_path):
     # wall, or its attribution cannot be trusted to gate the multicore
     # overhaul.
     attribution = attribute_speedup(
-        fleet_engine.last_fleetperf, serial_wall=serial_wall
+        fleet_engine.fleet["fleetperf"]["pool"], serial_wall=serial_wall
     )
     assert attribution["coverage"] >= MIN_COVERAGE, (
         f"fleetperf attributed only {attribution['coverage']:.1%} of the "

@@ -101,7 +101,7 @@ def _fleet_workload(collect: bool) -> float:
 
     def run() -> None:
         engine = ExperimentEngine(
-            jobs=1, use_cache=False, collect_telemetry=collect
+            jobs=1, use_cache=False, obs=("telemetry",) if collect else ()
         )
         engine.run_specs(specs, figure="bench")
 
@@ -109,8 +109,8 @@ def _fleet_workload(collect: bool) -> float:
 
 
 def test_fleet_telemetry_off_is_zero_cost():
-    """Same contract at the engine layer: with the worker telemetry
-    round-trip off (the default), ``run_specs`` installs no session,
+    """Same contract at the engine layer: with the telemetry instrument
+    off (the default), ``run_specs`` installs no session,
     merges nothing, and may never cost more than the collecting state
     beyond timer noise."""
     fleet_off = _fleet_workload(collect=False)
@@ -133,7 +133,9 @@ def _fleetperf_workload(on: bool) -> float:
     specs = enumerate_fig6(duration=2.0, scale=0.1)[:1]
 
     def run() -> None:
-        engine = ExperimentEngine(jobs=1, use_cache=False, fleetperf=on)
+        engine = ExperimentEngine(
+            jobs=1, use_cache=False, obs=("fleetperf",) if on else ()
+        )
         engine.run_specs(specs, figure="bench")
 
     return _best_of(run)
@@ -178,9 +180,9 @@ def _audit_workload(mode: str, tmp_path=None) -> float:
 
     def run() -> None:
         if mode == "audit":
-            run_scenario(scenario, audit=DecisionAudit())
+            run_scenario(scenario, instruments=[DecisionAudit()])
         elif mode == "flightrec":
-            run_scenario(scenario, flightrec=FlightRecorder(tmp_path))
+            run_scenario(scenario, instruments=[FlightRecorder(tmp_path)])
         else:
             run_scenario(scenario)
 
@@ -219,7 +221,9 @@ def _statescope_workload(on: bool) -> float:
     specs = enumerate_fig6(duration=2.0, scale=0.1)[:1]
 
     def run() -> None:
-        engine = ExperimentEngine(jobs=1, use_cache=False, statescope=on)
+        engine = ExperimentEngine(
+            jobs=1, use_cache=False, obs=("statescope",) if on else ()
+        )
         engine.run_specs(specs, figure="bench")
 
     return _best_of(run)

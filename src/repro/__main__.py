@@ -26,6 +26,7 @@ from repro.experiments.table2_comparison import render_table2, reproduce_table2
 from repro.experiments.table4_delivery import render_table4, reproduce_table4
 from repro.experiments.table5_bf_resets import render_table5, reproduce_table5
 from repro.obs.export import TRACE_FORMATS
+from repro.obs.instruments import INSTRUMENTS, OBS_ENV, OBS_OUT_ENV, resolve
 
 
 def _exec_kwargs(args) -> Dict:
@@ -235,76 +236,26 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_ENGINE_EVENTS)",
     )
     fleet.add_argument(
-        "--fleet-telemetry", action="store_true",
-        help="force the worker telemetry round-trip on even without other "
-        "telemetry flags (equivalent to REPRO_FLEET_TELEMETRY=1)",
-    )
-    fleet.add_argument(
-        "--fleet-metrics-out", metavar="PATH", default=None,
-        help="write the merged fleet-wide metrics snapshot as JSON "
-        "(equivalent to REPRO_FLEET_METRICS)",
-    )
-    fleet.add_argument(
         "--history-dir", metavar="DIR", default=None,
         help="append per-figure run-history entries for "
         "'python -m repro.obs.history diff' (equivalent to "
         "REPRO_HISTORY_DIR)",
     )
-    fleet.add_argument(
-        "--fleetperf", action="store_true",
-        help="attach the fleet scheduling observatory: per-worker "
-        "lifecycle phases and the pool timeline, reported via "
-        "'python -m repro.obs.fleetperf report' (equivalent to "
-        "REPRO_FLEETPERF=1)",
+    obs = parser.add_argument_group(
+        "instruments", "per-run observability layers with fleet-merged "
+        "reports (docs/OBSERVABILITY.md, \"Turning it on\")"
     )
-    fleet.add_argument(
-        "--fleet-trace", metavar="PATH", default=None,
-        help="write the pool timeline as a Chrome trace (one lane per "
-        "worker, spec slices + occupancy counter); implies --fleetperf "
-        "(equivalent to REPRO_FLEET_TRACE)",
+    obs.add_argument(
+        "--obs", metavar="NAME[,NAME...]", default=None,
+        help="attach instruments to every run: "
+        + ", ".join(INSTRUMENTS)
+        + " (equivalent to REPRO_OBS)",
     )
-    fleet.add_argument(
-        "--statescope", action="store_true",
-        help="attach the state-footprint observatory to every run: "
-        "periodic PIT/CS/BF/FIB/heap state accounting, leak detection, "
-        "and closed-form conformance checks, reported via "
-        "'python -m repro.obs.statescope report' (equivalent to "
-        "REPRO_STATESCOPE=1)",
-    )
-    fleet.add_argument(
-        "--statescope-out", metavar="PATH", default=None,
-        help="write the fleet-merged statescope conformance report as "
-        "JSON; implies --statescope (equivalent to REPRO_STATESCOPE_OUT)",
-    )
-    audit = parser.add_argument_group(
-        "decision auditing", "access-control decision records, the "
-        "misauthorization oracle, and the flight recorder "
-        "(docs/OBSERVABILITY.md, \"Decision auditing & flight recorder\")"
-    )
-    audit.add_argument(
-        "--audit", action="store_true",
-        help="attach the decision audit to every run without writing a "
-        "report file (equivalent to REPRO_AUDIT=1)",
-    )
-    audit.add_argument(
-        "--audit-out", metavar="PATH", default=None,
-        help="write the fleet-merged audit report (summary + binomial-CI "
-        "check) as JSON; implies --audit (equivalent to REPRO_AUDIT_OUT)",
-    )
-    audit.add_argument(
-        "--flightrec", metavar="DIR", default=None,
-        help="arm the flight recorder; post-mortem bundles land in DIR "
-        "(equivalent to REPRO_FLIGHTREC)",
-    )
-    audit.add_argument(
-        "--flightrec-size", type=int, default=None, metavar="N",
-        help="flight-recorder ring capacity in records (default: 512; "
-        "equivalent to REPRO_FLIGHTREC_SIZE)",
-    )
-    audit.add_argument(
-        "--flightrec-dump", action="store_true",
-        help="force a post-mortem bundle at the end of every run, even "
-        "without a trigger (equivalent to REPRO_FLIGHTREC_DUMP=1)",
+    obs.add_argument(
+        "--obs-out", metavar="DIR", default=None,
+        help="write each instrument's fleet report to DIR/<name>.json and "
+        "flight-recorder bundles under DIR/flightrec/ (equivalent to "
+        "REPRO_OBS_OUT)",
     )
     return parser
 
@@ -328,45 +279,30 @@ def _telemetry_config(args) -> "TelemetryConfig | None":
 
 
 def main(argv: List[str] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.sanitize:
         # The runner's maybe_install() reads the env var, so the flag
         # arms every run this process makes without threading a
         # parameter through each artifact function.
         os.environ["REPRO_SIMSAN"] = "1"
-    # The fleet flags ride the same env-forwarding pattern: the engine
+    # The engine knobs ride the same env-forwarding pattern: the engine
     # reads these at construction, so every ExperimentEngine any driver
     # builds this process picks them up without new parameters.
     if args.progress:
         os.environ["REPRO_PROGRESS"] = "1"
-    if args.fleet_telemetry:
-        os.environ["REPRO_FLEET_TELEMETRY"] = "1"
     if args.engine_events:
         os.environ["REPRO_ENGINE_EVENTS"] = args.engine_events
-    if args.fleet_metrics_out:
-        os.environ["REPRO_FLEET_METRICS"] = args.fleet_metrics_out
     if args.history_dir:
         os.environ["REPRO_HISTORY_DIR"] = args.history_dir
-    if args.fleetperf:
-        os.environ["REPRO_FLEETPERF"] = "1"
-    if args.fleet_trace:
-        os.environ["REPRO_FLEET_TRACE"] = args.fleet_trace
-    if args.statescope:
-        os.environ["REPRO_STATESCOPE"] = "1"
-    if args.statescope_out:
-        os.environ["REPRO_STATESCOPE_OUT"] = args.statescope_out
-    # Decision auditing and the flight recorder follow suit: the runner
-    # and engine read these, and spawned workers inherit them.
-    if args.audit:
-        os.environ["REPRO_AUDIT"] = "1"
-    if args.audit_out:
-        os.environ["REPRO_AUDIT_OUT"] = args.audit_out
-    if args.flightrec:
-        os.environ["REPRO_FLIGHTREC"] = args.flightrec
-    if args.flightrec_size is not None:
-        os.environ["REPRO_FLIGHTREC_SIZE"] = str(args.flightrec_size)
-    if args.flightrec_dump:
-        os.environ["REPRO_FLIGHTREC_DUMP"] = "1"
+    if args.obs is not None:
+        os.environ[OBS_ENV] = args.obs
+    if args.obs_out is not None:
+        os.environ[OBS_OUT_ENV] = args.obs_out
+    try:
+        resolve()  # fail fast, before any run, on a bad selection
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.artifact == "list":
         for name in sorted(ARTIFACTS):
             print(f"{name:8s} -> repro.experiments.{name}_*")

@@ -16,8 +16,6 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from repro.exec.cache import CACHE_FORMAT, RunCache, cache_key, code_fingerprint
     from repro.exec.engine import (
-        FLEET_TRACE_ENV,
-        FLEETPERF_ENV,
         ExecStats,
         ExperimentEngine,
         default_registry,
@@ -35,8 +33,6 @@ _EXPORTS = {
     "RunCache": "cache",
     "cache_key": "cache",
     "code_fingerprint": "cache",
-    "FLEET_TRACE_ENV": "engine",
-    "FLEETPERF_ENV": "engine",
     "ExecStats": "engine",
     "ExperimentEngine": "engine",
     "default_registry": "engine",

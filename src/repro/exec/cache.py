@@ -37,7 +37,8 @@ __all__ = ["CACHE_FORMAT", "RunCache", "cache_key", "code_fingerprint"]
 #: 2: RunSummary grew the ``telemetry`` envelope (worker round-trip).
 #: 3: RunSummary grew the ``fleetperf`` worker-lifecycle record.
 #: 4: RunSummary grew the ``statescope`` state-accounting record.
-CACHE_FORMAT = 4
+#: 5: the four instrument fields became one ``instruments`` dict.
+CACHE_FORMAT = 5
 
 _fingerprint_memo: Optional[str] = None
 

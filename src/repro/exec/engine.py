@@ -21,22 +21,24 @@ rows.  The engine owns everything in between:
 
 Job-count resolution: an explicit ``jobs`` argument wins, then the
 ``REPRO_JOBS`` environment variable, then 1 (serial).  Serial runs
-execute in-process, so process-default telemetry
-(:func:`repro.obs.session.set_default_telemetry`) still attaches.
+execute in-process, where the telemetry instrument writes straight to
+the process-default config's files
+(:func:`repro.obs.session.set_default_telemetry`).
 
-**Worker telemetry round-trip** (docs/OBSERVABILITY.md, "Fleet
-observability"): with fleet telemetry on — explicit
-``collect_telemetry=True``, ``REPRO_FLEET_TELEMETRY=1``, or
-automatically whenever a process-default telemetry config is installed
-— every run (worker or in-process) attaches a
-:class:`~repro.obs.session.TelemetrySession` and ships its finalize
-record home inside the pickled :class:`RunSummary` (``.telemetry``).
-The parent merges each envelope's metrics snapshot, in submission
-order, into :attr:`ExperimentEngine.fleet_registry` via
-:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`; the run
-cache stores the envelope too, so cache hits replay the same telemetry
-without re-executing.  :meth:`ExperimentEngine.merged_snapshot` is the
-fleet registry folded together with the engine's own exec counters.
+**Instrument round-trip** (docs/OBSERVABILITY.md, "Turning it on"):
+the engine resolves one :class:`~repro.obs.instruments.Obs` selection
+at construction (``obs=``/``obs_out=``, else ``REPRO_OBS``/
+``REPRO_OBS_OUT``; telemetry also whenever a process-default telemetry
+config is installed) and ships it to every run, worker or in-process.
+Each run's instrument records come home in
+``RunSummary.instruments``; the run cache stores them, and a cached
+summary counts as a hit only when it carries every selected record
+and every selected row is replayable (flight-recorder bundles are
+files a replay cannot write, so runs that select them re-execute).
+The parent folds the records, in submission order, into
+:attr:`ExperimentEngine.fleet` with each row's ``merge`` — so serial
+and ``--jobs N`` merges are bit-identical — and writes each row's
+report to ``<obs-out>/<name>.json`` after every :meth:`run_specs` call.
 """
 
 from __future__ import annotations
@@ -51,21 +53,16 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.exec.cache import RunCache, cache_key
 from repro.exec.spec import ScenarioSpec
 from repro.exec.summary import RunSummary, summarize
-from repro.obs.audit import AUDIT_ENV, AUDIT_OUT_ENV
+from repro.obs.instruments import INSTRUMENTS, Obs, resolve
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.statescope import STATESCOPE_ENV, STATESCOPE_OUT_ENV
 
 __all__ = ["ExecStats", "ExperimentEngine", "resolve_jobs", "run_specs"]
 
 #: Environment knobs (documented in docs/PERFORMANCE.md).
 JOBS_ENV = "REPRO_JOBS"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-FLEET_TELEMETRY_ENV = "REPRO_FLEET_TELEMETRY"
 PROGRESS_ENV = "REPRO_PROGRESS"
 ENGINE_EVENTS_ENV = "REPRO_ENGINE_EVENTS"
-FLEET_METRICS_ENV = "REPRO_FLEET_METRICS"
-FLEETPERF_ENV = "REPRO_FLEETPERF"
-FLEET_TRACE_ENV = "REPRO_FLEET_TRACE"
 
 #: Worker-birth stamp for the fleet observatory.  A spawn-context
 #: worker imports this module while the pool boots, so in a worker this
@@ -89,14 +86,6 @@ def default_registry() -> MetricsRegistry:
     return _default_registry
 
 
-def _env_flag(name: str) -> Optional[bool]:
-    """Tri-state env flag: unset = None, else truthy unless 0/false/no/off."""
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return None
-    return raw not in ("0", "false", "no", "off")
-
-
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Explicit argument > ``REPRO_JOBS`` env > 1 (serial)."""
     if jobs is not None:
@@ -110,44 +99,22 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return 1
 
 
-def _execute_spec(
-    spec: ScenarioSpec,
-    telemetry_args: Optional[Dict[str, Any]] = None,
-    audit: bool = False,
-    fleetperf: bool = False,
-    statescope: bool = False,
-) -> RunSummary:
+def _execute_spec(spec: ScenarioSpec, obs: Optional[Obs] = None) -> RunSummary:
     """Run one spec end to end (the worker entry point).
 
     Top-level so it pickles under the spawn start method.  Imports stay
     inside the function: a freshly spawned interpreter only pays for
     the simulator once it actually runs something.
 
-    ``telemetry_args`` (``{"profile": bool, "sample_interval": float,
-    "flame": bool}``)
-    asks for the fleet telemetry round-trip: the run attaches a
-    session and its finalize record travels home in
-    ``summary.telemetry``.  In-process runs reuse the process-default
-    config when one is installed (so files/streams keep accumulating);
-    workers — where no default exists — build a collect-mode config
-    that touches no files.
-
-    ``audit`` asks for the decision-audit round-trip: the run attaches
-    a :class:`~repro.obs.audit.DecisionAudit` and its summary travels
-    home in ``summary.audit`` the same way.
-
-    ``fleetperf`` asks for the worker-lifecycle round-trip: a
+    ``obs`` selects the run's instruments; their records travel home in
+    ``summary.instruments``.  With ``fleetperf`` selected a
     :class:`~repro.obs.fleetperf.WorkerLifecycle` charges the
-    simulator-stack import, scenario build, sim run, envelope build,
-    and envelope pickle to fleet phases, and its record travels home in
-    ``summary.fleetperf`` the same way.
-
-    ``statescope`` asks for the state-accounting round-trip: the run
-    attaches a :class:`~repro.obs.statescope.StateScope` and its frozen
-    record travels home in ``summary.statescope`` the same way.
+    simulator-stack import, scenario build, sim run, envelope build and
+    envelope pickle to fleet phases.
     """
+    names = obs.names if obs is not None else ()
     lifecycle = None
-    if fleetperf:
+    if "fleetperf" in names:
         from repro.obs.fleetperf import WorkerLifecycle
 
         lifecycle = WorkerLifecycle(_MODULE_IMPORTED_AT)
@@ -167,40 +134,14 @@ def _execute_spec(
         from repro.qa.simsan import SimSan
 
         sanitizer = SimSan(mode="collect", hash_events=True)
-
-    telemetry = None
-    if telemetry_args is not None:
-        from repro.obs.session import TelemetryConfig, current_telemetry
-
-        telemetry = current_telemetry()
-        if telemetry is None or not telemetry.enabled():
-            telemetry = TelemetryConfig(
-                collect=True,
-                profile=bool(telemetry_args.get("profile", False)),
-                sample_interval=telemetry_args.get("sample_interval"),
-                flame=bool(telemetry_args.get("flame", False)),
-            )
-
-    auditor = None
-    if audit:
-        from repro.obs.audit import DecisionAudit
-
-        auditor = DecisionAudit()
-
-    scope = None
-    if statescope:
-        from repro.obs.statescope import StateScope
-
-        scope = StateScope()
+    live = [
+        INSTRUMENTS[name].make(obs)
+        for name in names
+        if INSTRUMENTS[name].make is not None
+    ]
 
     mark = time.perf_counter()
-    result = run_scenario(
-        scenario,
-        telemetry=telemetry,
-        sanitizer=sanitizer,
-        audit=auditor,
-        statescope=scope,
-    )
+    result = run_scenario(scenario, instruments=live, sanitizer=sanitizer)
     if lifecycle is not None:
         lifecycle.charge("fleet.sim", time.perf_counter() - mark)
     mark = time.perf_counter()
@@ -208,29 +149,23 @@ def _execute_spec(
     summary = summarize(
         result, latency_bucket=spec.latency_bucket, event_digest=digest
     )
-    if result.telemetry is not None:
-        summary.telemetry = result.telemetry.record
-    if result.audit is not None:
-        summary.audit = result.audit.summary()
-    if result.statescope is not None:
-        summary.statescope = result.statescope.record()
     summary.wall_seconds = time.perf_counter() - began
     summary.worker_pid = os.getpid()
     if lifecycle is not None:
         lifecycle.charge("fleet.envelope", time.perf_counter() - mark)
-        # Finalize with ``summary.fleetperf`` still None so the byte
-        # count describes what the pool pipe actually carries.
-        summary.fleetperf = lifecycle.finalize(summary)
+        # Finalize before the record joins ``summary.instruments`` so the
+        # byte count describes what the pool pipe actually carries.
+        summary.instruments["fleetperf"] = lifecycle.finalize(summary)
     return summary
 
 
 def _execute_indexed(
-    payload: Tuple[int, ScenarioSpec, Optional[Dict[str, Any]], bool, bool, bool]
+    payload: Tuple[int, ScenarioSpec, Obs]
 ) -> Tuple[int, RunSummary]:
     """Pool adapter: tags each result with its pending-list slot so the
     completion queue (``imap_unordered``) can restore submission order."""
-    slot, spec, telemetry_args, audit, fleetperf, statescope = payload
-    return slot, _execute_spec(spec, telemetry_args, audit, fleetperf, statescope)
+    slot, spec, obs = payload
+    return slot, _execute_spec(spec, obs)
 
 
 @dataclass
@@ -260,10 +195,14 @@ class ExperimentEngine:
         (the CLI's ``--no-cache``).
     registry:
         Metrics registry to record into (``None`` = the module default).
-    collect_telemetry:
-        Worker telemetry round-trip: ``True``/``False`` explicit,
-        ``None`` = ``REPRO_FLEET_TELEMETRY`` env, else on automatically
-        whenever a process-default telemetry config is installed.
+    obs:
+        Instruments to attach to every run (:mod:`repro.obs.instruments`
+        names, as an iterable or a comma list; ``None`` = ``REPRO_OBS``
+        env, ``()`` = none).  Telemetry is added whenever a
+        process-default telemetry config is installed.
+    obs_out:
+        Directory for the per-instrument fleet reports (``None`` =
+        ``REPRO_OBS_OUT`` env when ``obs`` is ``None``, else none).
     progress:
         Live status line on stderr (``None`` = ``REPRO_PROGRESS`` env,
         else off).
@@ -273,47 +212,6 @@ class ExperimentEngine:
     history_dir:
         Append a run-history entry per :meth:`run_specs` call (``None``
         = ``REPRO_HISTORY_DIR`` env, else off).
-    fleet_metrics_path:
-        Write :meth:`merged_snapshot` as JSON after every
-        :meth:`run_specs` call (``None`` = ``REPRO_FLEET_METRICS`` env,
-        else off).
-    audit:
-        Decision-audit round-trip: ``True``/``False`` explicit,
-        ``None`` = ``REPRO_AUDIT`` env, else on automatically whenever
-        ``audit_out`` is set.  Per-run summaries ride home in
-        ``summary.audit`` (cache hits replay them) and fold into
-        :attr:`fleet_audit` in submission order — bit-identical between
-        serial and parallel execution.
-    audit_out:
-        Write the fleet-merged audit report (summary + binomial-CI
-        check + rendered text) as JSON after every :meth:`run_specs`
-        call (``None`` = ``REPRO_AUDIT_OUT`` env, else off).
-    fleetperf:
-        Fleet scheduling observatory (worker-lifecycle phases + pool
-        timeline; :mod:`repro.obs.fleetperf`): ``True``/``False``
-        explicit, ``None`` = ``REPRO_FLEETPERF`` env, else on
-        automatically whenever ``fleet_trace`` is set.  Per-run
-        lifecycle records ride home in ``summary.fleetperf`` (cache
-        hits replay them), fold into :attr:`fleet_fleetperf` in
-        submission order, and the pool-timeline report lands in
-        :attr:`last_fleetperf` after each :meth:`run_specs` call.
-    fleet_trace:
-        Write the pool timeline as a Chrome trace (one lane per
-        worker, spec slices + occupancy counter) after every
-        :meth:`run_specs` call (``None`` = ``REPRO_FLEET_TRACE`` env,
-        else off).  Implies ``fleetperf``.
-    statescope:
-        State-accounting round-trip (:mod:`repro.obs.statescope`):
-        ``True``/``False`` explicit, ``None`` = ``REPRO_STATESCOPE``
-        env, else on automatically whenever ``statescope_out`` is set.
-        Per-run records ride home in ``summary.statescope`` (cache
-        hits replay them) and fold into :attr:`fleet_statescope` in
-        submission order — bit-identical between serial and parallel
-        execution.
-    statescope_out:
-        Write the fleet-merged statescope report (merged record +
-        rendered text) as JSON after every :meth:`run_specs` call
-        (``None`` = ``REPRO_STATESCOPE_OUT`` env, else off).
     stream:
         Progress stream (``None`` = stderr; tests pass a StringIO).
     """
@@ -324,17 +222,11 @@ class ExperimentEngine:
         cache_dir: Optional[Any] = None,
         use_cache: bool = True,
         registry: Optional[MetricsRegistry] = None,
-        collect_telemetry: Optional[bool] = None,
+        obs: Optional[Iterable[str]] = None,
+        obs_out: Optional[str] = None,
         progress: Optional[bool] = None,
         events_path: Optional[str] = None,
         history_dir: Optional[Any] = None,
-        fleet_metrics_path: Optional[str] = None,
-        audit: Optional[bool] = None,
-        audit_out: Optional[str] = None,
-        fleetperf: Optional[bool] = None,
-        fleet_trace: Optional[str] = None,
-        statescope: Optional[bool] = None,
-        statescope_out: Optional[str] = None,
         stream: Optional[object] = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
@@ -345,14 +237,20 @@ class ExperimentEngine:
             RunCache(directory) if (use_cache and directory is not None) else None
         )
         self.registry = registry if registry is not None else default_registry()
-        self.collect_telemetry = (
-            collect_telemetry
-            if collect_telemetry is not None
-            else _env_flag(FLEET_TELEMETRY_ENV)
-        )
-        self.progress = (
-            progress if progress is not None else bool(_env_flag(PROGRESS_ENV))
-        )
+        self.obs = resolve(obs, obs_out)
+        #: Fleet-merged instrument records by name, folded in submission
+        #: order (cache hits included) — bit-identical between serial
+        #: and parallel execution.  The telemetry view starts from this
+        #: engine's exec counters, so its report is the whole-fleet
+        #: snapshot; the fleetperf view also holds the latest pool
+        #: timeline under ``"pool"``.
+        self.fleet: Dict[str, Dict[str, Any]] = {name: {} for name in self.obs.names}
+        if "telemetry" in self.fleet:
+            self.fleet["telemetry"]["exec"] = self.registry
+        if progress is None:
+            raw = os.environ.get(PROGRESS_ENV, "").strip().lower()
+            progress = raw not in ("", "0", "false", "no", "off")
+        self.progress = progress
         self.events_path = (
             events_path
             if events_path is not None
@@ -363,75 +261,7 @@ class ExperimentEngine:
 
             history_dir = os.environ.get(HISTORY_DIR_ENV, "").strip() or None
         self.history_dir = history_dir
-        self.fleet_metrics_path = (
-            fleet_metrics_path
-            if fleet_metrics_path is not None
-            else os.environ.get(FLEET_METRICS_ENV, "").strip() or None
-        )
-        self.audit_out = (
-            audit_out
-            if audit_out is not None
-            else os.environ.get(AUDIT_OUT_ENV, "").strip() or None
-        )
-        resolved_audit = audit if audit is not None else _env_flag(AUDIT_ENV)
-        self.audit = (
-            resolved_audit
-            if resolved_audit is not None
-            else self.audit_out is not None
-        )
-        #: Per-run audit summaries folded in submission order — the
-        #: fleet-wide decision-audit view (same determinism contract as
-        #: :attr:`fleet_registry`).
-        self.fleet_audit: Dict[str, Any] = {}
-        self.fleet_trace = (
-            fleet_trace
-            if fleet_trace is not None
-            else os.environ.get(FLEET_TRACE_ENV, "").strip() or None
-        )
-        resolved_fleetperf = (
-            fleetperf if fleetperf is not None else _env_flag(FLEETPERF_ENV)
-        )
-        self.fleetperf = (
-            resolved_fleetperf
-            if resolved_fleetperf is not None
-            else self.fleet_trace is not None
-        )
-        #: Per-run worker-lifecycle records folded in submission order
-        #: (phase calls/seconds and envelope bytes sum; see
-        #: :func:`repro.obs.fleetperf.merge_fleetperf`) — the
-        #: fleet-wide lifecycle view, cache hits included.
-        self.fleet_fleetperf: Dict[str, Any] = {}
-        #: The pool-timeline report from the most recent
-        #: :meth:`run_specs` call (``None`` until one runs with the
-        #: observatory on) — feeds
-        #: :func:`repro.obs.fleetperf.attribute_speedup` and the
-        #: Chrome-trace export.
-        self.last_fleetperf: Optional[Dict[str, Any]] = None
-        self.statescope_out = (
-            statescope_out
-            if statescope_out is not None
-            else os.environ.get(STATESCOPE_OUT_ENV, "").strip() or None
-        )
-        resolved_statescope = (
-            statescope if statescope is not None else _env_flag(STATESCOPE_ENV)
-        )
-        self.statescope = (
-            resolved_statescope
-            if resolved_statescope is not None
-            else self.statescope_out is not None
-        )
-        #: Per-run statescope records folded in submission order (series
-        #: peaks/lasts sum, findings and conformance checks concatenate;
-        #: see :func:`repro.obs.statescope.merge_statescope`) — the
-        #: fleet-wide state-footprint view, cache hits included.
-        self.fleet_statescope: Dict[str, Any] = {}
         self.stream = stream
-        #: Per-run telemetry envelopes merged in submission order — the
-        #: fleet-wide metrics view.  Deterministic: for a fixed seed the
-        #: serial and parallel merges are bit-identical.
-        self.fleet_registry = MetricsRegistry()
-        #: Fleet-wide collapsed flamegraph stacks (sample counts sum).
-        self.fleet_flame: Dict[str, int] = {}
         self.stats = ExecStats()
         self._runs_total = self.registry.counter(
             "exec_runs_total",
@@ -461,33 +291,11 @@ class ExperimentEngine:
         ``figure`` labels the run in the history store and the fleet
         progress events (e.g. ``"fig6"``); it does not affect results.
         """
-        from repro.obs.session import current_telemetry
-
         began = time.perf_counter()
         ordered = list(specs)
         results: List[Optional[RunSummary]] = [None] * len(ordered)
         pending: List[Tuple[int, ScenarioSpec, Optional[str]]] = []
-
-        default_config = current_telemetry()
-        if default_config is not None and not default_config.enabled():
-            default_config = None
-        collect = (
-            self.collect_telemetry
-            if self.collect_telemetry is not None
-            else default_config is not None
-        )
-        telemetry_args: Optional[Dict[str, Any]] = None
-        if collect:
-            telemetry_args = {
-                "profile": default_config.profile if default_config else False,
-                "sample_interval": (
-                    default_config.sample_interval if default_config else None
-                ),
-                "flame": bool(
-                    default_config
-                    and (default_config.flame or default_config.flame_path)
-                ),
-            }
+        obs = self.obs
 
         progress = None
         if self.progress or self.events_path:
@@ -503,7 +311,7 @@ class ExperimentEngine:
             progress.run_started(figure)
 
         fleet = None
-        if self.fleetperf:
+        if "fleetperf" in obs.names:
             from repro.obs.fleetperf import FleetPerf
 
             fleet = FleetPerf(jobs=self.jobs, total=len(ordered))
@@ -514,7 +322,14 @@ class ExperimentEngine:
             if self.cache is not None:
                 key = cache_key(spec)
                 hit = self.cache.get(key)
-                if hit is not None:
+                # A hit must replay every selected instrument's record;
+                # one stored without them, or a run whose selected
+                # output cannot be replayed, is re-executed and
+                # re-stored.
+                if hit is not None and all(
+                    INSTRUMENTS[name].replayable and name in hit.instruments
+                    for name in obs.names
+                ):
                     hit.cached = True
                     results[index] = hit
                     self.stats.cache_hits += 1
@@ -536,15 +351,7 @@ class ExperimentEngine:
             if workers > 1:
                 mode = "parallel"
                 payloads = [
-                    (
-                        slot,
-                        spec,
-                        telemetry_args,
-                        self.audit,
-                        self.fleetperf,
-                        self.statescope,
-                    )
-                    for slot, (_, spec, _) in enumerate(pending)
+                    (slot, spec, obs) for slot, (_, spec, _) in enumerate(pending)
                 ]
                 context = multiprocessing.get_context("spawn")
                 if fleet is not None:
@@ -576,13 +383,7 @@ class ExperimentEngine:
                         progress.spec_started(spec.label)
                     if fleet is not None:
                         fleet.spec_submitted(slot, spec.label)
-                    summary = _execute_spec(
-                        spec,
-                        telemetry_args,
-                        self.audit,
-                        self.fleetperf,
-                        self.statescope,
-                    )
+                    summary = _execute_spec(spec, obs)
                     summaries[slot] = summary
                     if fleet is not None:
                         fleet.spec_received(slot, summary)
@@ -597,24 +398,24 @@ class ExperimentEngine:
                     self.cache.put(key, summary)
 
         final = [summary for summary in results if summary is not None]
-        self._merge_fleet_telemetry(final, default_config)
-        self._merge_fleet_audit(final)
-        self._merge_fleet_statescope(final)
+        # Submission order, cache hits included: replayed records fold
+        # in exactly like freshly executed ones.  An in-process run has
+        # already persisted its records here; a worker's or a cached
+        # one is forwarded.
+        pid = os.getpid()
+        for summary in final:
+            foreign = summary.cached or summary.worker_pid != pid
+            for name in obs.names:
+                record = summary.instruments.get(name)
+                if not record:
+                    continue
+                row = INSTRUMENTS[name]
+                row.merge(self.fleet[name], record)
+                if foreign and row.forward is not None:
+                    row.forward(record)
         wall = time.perf_counter() - began
         if fleet is not None:
-            from repro.obs.fleetperf import merge_fleetperf
-
-            # Submission order, cache hits included: replayed records
-            # fold in exactly like freshly executed ones (the telemetry
-            # round-trip contract).
-            for summary in final:
-                if summary.fleetperf:
-                    merge_fleetperf(self.fleet_fleetperf, summary.fleetperf)
-            self.last_fleetperf = fleet.report(wall)
-            if self.fleet_trace:
-                from repro.obs.export import write_fleet_trace
-
-                write_fleet_trace(self.fleet_trace, self.last_fleetperf)
+            self.fleet["fleetperf"]["pool"] = fleet.report(wall)
         if progress is not None:
             progress.run_finished()
         if self.history_dir is not None:
@@ -627,108 +428,23 @@ class ExperimentEngine:
                 specs=ordered,
                 summaries=final,
             )
-        if self.fleet_metrics_path:
-            with open(self.fleet_metrics_path, "w", encoding="utf-8") as fh:
-                json.dump(self.merged_snapshot(), fh, indent=2)
-                fh.write("\n")
-        if self.audit_out and self.fleet_audit:
-            self._write_audit_report(figure)
-        if self.statescope_out and self.fleet_statescope:
-            self._write_statescope_report(figure)
+        if obs.out:
+            self._write_reports(figure)
         return final
 
-    def _merge_fleet_telemetry(
-        self, summaries: Sequence[RunSummary], default_config: Optional[Any]
-    ) -> None:
-        """Fold per-run envelopes into the fleet registry (submission
-        order, so gauge last-write-wins stays deterministic) and forward
-        worker/cached records to the process-default writer — in-process
-        sessions already persisted themselves."""
-        pid = os.getpid()
-        for summary in summaries:
-            envelope = summary.telemetry
-            if not envelope:
+    def _write_reports(self, figure: str) -> None:
+        """Write each selected instrument's fleet report to
+        ``<obs-out>/<name>.json``."""
+        os.makedirs(self.obs.out, exist_ok=True)
+        for name in self.obs.names:
+            report = INSTRUMENTS[name].report
+            if report is None:
                 continue
-            metrics = envelope.get("metrics")
-            if metrics:
-                self.fleet_registry.merge_snapshot(metrics)
-            flame = envelope.get("flame")
-            if flame and flame.get("stacks"):
-                from repro.obs.profiler import merge_collapsed
-
-                merge_collapsed(self.fleet_flame, flame["stacks"])
-            if default_config is not None and (
-                summary.cached or summary.worker_pid != pid
-            ):
-                default_config.writer().add_run(envelope)
-                if flame and flame.get("stacks") and default_config.flame_path:
-                    # Worker stacks reach the --flame-out file through
-                    # the same accumulating writer in-process sessions
-                    # use, so serial and parallel runs converge.
-                    default_config.writer().add_flame(flame["stacks"])
-
-    def _merge_fleet_audit(self, summaries: Sequence[RunSummary]) -> None:
-        """Fold per-run audit summaries into :attr:`fleet_audit` in
-        submission order — integer tallies are order-free and the float
-        accumulators sum in one fixed order, so serial and ``--jobs N``
-        merges are bit-for-bit identical (cache hits replay their stored
-        summaries the same way)."""
-        if not self.audit:
-            return
-        from repro.obs.audit import merge_audit_summaries
-
-        for summary in summaries:
-            if summary.audit:
-                merge_audit_summaries(self.fleet_audit, summary.audit)
-
-    def _merge_fleet_statescope(self, summaries: Sequence[RunSummary]) -> None:
-        """Fold per-run statescope records into :attr:`fleet_statescope`
-        in submission order — all merged quantities are order-free sums
-        or concatenations keyed by submission slot, so serial and
-        ``--jobs N`` merges are bit-for-bit identical (cache hits replay
-        their stored records the same way)."""
-        if not self.statescope:
-            return
-        from repro.obs.statescope import merge_statescope
-
-        for summary in summaries:
-            if summary.statescope:
-                merge_statescope(self.fleet_statescope, summary.statescope)
-
-    def _write_statescope_report(self, figure: str) -> None:
-        from repro.obs.statescope import render_statescope_report
-
-        document = {
-            "figure": figure,
-            "jobs": self.jobs,
-            "record": self.fleet_statescope,
-            "report": render_statescope_report(self.fleet_statescope),
-        }
-        with open(self.statescope_out, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def _write_audit_report(self, figure: str) -> None:
-        from repro.obs.audit import fp_confidence, render_audit_report
-
-        document = {
-            "figure": figure,
-            "jobs": self.jobs,
-            "summary": self.fleet_audit,
-            "confidence": fp_confidence(self.fleet_audit),
-            "report": render_audit_report(self.fleet_audit),
-        }
-        with open(self.audit_out, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def merged_snapshot(self) -> Dict[str, dict]:
-        """The engine's own exec counters folded together with the
-        fleet-wide per-run telemetry, as one snapshot."""
-        merged = MetricsRegistry()
-        merged.merge(self.registry)
-        merged.merge(self.fleet_registry)
-        return merged.snapshot()
+            document = report(self.fleet[name], figure, self.jobs)
+            path = os.path.join(self.obs.out, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(document, fh, indent=2, sort_keys=True)
+                fh.write("\n")
 
     def _note_run(self, mode: str, summary: RunSummary) -> None:
         if mode == "parallel":
@@ -748,10 +464,7 @@ def run_specs(
     use_cache: bool = True,
     registry: Optional[MetricsRegistry] = None,
     figure: str = "",
-    collect_telemetry: Optional[bool] = None,
-    audit: Optional[bool] = None,
-    fleetperf: Optional[bool] = None,
-    statescope: Optional[bool] = None,
+    obs: Optional[Iterable[str]] = None,
 ) -> List[RunSummary]:
     """One-shot convenience over :class:`ExperimentEngine`."""
     engine = ExperimentEngine(
@@ -759,9 +472,6 @@ def run_specs(
         cache_dir=cache_dir,
         use_cache=use_cache,
         registry=registry,
-        collect_telemetry=collect_telemetry,
-        audit=audit,
-        fleetperf=fleetperf,
-        statescope=statescope,
+        obs=obs,
     )
     return engine.run_specs(specs, figure=figure)

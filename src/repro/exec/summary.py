@@ -82,28 +82,12 @@ class RunSummary:
     wall_seconds: float = field(default=0.0, compare=False)
     cached: bool = field(default=False, compare=False)
     worker_pid: int = field(default=0, compare=False)
-    #: The run's telemetry envelope (a :meth:`TelemetrySession.finalize`
-    #: record: bridged metrics snapshot, sampler series, profile) when
-    #: the engine ran with fleet telemetry on; ``None`` otherwise.
-    #: Provenance-adjacent: excluded from equality so telemetered and
-    #: untelemetered runs of one spec still compare equal.
-    telemetry: Optional[Dict[str, Any]] = field(default=None, compare=False)
-    #: The run's decision-audit summary (a :meth:`DecisionAudit.summary`
-    #: dict) when the engine ran with auditing on; ``None`` otherwise.
-    #: Excluded from equality for the same reason as ``telemetry``.
-    audit: Optional[Dict[str, Any]] = field(default=None, compare=False)
-    #: The run's worker-lifecycle record (a
-    #: :meth:`~repro.obs.fleetperf.WorkerLifecycle.finalize` dict: phase
-    #: seconds, monotonic stamps, envelope byte count) when the engine
-    #: ran with the fleet observatory on; ``None`` otherwise.  Excluded
-    #: from equality for the same reason as ``telemetry``.
-    fleetperf: Optional[Dict[str, Any]] = field(default=None, compare=False)
-    #: The run's state-accounting record (a
-    #: :meth:`~repro.obs.statescope.StateScope.record` dict: sampled
-    #: ``state.*`` series, growth findings, model-conformance checks)
-    #: when the engine ran with the statescope on; ``None`` otherwise.
-    #: Excluded from equality for the same reason as ``telemetry``.
-    statescope: Optional[Dict[str, Any]] = field(default=None, compare=False)
+    #: Each instrument's per-run record by name (``--obs``; see
+    #: :mod:`repro.obs.instruments`): the telemetry envelope, audit
+    #: summary, statescope record, flight-recorder bundle list, and
+    #: worker-lifecycle record.  Excluded from equality so observed and
+    #: unobserved runs of one spec still compare equal.
+    instruments: Dict[str, Dict[str, Any]] = field(default_factory=dict, compare=False)
 
     # ------------------------------------------------------------------
     # RunResult-compatible accessors
@@ -232,10 +216,7 @@ class RunSummary:
             "events_executed": self.events_executed,
             "event_digest": self.event_digest,
             "wall_seconds": self.wall_seconds,
-            "telemetry": self.telemetry,
-            "audit": self.audit,
-            "fleetperf": self.fleetperf,
-            "statescope": self.statescope,
+            "instruments": dict(self.instruments),
         }
 
     @classmethod
@@ -280,10 +261,7 @@ class RunSummary:
                 else str(payload["event_digest"])
             ),
             wall_seconds=float(payload.get("wall_seconds", 0.0)),
-            telemetry=payload.get("telemetry"),
-            audit=payload.get("audit"),
-            fleetperf=payload.get("fleetperf"),
-            statescope=payload.get("statescope"),
+            instruments=dict(payload.get("instruments") or {}),
         )
 
 
@@ -331,4 +309,5 @@ def summarize(
         events_executed=result.sim.events_executed,
         event_digest=event_digest,
         wall_seconds=result.wall_seconds,
+        instruments=dict(result.instruments),
     )

@@ -9,9 +9,10 @@ paper's figures and tables report.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.accconf import ACCCONF_SCHEME
 from repro.baselines.client_side import CLIENT_SIDE_SCHEME
@@ -71,18 +72,9 @@ class RunResult:
     clients: List[Client]
     attackers: List[Attacker]
     wall_seconds: float = 0.0
-    #: The run's :class:`~repro.obs.session.TelemetrySession`, when one
-    #: was attached (None for untelemetered runs).
-    telemetry: Optional[object] = None
-    #: The run's :class:`~repro.obs.audit.DecisionAudit`, when decision
-    #: auditing was on (None otherwise).
-    audit: Optional[object] = None
-    #: The run's :class:`~repro.obs.flightrec.FlightRecorder`, when one
-    #: was installed (None otherwise).
-    flightrec: Optional[object] = None
-    #: The run's :class:`~repro.obs.statescope.StateScope`, when state
-    #: accounting was on (None otherwise); already finalized.
-    statescope: Optional[object] = None
+    #: Each installed instrument's ``finalize()`` record, by name
+    #: (:mod:`repro.obs.instruments`); empty for a plain run.
+    instruments: Dict[str, dict] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Table IV quantities
@@ -150,13 +142,23 @@ class RunResult:
 
 @dataclass
 class _Assembly:
+    """The live run; instruments ``install(run)`` against it."""
+
     sim: Simulator
     network: Network
     cert_store: CertificateStore
     metrics: MetricsCollector
+    config: TacticConfig
     providers: List[Provider] = field(default_factory=list)
     clients: List[Client] = field(default_factory=list)
     attackers: List[Attacker] = field(default_factory=list)
+    scenario: Optional[Scenario] = None
+    label: str = ""
+    horizon: float = 0.0
+    sanitizer: Optional[object] = None
+    #: The run's live instruments by name (each finds its peers here).
+    instruments: Dict[str, object] = field(default_factory=dict)
+    wall_seconds: float = 0.0
 
 
 def _make_keypair(config: TacticConfig, rng) -> object:
@@ -197,7 +199,16 @@ def build_assembly(scenario: Scenario) -> _Assembly:
     network = Network(sim)
     cert_store = CertificateStore()
     metrics = MetricsCollector()
-    assembly = _Assembly(sim, network, cert_store, metrics)
+    assembly = _Assembly(
+        sim,
+        network,
+        cert_store,
+        metrics,
+        config,
+        scenario=scenario,
+        label=scenario.label or scenario.scheme,
+        horizon=config.duration + config.drain_time,
+    )
     key_rng = sim.rng.stream("keys")
     population_rng = sim.rng.stream("population")
 
@@ -348,88 +359,45 @@ def _seed_stale_tags(assembly: _Assembly) -> None:
 
 def run_scenario(
     scenario: Scenario,
-    telemetry: Optional[object] = None,
+    instruments: Sequence[object] = (),
     sanitizer: Optional[object] = None,
-    audit: Optional[object] = None,
-    flightrec: Optional[object] = None,
-    statescope: Optional[object] = None,
 ) -> RunResult:
     """Assemble and execute one scenario end to end.
 
-    ``telemetry`` overrides the process-default
-    :class:`~repro.obs.session.TelemetryConfig` (installed by the CLI
-    via :func:`~repro.obs.session.set_default_telemetry`); when neither
-    is set the run carries no instruments at all.  ``sanitizer``
-    installs an explicit :class:`~repro.qa.simsan.SimSan`; when omitted
-    one is installed iff ``REPRO_SIMSAN=1`` is set in the environment.
-    ``audit`` attaches an explicit :class:`~repro.obs.audit.
-    DecisionAudit` (env fallback ``REPRO_AUDIT``/``REPRO_AUDIT_OUT``);
-    ``flightrec`` installs an explicit :class:`~repro.obs.flightrec.
-    FlightRecorder` (env fallback ``REPRO_FLIGHTREC``).  ``statescope``
-    installs an explicit :class:`~repro.obs.statescope.StateScope`
-    (env fallback ``REPRO_STATESCOPE``/``REPRO_STATESCOPE_OUT``); the
-    scope is finalized before the telemetry session so its record rides
-    the session record and its timeline the Chrome trace.
+    ``instruments`` are live objects from :mod:`repro.obs.instruments`
+    (``DecisionAudit()``, ``TelemetrySession(config)``, …); each is
+    installed in table order before the first tag is issued and
+    finalized in reverse after the run, and its record lands in
+    ``RunResult.instruments``.  With none, the run loads no
+    observability module at all.  ``sanitizer`` installs an explicit
+    :class:`~repro.qa.simsan.SimSan`; when omitted one is installed iff
+    ``REPRO_SIMSAN`` is on in the environment.
     """
-    from repro.obs.audit import maybe_audit
-    from repro.obs.flightrec import maybe_flightrec
-    from repro.obs.session import TelemetrySession, current_telemetry
-    from repro.obs.statescope import maybe_statescope
-    from repro.qa.simsan import maybe_install
-
     assembly = build_assembly(scenario)
     if sanitizer is not None:
         sanitizer.install(assembly.sim, assembly.network)
-    else:
+    elif "REPRO_SIMSAN" in os.environ:
+        from repro.qa.simsan import maybe_install
+
         sanitizer = maybe_install(assembly.sim, assembly.network)
-    config = SCHEME_REGISTRY[scenario.scheme].config_transform(scenario.config)
+    assembly.sanitizer = sanitizer
+    config = assembly.config
     sim = assembly.sim
     start_rng = sim.rng.stream("start-offsets")
     duration = config.duration
-    horizon = duration + config.drain_time
 
-    # Decision auditing and the flight recorder attach before any tag
-    # is issued (_seed_stale_tags below feeds the oracle's issued-tag
-    # registry through the provider hook).
-    if audit is None:
-        audit = maybe_audit()
-    if audit is not None:
-        audit.attach(assembly.network)
-    if flightrec is None:
-        flightrec = maybe_flightrec(label=scenario.label or scenario.scheme)
-    if flightrec is not None:
-        flightrec.install(sim, network=assembly.network)
-        if sanitizer is not None:
-            sanitizer.flightrec = flightrec
-        if audit is not None:
-            audit.sink = flightrec.on_decision
+    live = list(instruments)
+    if live:
+        from repro.obs.instruments import INSTRUMENTS
 
-    telemetry_config = telemetry if telemetry is not None else current_telemetry()
-    session = None
-    if telemetry_config is not None and telemetry_config.enabled():
-        session = TelemetrySession(
-            telemetry_config,
-            sim,
-            network=assembly.network,
-            collector=assembly.metrics,
-            label=scenario.label or scenario.scheme,
-            horizon=horizon,
-        )
-    if session is not None and audit is not None:
-        session.audit = audit
-    if statescope is None:
-        statescope = maybe_statescope()
-    if statescope is not None:
-        statescope.install(
-            sim,
-            network=assembly.network,
-            config=config,
-            audit=audit,
-            label=scenario.label or scenario.scheme,
-        )
-        statescope.start(horizon=horizon)
-        if session is not None:
-            session.statescope = statescope
+        order = list(INSTRUMENTS)
+        live.sort(key=lambda item: order.index(item.name))
+    assembly.instruments = {item.name: item for item in live}
+    # Instruments install before any tag is issued (_seed_stale_tags
+    # feeds the audit oracle's issued-tag registry through the provider
+    # hook).
+    for item in live:
+        item.install(assembly)
 
     _seed_stale_tags(assembly)
 
@@ -443,23 +411,22 @@ def run_scenario(
 
     began = time.perf_counter()
     try:
-        sim.run(until=horizon)
-    except BaseException:
-        # Restore the layer shims and stop the heartbeat before the
-        # error propagates.
-        if session is not None:
-            session.close()
-        raise
-    wall = time.perf_counter() - began
-
-    if statescope is not None:
-        statescope.finalize()
-    if session is not None:
-        session.finalize(wall_seconds=wall)
-    if sanitizer is not None:
-        sanitizer.finish()
-    if flightrec is not None:
-        flightrec.finish()
+        sim.run(until=assembly.horizon)
+        assembly.wall_seconds = time.perf_counter() - began
+        try:
+            if sanitizer is not None:
+                sanitizer.finish()
+        finally:
+            # A SimSan violation still gets the run's records written
+            # (and its bundle named in the flight recorder's record).
+            records = {item.name: item.finalize() for item in reversed(live)}
+    finally:
+        # Restore the layer shims and stop the heartbeat even when the
+        # run raises (close is idempotent after finalize).
+        for item in live:
+            close = getattr(item, "close", None)
+            if close is not None:
+                close()
 
     return RunResult(
         scenario=scenario,
@@ -470,9 +437,6 @@ def run_scenario(
         providers=assembly.providers,
         clients=assembly.clients,
         attackers=assembly.attackers,
-        wall_seconds=wall,
-        telemetry=session,
-        audit=audit,
-        flightrec=flightrec,
-        statescope=statescope,
+        wall_seconds=assembly.wall_seconds,
+        instruments=records,
     )

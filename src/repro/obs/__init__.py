@@ -18,8 +18,8 @@ One package gathers everything a run can tell you about itself:
 - :mod:`repro.obs.profiler` — a statistical stack sampler emitting
   collapsed-stack flamegraph input;
 - :mod:`repro.obs.session` — the glue: one
-  :class:`~repro.obs.session.TelemetrySession` per run, attached by the
-  experiment runner and driven by ``python -m repro`` flags;
+  :class:`~repro.obs.session.TelemetrySession` per run, driven by
+  ``python -m repro`` flags;
 - :mod:`repro.obs.audit` — access-control decision records with a
   ground-truth oracle labeling each one correct / false-positive /
   false-negative (the empirical BF-misauthorization report);
@@ -31,10 +31,14 @@ One package gathers everything a run can tell you about itself:
   CS, Bloom filters, FIB, audit shadows, spans, event heap), linear
   trend fitting that flags unbounded growth, and conformance checks
   comparing empirical occupancy against the ``repro.analysis`` closed
-  forms.
+  forms;
+- :mod:`repro.obs.instruments` — the one table that turns the audit,
+  flight recorder, telemetry, statescope and fleet observatory on
+  (``--obs``) and carries each one's record from the run to its fleet
+  report.
 
-Everything is off by default; an unconfigured run pays nothing beyond
-a handful of ``None`` checks.
+Everything is off by default; a plain run imports none of this and
+pays nothing beyond a handful of ``None`` checks.
 """
 
 from __future__ import annotations

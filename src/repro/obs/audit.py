@@ -37,30 +37,21 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.filters.params import estimate_fpp
 
 __all__ = [
-    "AUDIT_ENV",
-    "AUDIT_OUT_ENV",
     "DECISION_KINDS",
     "DecisionAudit",
     "DecisionRecord",
-    "audit_enabled",
     "audit_metrics",
+    "audit_report",
     "fp_confidence",
-    "maybe_audit",
     "merge_audit_summaries",
     "render_audit_report",
 ]
-
-#: Environment opt-ins (set by the ``--audit-out`` CLI flag and
-#: inherited by spawned engine workers).
-AUDIT_ENV = "REPRO_AUDIT"
-AUDIT_OUT_ENV = "REPRO_AUDIT_OUT"
 
 #: Every decision kind the audit stream may carry.  simlint rule SL008
 #: checks the literal first argument of each ``record_decision(...)``
@@ -153,16 +144,21 @@ class DecisionAudit:
         self._revoked: Set[bytes] = set()
 
     # ------------------------------------------------------------------
-    # Wiring
+    # Wiring (the instrument protocol: install / finalize)
     # ------------------------------------------------------------------
-    def attach(self, network: Any) -> "DecisionAudit":
-        """Point every TACTIC router in ``network`` at this audit."""
-        for node in network.nodes.values():
+    name = "audit"
+
+    def install(self, run: Any) -> "DecisionAudit":
+        """Point every TACTIC router in ``run.network`` at this audit."""
+        for node in run.network.nodes.values():
             if getattr(node, "bloom", None) is None:
                 continue
             node.audit = self
             self._state(node)
         return self
+
+    def finalize(self) -> Dict[str, Any]:
+        return self.summary()
 
     def _role_of(self, node: Any) -> str:
         if getattr(node, "directory", None) is not None:
@@ -558,19 +554,13 @@ def render_audit_report(summary: Dict[str, Any]) -> List[str]:
     return lines
 
 
-# ----------------------------------------------------------------------
-# Environment gating (runner hook)
-# ----------------------------------------------------------------------
-def audit_enabled() -> bool:
-    """True when ``REPRO_AUDIT`` / ``REPRO_AUDIT_OUT`` opts auditing in."""
-    raw = os.environ.get(AUDIT_ENV, "").strip().lower()
-    if raw and raw not in ("0", "false", "no", "off"):
-        return True
-    return bool(os.environ.get(AUDIT_OUT_ENV, "").strip())
-
-
-def maybe_audit() -> Optional[DecisionAudit]:
-    """A fresh :class:`DecisionAudit` iff the environment opts in."""
-    if not audit_enabled():
-        return None
-    return DecisionAudit()
+def audit_report(summary: Dict[str, Any], figure: str, jobs: int) -> Dict[str, Any]:
+    """The fleet report document: merged summary, binomial-CI check and
+    rendered lines (``<obs-out>/audit.json``)."""
+    return {
+        "figure": figure,
+        "jobs": jobs,
+        "summary": summary,
+        "confidence": fp_confidence(summary),
+        "report": render_audit_report(summary),
+    }

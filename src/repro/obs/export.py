@@ -40,7 +40,6 @@ __all__ = [
     "fleet_trace_events",
     "state_counter_events",
     "write_chrome_trace",
-    "write_fleet_trace",
 ]
 
 #: Accepted ``--trace-format`` values.
@@ -344,17 +343,6 @@ def fleet_trace_events(report: dict, pid: int = 1) -> List[dict]:
             }
         )
     return events
-
-
-def write_fleet_trace(path: str, report: dict) -> int:
-    """Write one fleet pool-timeline report as a Chrome trace document.
-    Returns the event count."""
-    events = fleet_trace_events(report)
-    document = {"traceEvents": events, "displayTimeUnit": "ms"}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh)
-        fh.write("\n")
-    return len(events)
 
 
 def write_chrome_trace(

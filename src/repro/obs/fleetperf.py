@@ -15,8 +15,9 @@ Two cooperating recorders cover the fleet:
   and stamps worker birth (module import in the spawned interpreter),
   task start, and task finish on the shared monotonic clock.  The
   record ships home inside the pickled
-  :class:`~repro.exec.summary.RunSummary` (``.fleetperf``), exactly the
-  telemetry-envelope round-trip, so the run cache replays it too.
+  :class:`~repro.exec.summary.RunSummary` (``.instruments["fleetperf"]``),
+  the same round-trip every :mod:`repro.obs.instruments` row takes, so
+  the run cache replays it too.
 - :class:`FleetPerf` rides in the parent engine.  It stamps pool open,
   per-spec submit and receive, and the parent-side cache-probe cost,
   then folds the worker records into a pool-timeline report:
@@ -132,7 +133,7 @@ class WorkerLifecycle:
     Created at worker entry by :func:`~repro.exec.engine._execute_spec`
     when fleetperf is on; :meth:`finalize` pickles the finished summary
     (byte accounting), stamps the finish, and returns the JSON-able
-    record that rides home in ``RunSummary.fleetperf``.
+    record that rides home in ``RunSummary.instruments["fleetperf"]``.
     """
 
     __slots__ = ("clock", "module_imported_at", "started_at", "phases")
@@ -158,9 +159,9 @@ class WorkerLifecycle:
 
     def finalize(self, summary: Any) -> Dict[str, Any]:
         """Measure the envelope pickle, stamp the finish, return the
-        record.  Called with ``summary.fleetperf`` still ``None`` so the
-        byte count describes exactly what the pool pipe will carry
-        (minus this record itself)."""
+        record.  Called before the record joins ``summary.instruments``
+        so the byte count describes exactly what the pool pipe will
+        carry (minus this record itself)."""
         import os
         import pickle
 
@@ -232,7 +233,7 @@ class FleetPerf:
         if entry is None:
             return
         entry["received_at"] = self.clock()
-        record = getattr(summary, "fleetperf", None) or {}
+        record = summary.instruments.get("fleetperf") or {}
         entry["worker_pid"] = record.get("worker_pid", 0)
         entry["module_imported_at"] = record.get("module_imported_at")
         entry["started_at"] = record.get("started_at")
@@ -325,7 +326,7 @@ def merge_fleetperf(into: Dict[str, Any], record: Dict[str, Any]) -> Dict[str, A
     Phase calls and seconds sum; ``envelope_bytes`` sums (the fleet's
     total pipe traffic); ``runs`` counts records.  ``into`` starts as
     ``{}`` and is mutated in place — the shape of
-    :attr:`~repro.exec.engine.ExperimentEngine.fleet_fleetperf`.
+    ``ExperimentEngine.fleet["fleetperf"]``.
     """
     into["runs"] = into.get("runs", 0) + 1
     into["envelope_bytes"] = (
@@ -337,6 +338,16 @@ def merge_fleetperf(into: Dict[str, Any], record: Dict[str, Any]) -> Dict[str, A
         merged["calls"] += row.get("calls", 0)
         merged["seconds"] += row.get("seconds", 0.0)
     return into
+
+
+def fleetperf_report(merged: Dict[str, Any], figure: str, jobs: int) -> Dict[str, Any]:
+    """``<obs-out>/fleetperf.json``: the latest ``run_specs`` pool
+    timeline (``merged["pool"]``, a :meth:`FleetPerf.report`) as a
+    Chrome trace — one lane per worker, spec slices, occupancy counter."""
+    from repro.obs.export import fleet_trace_events
+
+    events = fleet_trace_events(merged["pool"])
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 # ----------------------------------------------------------------------

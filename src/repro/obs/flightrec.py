@@ -4,10 +4,11 @@ post-mortem dumps.
 A :class:`FlightRecorder` subscribes to the substrate trace hub with a
 wildcard, keeping the last *N* trace records (and, when auditing is on,
 the last *N* access-control decision records) in a ``deque``.  When
-something goes wrong — a SimSan invariant trips, the NACK rate crosses
-a storm threshold, or the operator asks via ``--flightrec-dump`` — it
-writes a post-mortem bundle: the ring contents, per-node PIT/CS/Bloom
-snapshots, and the spans still in flight at dump time.
+something goes wrong — a SimSan invariant trips or the NACK rate
+crosses a storm threshold — and once more at the end of every run
+selected with ``--obs flightrec``, it writes a post-mortem bundle: the
+ring contents, per-node PIT/CS/Bloom snapshots, and the spans still in
+flight at dump time.
 
 Zero cost when off is inherited from the trace hub's design: with no
 recorder installed there is no ``"*"`` subscriber, ``trace.active``
@@ -19,28 +20,20 @@ the off state.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = [
     "DEFAULT_NACK_THRESHOLD",
     "DEFAULT_NACK_WINDOW",
     "DEFAULT_RING_SIZE",
-    "FLIGHTREC_DUMP_ENV",
-    "FLIGHTREC_ENV",
-    "FLIGHTREC_SIZE_ENV",
     "FlightRecorder",
-    "maybe_flightrec",
+    "merge_flightrec",
 ]
-
-#: Environment opt-ins (set by the CLI flags and inherited by spawned
-#: engine workers).  ``REPRO_FLIGHTREC`` holds the bundle directory.
-FLIGHTREC_ENV = "REPRO_FLIGHTREC"
-FLIGHTREC_SIZE_ENV = "REPRO_FLIGHTREC_SIZE"
-FLIGHTREC_DUMP_ENV = "REPRO_FLIGHTREC_DUMP"
 
 DEFAULT_RING_SIZE = 512
 #: NACK-storm trigger: this many NACK deliveries observed inside the
@@ -74,11 +67,15 @@ class FlightRecorder:
         NACK-storm trigger: dump (once) when ``nack_threshold`` NACK
         deliveries are observed within ``nack_window`` sim seconds.
     label:
-        Run label baked into bundle filenames.
+        Run label baked into bundle filenames.  :meth:`install` also
+        bakes in a digest of the scenario, so the runs of one fleet,
+        which share a directory, never write the same file.
     dump_on_exit:
-        Force a bundle at :meth:`finish` even without a trigger (the
-        ``--flightrec-dump`` CLI flag).
+        Force a bundle at :meth:`finalize` even without a trigger (what
+        ``--obs flightrec`` asks for).
     """
+
+    name = "flightrec"
 
     def __init__(
         self,
@@ -95,6 +92,8 @@ class FlightRecorder:
         self.nack_window = nack_window
         self.label = label
         self.dump_on_exit = dump_on_exit
+        #: Scenario digest set by :meth:`install` ("" for a bare run).
+        self.run_key = ""
         self.ring: deque = deque(maxlen=size)
         #: Paths of every bundle written, in order.
         self.dumps: List[Path] = []
@@ -107,12 +106,22 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def install(self, sim: Any, network: Any = None) -> "FlightRecorder":
-        """Subscribe to every trace event on ``sim`` (and remember the
-        network for table snapshots)."""
-        self._sim = sim
-        self._network = network
-        sim.trace.subscribe("*", self._on_trace)
+    def install(self, run: Any) -> "FlightRecorder":
+        """Instrument protocol: subscribe to every trace event on
+        ``run.sim`` (its network feeds the table snapshots) and tap the
+        audit and sanitizer peers (decision records ride the ring; the
+        first SimSan violation dumps a bundle)."""
+        self.label = self.label or run.label
+        if run.scenario is not None:
+            self.run_key = hashlib.sha1(repr(run.scenario).encode()).hexdigest()[:10]
+        self._sim = run.sim
+        self._network = run.network
+        run.sim.trace.subscribe("*", self._on_trace)
+        audit = run.instruments.get("audit")
+        if audit is not None:
+            audit.sink = self.on_decision
+        if run.sanitizer is not None:
+            run.sanitizer.flightrec = self
         return self
 
     def _on_trace(self, record: Any) -> None:
@@ -193,40 +202,28 @@ class FlightRecorder:
     def dump(self, reason: str) -> Path:
         """Write one bundle and return its path."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        stem = f"flightrec-{self.label}-" if self.label else "flightrec-"
-        path = self.directory / f"{stem}{len(self.dumps):03d}.json"
-        with open(path, "w") as handle:
+        parts = ["flightrec", self.label, self.run_key, f"{len(self.dumps):03d}"]
+        path = self.directory / ("-".join(part for part in parts if part) + ".json")
+        # Written aside and renamed into place: two workers running the
+        # same scenario never leave a torn bundle.
+        scratch = path.with_name(f".{path.name}.{os.getpid()}")
+        with open(scratch, "w") as handle:
             json.dump(self.bundle(reason), handle, indent=2, sort_keys=True)
             handle.write("\n")
+        os.replace(scratch, path)
         self.dumps.append(path)
         return path
 
-    def finish(self) -> None:
-        """End-of-run hook: honour the forced-dump request."""
+    def finalize(self) -> Dict[str, Any]:
+        """End-of-run hook: honour the forced-dump request and name the
+        bundles written."""
         if self.dump_on_exit:
             self.dump("on-demand")
+        return {"runs": 1, "bundles": [path.name for path in self.dumps]}
 
 
-def maybe_flightrec(label: str = "") -> Optional[FlightRecorder]:
-    """A recorder configured from the environment, or ``None`` when the
-    ``REPRO_FLIGHTREC`` opt-in (the bundle directory) is unset."""
-    directory = os.environ.get(FLIGHTREC_ENV, "").strip()
-    if not directory:
-        return None
-    size = DEFAULT_RING_SIZE
-    raw_size = os.environ.get(FLIGHTREC_SIZE_ENV, "").strip()
-    if raw_size:
-        try:
-            size = max(1, int(raw_size))
-        except ValueError:
-            pass
-    dump_on_exit = os.environ.get(FLIGHTREC_DUMP_ENV, "").strip() not in (
-        "",
-        "0",
-        "false",
-        "no",
-        "off",
-    )
-    return FlightRecorder(
-        directory, size=size, label=label, dump_on_exit=dump_on_exit
-    )
+def merge_flightrec(into: Dict[str, Any], record: Dict[str, Any]) -> Dict[str, Any]:
+    """Fold one run's bundle list into the fleet view (submission order)."""
+    into["runs"] = into.get("runs", 0) + record.get("runs", 0)
+    into.setdefault("bundles", []).extend(record.get("bundles", []))
+    return into

@@ -187,12 +187,12 @@ class RunHistory:
         state observatory was on, so state-footprint growth and
         capacity-model drift gate alongside figure values."""
         metrics = dict(summary.metrics_dict())
-        audit = getattr(summary, "audit", None)
+        audit = summary.instruments.get("audit")
         if audit:
             from repro.obs.audit import audit_metrics
 
             metrics.update(audit_metrics(audit))
-        statescope = getattr(summary, "statescope", None)
+        statescope = summary.instruments.get("statescope")
         if statescope:
             from repro.obs.statescope import statescope_metrics
 

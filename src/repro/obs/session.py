@@ -37,7 +37,6 @@ from typing import Iterable, List, Optional
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.samplers import PeriodicSampler
 from repro.obs.spans import SPAN_EVENTS
-from repro.sim.engine import Simulator
 from repro.sim.tracing import TraceRecord
 
 #: OpCounters fields bridged into ``tactic_router_ops_total``.
@@ -193,19 +192,10 @@ class TelemetryWriter:
 class TelemetrySession:
     """One run's worth of attached instruments."""
 
-    def __init__(
-        self,
-        config: TelemetryConfig,
-        sim: Simulator,
-        network=None,
-        collector=None,
-        label: str = "",
-        horizon: Optional[float] = None,
-    ) -> None:
+    name = "telemetry"
+
+    def __init__(self, config: TelemetryConfig) -> None:
         self.config = config
-        self.sim = sim
-        self.collector = collector
-        self.label = label
         self.registry = MetricsRegistry()
         self.recorder = None
         self.sampler = None
@@ -214,19 +204,30 @@ class TelemetrySession:
         #: The finalize record (set by :meth:`finalize`); in ``collect``
         #: mode this is the whole point of the session.
         self.record: Optional[dict] = None
-        #: The run's :class:`~repro.obs.audit.DecisionAudit` (attached
-        #: by the runner when decision auditing is on); its tallies are
-        #: bridged into ``audit_*`` metrics at finalize.
+        #: The run's :class:`~repro.obs.audit.DecisionAudit` peer, when
+        #: auditing is on; its tallies are bridged into ``audit_*``
+        #: metrics at finalize.
         self.audit = None
-        #: The run's :class:`~repro.obs.statescope.StateScope` (attached
-        #: by the runner when state accounting is on); its frozen record
-        #: rides the finalize record and its timeline becomes Chrome
-        #: counter tracks.
+        #: The run's :class:`~repro.obs.statescope.StateScope` peer,
+        #: when state accounting is on; its frozen record rides the
+        #: finalize record and its timeline becomes Chrome counter tracks.
         self.statescope = None
+        self._run = None
         self._closed = False
         self._beat_stop: Optional[threading.Event] = None
         self._beat_thread: Optional[threading.Thread] = None
 
+    def install(self, run) -> "TelemetrySession":
+        """Instrument protocol: start whichever instruments the config
+        enables on ``run.sim`` and find the audit and statescope peers
+        it bridges."""
+        config = self.config
+        self._run = run
+        self.sim = sim = run.sim
+        self.collector = run.metrics
+        self.label = run.label
+        self.audit = run.instruments.get("audit")
+        self.statescope = run.instruments.get("statescope")
         if config.trace_path:
             # Imported here: experiments.tracelog sits above obs in the
             # layer order, and only trace-enabled sessions need it.
@@ -235,10 +236,10 @@ class TelemetrySession:
             self.recorder = TraceRecorder(sim, events=KNOWN_EVENTS + SPAN_EVENTS)
         if config.sample_interval:
             self.sampler = PeriodicSampler(
-                sim, config.sample_interval, until=horizon, registry=self.registry
+                sim, config.sample_interval, until=run.horizon, registry=self.registry
             )
-            if network is not None:
-                self.sampler.install_standard_probes(network)
+            if run.network is not None:
+                self.sampler.install_standard_probes(run.network)
             self.sampler.start()
         if config.profile:
             from repro.obs.layers import LayerTracer
@@ -258,6 +259,7 @@ class TelemetrySession:
                 daemon=True,
             )
             self._beat_thread.start()
+        return self
 
     def _heartbeat(self, period: float, stream) -> None:
         """Print a liveness pulse every ``period`` wall seconds.
@@ -382,8 +384,13 @@ class TelemetrySession:
                     node["expected_fp_sum"] / lookups
                 )
 
-    def finalize(self, wall_seconds: float = 0.0) -> dict:
-        """Detach instruments, bridge counters, persist, return the record."""
+    def finalize(self, wall_seconds: Optional[float] = None) -> dict:
+        """Detach instruments, bridge counters, persist, return the record.
+
+        ``wall_seconds`` defaults to the installed run's loop wall time.
+        """
+        if wall_seconds is None:
+            wall_seconds = self._run.wall_seconds
         self.close()
         self._bridge_collector()
         self._bridge_audit()
@@ -439,3 +446,50 @@ def set_default_telemetry(config: Optional[TelemetryConfig]) -> None:
 def current_telemetry() -> Optional[TelemetryConfig]:
     """The process-default config, or None when telemetry is off."""
     return _default_config
+
+
+# ----------------------------------------------------------------------
+# Fleet merge and report (the telemetry row of repro.obs.instruments)
+# ----------------------------------------------------------------------
+def merge_telemetry(into: dict, record: dict) -> dict:
+    """Fold one run's envelope into the fleet view, in submission order.
+
+    The metrics snapshot merges into ``into["registry"]`` (gauge
+    last-write-wins stays deterministic) and flame stacks sum into
+    ``into["flame"]``.
+    """
+    metrics = record.get("metrics")
+    registry = into.setdefault("registry", MetricsRegistry())
+    if metrics:
+        registry.merge_snapshot(metrics)
+    stacks = (record.get("flame") or {}).get("stacks")
+    if stacks:
+        from repro.obs.profiler import merge_collapsed
+
+        merge_collapsed(into.setdefault("flame", {}), stacks)
+    return into
+
+
+def forward_telemetry(record: dict) -> None:
+    """Persist a worker's or a cached run's envelope through the
+    process-default writer, as an in-process session persists its own,
+    so serial and parallel runs converge on the same
+    ``--metrics-out``/``--flame-out`` files."""
+    config = current_telemetry()
+    if config is None or not config.enabled():
+        return
+    writer = config.writer()
+    writer.add_run(record)
+    stacks = (record.get("flame") or {}).get("stacks")
+    if stacks and config.flame_path:
+        writer.add_flame(stacks)
+
+
+def telemetry_report(merged: dict, figure: str = "", jobs: int = 1) -> dict:
+    """The whole-fleet metrics snapshot: the engine's exec counters
+    (``merged["exec"]``) folded with every run's metrics."""
+    registry = MetricsRegistry()
+    for part in (merged.get("exec"), merged.get("registry")):
+        if part is not None:
+            registry.merge(part)
+    return registry.snapshot()

@@ -53,10 +53,7 @@ import sys
 from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-#: Environment toggles, mirroring ``REPRO_AUDIT``/``REPRO_AUDIT_OUT``:
-#: the out-path implies the flag.
-STATESCOPE_ENV = "REPRO_STATESCOPE"
-STATESCOPE_OUT_ENV = "REPRO_STATESCOPE_OUT"
+#: Environment knobs for the sampling period and the tracemalloc section.
 STATESCOPE_INTERVAL_ENV = "REPRO_STATESCOPE_INTERVAL"
 STATESCOPE_TRACEMALLOC_ENV = "REPRO_STATESCOPE_TRACEMALLOC"
 
@@ -273,12 +270,13 @@ def growth_finding(
 class StateScope:
     """Samples fleet state footprint in virtual time and checks models.
 
-    Lifecycle: :meth:`install` binds the live structures, :meth:`start`
-    schedules the periodic tick, :meth:`finalize` flushes the last
-    partial interval, fits trends, runs the conformance engine, and
-    freezes :meth:`record`.  The tick is read-only — it never touches
-    protocol state or a named RNG stream — so enabling the scope
-    changes ``events_executed`` but no published figure value.
+    Lifecycle: :meth:`install` binds the live structures and
+    schedules the periodic tick (:meth:`start`), :meth:`finalize`
+    flushes the last partial interval, fits trends, runs the
+    conformance engine, and freezes :meth:`record`.  The tick is
+    read-only — it never touches protocol state or a named RNG stream
+    — so enabling the scope changes ``events_executed`` but no
+    published figure value.
     """
 
     def __init__(
@@ -321,22 +319,16 @@ class StateScope:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def install(
-        self,
-        sim: Any,
-        network: Optional[Any] = None,
-        config: Optional[Any] = None,
-        audit: Optional[Any] = None,
-        spans: Optional[Any] = None,
-        label: Optional[str] = None,
-    ) -> "StateScope":
-        """Bind the live structures this scope will account."""
-        self.sim = sim
-        self._network = network
-        self._config = config
-        self._audit = audit
-        self._spans = spans
-        self.label = label
+    name = "statescope"
+
+    def install(self, run: Any) -> "StateScope":
+        """Instrument protocol: bind the live structures of ``run``
+        (reading its audit peer's shadow sets) and start ticking."""
+        self.sim = run.sim
+        self._network = network = run.network
+        self._config = run.config
+        self._audit = run.instruments.get("audit")
+        self.label = run.label
         if network is not None:
             for node_id, node in network.nodes.items():
                 pit = getattr(node, "pit", None)
@@ -357,6 +349,7 @@ class StateScope:
             if not _tm.is_tracing():
                 _tm.start()
             self._tm_baseline = _tm.take_snapshot()
+        self.start(horizon=run.horizon)
         return self
 
     def start(self, horizon: Optional[float] = None) -> None:
@@ -762,22 +755,9 @@ class StateScope:
         return report
 
 
-# ---------------------------------------------------------------------------
-# Env gating (the audit idiom: out-path implies on)
-# ---------------------------------------------------------------------------
 def _env_flag(name: str) -> bool:
     raw = os.environ.get(name, "")
     return bool(raw) and raw.lower() not in ("0", "false", "no", "off")
-
-
-def statescope_enabled() -> bool:
-    """True when ``REPRO_STATESCOPE`` is truthy or an out-path is set."""
-    return _env_flag(STATESCOPE_ENV) or bool(os.environ.get(STATESCOPE_OUT_ENV))
-
-
-def maybe_statescope() -> Optional[StateScope]:
-    """A fresh scope when the environment asks for one, else ``None``."""
-    return StateScope() if statescope_enabled() else None
 
 
 # ---------------------------------------------------------------------------
@@ -859,6 +839,17 @@ def statescope_metrics(record: Dict[str, Any]) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 # Rendering + CLI
 # ---------------------------------------------------------------------------
+def statescope_report(record: Dict[str, Any], figure: str, jobs: int) -> Dict[str, Any]:
+    """The fleet report document: merged record plus rendered lines
+    (``<obs-out>/statescope.json``)."""
+    return {
+        "figure": figure,
+        "jobs": jobs,
+        "record": record,
+        "report": render_statescope_report(record),
+    }
+
+
 def render_statescope_report(record: Dict[str, Any]) -> List[str]:
     """Human-readable lines for a single or fleet-merged record."""
     lines: List[str] = []

@@ -116,11 +116,8 @@ class FileScan:
     findings: List[Finding] = field(default_factory=list)
     candidates: List[Candidate] = field(default_factory=list)
     suppressions: Dict[int, frozenset] = field(default_factory=dict)
-    events: Set[str] = field(default_factory=set)
-    metrics: Set[str] = field(default_factory=set)
-    decisions: Set[str] = field(default_factory=set)
-    fleet_phases: Set[str] = field(default_factory=set)
-    statescope: Set[str] = field(default_factory=set)
+    #: Registry kind -> names this file declares.
+    declared: Dict[str, Set[str]] = field(default_factory=dict)
 
 
 def scan_file(
@@ -138,11 +135,7 @@ def scan_file(
     scan.suppressions = parse_suppressions(module.source)
     registries = LintContext()
     registries.merge_registries(module)
-    scan.events = registries.declared_events
-    scan.metrics = registries.declared_metrics
-    scan.decisions = registries.declared_decisions
-    scan.fleet_phases = registries.declared_fleet_phases
-    scan.statescope = registries.declared_statescope
+    scan.declared = registries.declared
     empty_ctx = LintContext()
     for rule in rules:
         if select is not None and rule.code not in select:
@@ -167,11 +160,8 @@ def _judge_and_filter(
     """Merge registries, judge candidates, apply suppressions, sort."""
     ctx = LintContext()
     for scan in scans:
-        ctx.declared_events |= scan.events
-        ctx.declared_metrics |= scan.metrics
-        ctx.declared_decisions |= scan.decisions
-        ctx.declared_fleet_phases |= scan.fleet_phases
-        ctx.declared_statescope |= scan.statescope
+        for kind, names in scan.declared.items():
+            ctx.declared[kind] |= names
 
     findings: List[Finding] = []
     for scan in scans:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import PurePath
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.qa.findings import Finding
 
@@ -73,25 +73,16 @@ _WALL_CLOCK_FROM_TIME = {
 #: (SL005 does not treat these as "invoked at schedule time").
 _CALLBACK_FACTORIES = {"partial", "methodcaller", "attrgetter", "itemgetter"}
 
-#: Registry variable names recognised by the SL003 collection pass.
-_EVENT_REGISTRY_NAMES = ("KNOWN_EVENTS", "SPAN_EVENTS")
-_METRIC_REGISTRY_NAMES = ("METRIC_NAMES",)
-#: Decision-kind registries recognised for SL008
-#: (:data:`repro.obs.audit.DECISION_KINDS`).
-_DECISION_REGISTRY_NAMES = ("DECISION_KINDS",)
-#: Fleet-phase registries recognised for SL015
-#: (:data:`repro.obs.fleetperf.FLEETPERF_PHASES`).
-_FLEETPERF_REGISTRY_NAMES = ("FLEETPERF_PHASES",)
-#: Statescope series registries recognised for SL016
-#: (:data:`repro.obs.statescope.STATESCOPE_SERIES`).
-_STATESCOPE_REGISTRY_NAMES = ("STATESCOPE_SERIES",)
-
-#: Trace-hub methods whose first string argument is an event name.
-_EVENT_CALL_ATTRS = {"emit", "wants", "subscribe", "unsubscribe"}
-
-#: Metric-construction methods whose first string argument is a family
-#: name.
-_METRIC_CALL_ATTRS = {"counter", "gauge", "histogram", "add_probe"}
+#: Registry kind -> (exact variable names, accepted name suffix).  A
+#: module-level assignment to a matching name declares every string in
+#: its value; the first matching kind wins.
+_REGISTRIES: Dict[str, Tuple[Tuple[str, ...], Optional[str]]] = {
+    "events": (("KNOWN_EVENTS", "SPAN_EVENTS"), "_EVENTS"),
+    "metrics": (("METRIC_NAMES",), "_METRICS"),
+    "decisions": (("DECISION_KINDS",), None),  # repro.obs.audit
+    "fleet_phases": (("FLEETPERF_PHASES",), None),  # repro.obs.fleetperf
+    "statescope": (("STATESCOPE_SERIES",), None),  # repro.obs.statescope
+}
 
 
 def package_relpath(path: str) -> str:
@@ -207,16 +198,15 @@ class Module:
 
 @dataclass
 class LintContext:
-    """Cross-file state shared by all rules (built in a first pass)."""
+    """Cross-file state shared by all rules (built in a first pass):
+    the names each registry kind declares."""
 
-    declared_events: Set[str] = field(default_factory=set)
-    declared_metrics: Set[str] = field(default_factory=set)
-    declared_decisions: Set[str] = field(default_factory=set)
-    declared_fleet_phases: Set[str] = field(default_factory=set)
-    declared_statescope: Set[str] = field(default_factory=set)
+    declared: Dict[str, Set[str]] = field(
+        default_factory=lambda: {kind: set() for kind in _REGISTRIES}
+    )
 
     def merge_registries(self, module: Module) -> None:
-        """Collect module-level event/metric name declarations."""
+        """Collect module-level registry declarations."""
         for node in module.tree.body:
             targets: List[ast.expr] = []
             value = None
@@ -227,18 +217,10 @@ class LintContext:
             for target in targets:
                 if not isinstance(target, ast.Name):
                     continue
-                name = target.id
-                strings = _collect_strings(value)
-                if name in _EVENT_REGISTRY_NAMES or name.endswith("_EVENTS"):
-                    self.declared_events.update(strings)
-                elif name in _METRIC_REGISTRY_NAMES or name.endswith("_METRICS"):
-                    self.declared_metrics.update(strings)
-                elif name in _DECISION_REGISTRY_NAMES:
-                    self.declared_decisions.update(strings)
-                elif name in _FLEETPERF_REGISTRY_NAMES:
-                    self.declared_fleet_phases.update(strings)
-                elif name in _STATESCOPE_REGISTRY_NAMES:
-                    self.declared_statescope.update(strings)
+                for kind, (names, suffix) in _REGISTRIES.items():
+                    if target.id in names or (suffix and target.id.endswith(suffix)):
+                        self.declared[kind].update(_collect_strings(value))
+                        break
 
 
 def _collect_strings(node: ast.AST) -> List[str]:
@@ -410,51 +392,6 @@ class StdlibRandomRule(Rule):
                 )
 
 
-class UndeclaredNameRule(ContextRule):
-    """SL003: every emitted event / registered metric name is declared.
-
-    A typo'd event name in ``trace.emit("node.rx.intrest", ...)``
-    doesn't error — the record is published to zero subscribers and the
-    telemetry silently drops.  This rule checks the literal first
-    argument of trace-hub calls against the declared event registries
-    (``KNOWN_EVENTS`` / ``SPAN_EVENTS`` / any ``*_EVENTS`` tuple) and
-    of metric constructors against ``METRIC_NAMES``.  The rule only
-    fires when the scan actually saw a registry declaration, so linting
-    a lone snippet without its registries stays quiet.
-    """
-
-    code = "SL003"
-    title = "event/metric names must be declared in a registry"
-
-    def collect(self, module: Module) -> Iterator[Candidate]:
-        for node in module.index.calls:
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr in _EVENT_CALL_ATTRS or func.attr in _METRIC_CALL_ATTRS:
-                yield self._candidate(module, node)
-
-    def judge(self, cand: Candidate, ctx: LintContext) -> Optional[Finding]:
-        if cand.attr in _EVENT_CALL_ATTRS:
-            if not ctx.declared_events or not cand.literal:
-                return None
-            if cand.name != "*" and cand.name not in ctx.declared_events:
-                return self._cand_finding(
-                    cand,
-                    f"event name {cand.name!r} is not declared in any "
-                    f"event registry (KNOWN_EVENTS / SPAN_EVENTS)",
-                )
-            return None
-        if not ctx.declared_metrics or not cand.literal:
-            return None
-        if cand.name not in ctx.declared_metrics:
-            return self._cand_finding(
-                cand,
-                f"metric name {cand.name!r} is not declared in METRIC_NAMES",
-            )
-        return None
-
-
 class MutableDefaultRule(Rule):
     """SL004: no mutable default arguments.
 
@@ -577,192 +514,123 @@ class DirectRunScenarioRule(Rule):
                 )
 
 
-class FleetEventRule(ContextRule):
-    """SL007: fleet/engine event emissions must be declared.
+@dataclass(frozen=True)
+class RegistryRow:
+    """One registry check: calls to ``attrs`` must name a string the
+    ``registry`` kind declares.  ``nonliteral`` (when set) makes a
+    computed name a finding in its own right."""
 
-    The fleet observability layer (:mod:`repro.obs.fleet`,
-    ``engine.events.jsonl``) has its own event namespace, emitted
-    through ``_event(...)`` rather than the trace hub, so SL003 never
-    sees it.  Same failure mode though: a typo'd name silently forks
-    the on-disk schema and every downstream consumer (the regress CI
-    job, offline analysis) misses those records.  This rule checks the
-    literal first argument of fleet emission calls in ``obs``/``exec``
-    modules against the declared ``*_EVENTS`` registries
-    (:data:`repro.obs.fleet.FLEET_EVENTS`), and — like SL003 — stays
-    quiet when the scan saw no registry at all.
-    """
+    code: str
+    attrs: FrozenSet[str]
+    #: Package-relative prefixes the check covers (``None``: everywhere).
+    prefixes: Optional[Tuple[str, ...]]
+    registry: str
+    #: Undeclared-name message; ``{name!r}`` is the literal.
+    message: str
+    nonliteral: Optional[str] = None
 
-    code = "SL007"
-    title = "fleet event names must be declared in FLEET_EVENTS"
 
-    _EMIT_ATTRS = {"_event", "emit_event", "record_event"}
+#: Every registry check, one row per call family.  A typo'd name at any
+#: of these call sites doesn't error: it silently forks a namespace that
+#: downstream consumers key on (trace subscribers, metric families, the
+#: fleet event log, the audit report, BENCH_parallel.json's attribution
+#: block, the state-series regression metrics), so each is checked
+#: against its declared registry.  A check stays quiet when the scan saw
+#: no declaration of its registry, so linting a lone snippet without its
+#: registries stays clean.
+REGISTRY_ROWS: Tuple[RegistryRow, ...] = (
+    RegistryRow(
+        "SL003",
+        frozenset({"emit", "wants", "subscribe", "unsubscribe"}),
+        None,
+        "events",
+        "event name {name!r} is not declared in any event registry "
+        "(KNOWN_EVENTS / SPAN_EVENTS)",
+    ),
+    RegistryRow(
+        "SL003",
+        frozenset({"counter", "gauge", "histogram", "add_probe"}),
+        None,
+        "metrics",
+        "metric name {name!r} is not declared in METRIC_NAMES",
+    ),
+    RegistryRow(
+        "SL007",
+        frozenset({"_event", "emit_event", "record_event"}),
+        ("obs/", "exec/"),
+        "events",
+        "fleet event name {name!r} is not declared in any event registry "
+        "(FLEET_EVENTS / *_EVENTS)",
+    ),
+    RegistryRow(
+        "SL008",
+        frozenset({"record_decision"}),
+        ("obs/", "core/"),
+        "decisions",
+        "audit decision kind {name!r} is not declared in DECISION_KINDS "
+        "(repro.obs.audit)",
+        "record_decision kind must be a string literal so the decision "
+        "namespace stays statically checkable",
+    ),
+    RegistryRow(
+        "SL015",
+        frozenset({"charge"}),
+        ("obs/", "exec/"),
+        "fleet_phases",
+        "fleet phase {name!r} is not declared in FLEETPERF_PHASES "
+        "(repro.obs.fleetperf)",
+        "fleet charge() phase name must be a string literal so the fleet "
+        "phase taxonomy stays statically checkable",
+    ),
+    RegistryRow(
+        "SL016",
+        frozenset({"track"}),
+        ("obs/", "exec/"),
+        "statescope",
+        "state series {name!r} is not declared in STATESCOPE_SERIES "
+        "(repro.obs.statescope)",
+        "statescope track() series name must be a string literal so the "
+        "state-series vocabulary stays statically checkable",
+    ),
+)
+
+
+class RegistryRule(ContextRule):
+    """Names passed to a registered call family must be declared in
+    that family's registry (the :data:`REGISTRY_ROWS` of one code)."""
+
+    def __init__(self, code: str, title: str, doc: str) -> None:
+        self.code = code
+        self.title = title
+        self.__doc__ = doc
+        self.rows = {
+            attr: row for row in REGISTRY_ROWS if row.code == code for attr in row.attrs
+        }
+        self.prefixes = next(row.prefixes for row in REGISTRY_ROWS if row.code == code)
 
     def applies_to(self, module: Module) -> bool:
-        if "/" not in module.relpath:
+        if self.prefixes is None or "/" not in module.relpath:
             return True
-        return module.relpath.startswith(("obs/", "exec/"))
+        return module.relpath.startswith(self.prefixes)
 
     def collect(self, module: Module) -> Iterator[Candidate]:
         for node in module.index.calls:
             func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in self._EMIT_ATTRS:
+            if isinstance(func, ast.Attribute) and func.attr in self.rows:
                 yield self._candidate(module, node)
 
     def judge(self, cand: Candidate, ctx: LintContext) -> Optional[Finding]:
-        if not ctx.declared_events or not cand.literal:
-            return None
-        if cand.name not in ctx.declared_events:
-            return self._cand_finding(
-                cand,
-                f"fleet event name {cand.name!r} is not declared in any "
-                f"event registry (FLEET_EVENTS / *_EVENTS)",
-            )
-        return None
-
-
-class DecisionKindRule(ContextRule):
-    """SL008: audit decision kinds must be declared in DECISION_KINDS.
-
-    Every access-control decision enters the audit stream through
-    ``record_decision(kind, ...)`` (:mod:`repro.obs.audit`), and the
-    ``kind`` namespace is the schema of the audit report, the history
-    metrics, and the Chrome-trace decision instants.  A typo'd kind at
-    any call site would silently fork that schema; this rule checks the
-    literal first argument of every ``record_decision`` call against
-    the declared :data:`~repro.obs.audit.DECISION_KINDS` registry, and
-    — like SL003/SL007 — stays quiet when the scan saw no registry.
-    """
-
-    code = "SL008"
-    title = "audit decision kinds must be declared in DECISION_KINDS"
-
-    _CALL_ATTRS = {"record_decision"}
-
-    def applies_to(self, module: Module) -> bool:
-        if "/" not in module.relpath:
-            return True
-        return module.relpath.startswith(("obs/", "core/"))
-
-    def collect(self, module: Module) -> Iterator[Candidate]:
-        for node in module.index.calls:
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in self._CALL_ATTRS:
-                yield self._candidate(module, node)
-
-    def judge(self, cand: Candidate, ctx: LintContext) -> Optional[Finding]:
-        if not ctx.declared_decisions:
-            return None
-        if not cand.literal:
-            return self._cand_finding(
-                cand,
-                "record_decision kind must be a string literal so the "
-                "decision namespace stays statically checkable",
-            )
-        if cand.name not in ctx.declared_decisions:
-            return self._cand_finding(
-                cand,
-                f"audit decision kind {cand.name!r} is not declared in "
-                f"DECISION_KINDS (repro.obs.audit)",
-            )
-        return None
-
-
-class FleetPhaseRule(ContextRule):
-    """SL015: fleet phase names must be declared in FLEETPERF_PHASES.
-
-    The fleet observatory's phase taxonomy
-    (:data:`repro.obs.fleetperf.FLEETPERF_PHASES`) is the schema of
-    ``BENCH_parallel.json``'s attribution block, the worker-lifecycle
-    records the run cache replays, and the Chrome-trace worker lanes.
-    A typo'd phase at any ``charge(...)`` call site — worker lifecycle
-    or parent collector — would silently fork that schema, and a
-    computed name would defeat static checking, so non-literal names
-    are findings in their own right (the SL008 discipline).  Like
-    SL003/SL007/SL008 the rule stays quiet when the scan saw no
-    fleet-phase registry at all.
-    """
-
-    code = "SL015"
-    title = "fleet phase names must be declared in FLEETPERF_PHASES"
-
-    _CALL_ATTRS = {"charge"}
-
-    def applies_to(self, module: Module) -> bool:
-        if "/" not in module.relpath:
-            return True
-        return module.relpath.startswith(("obs/", "exec/"))
-
-    def collect(self, module: Module) -> Iterator[Candidate]:
-        for node in module.index.calls:
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in self._CALL_ATTRS:
-                yield self._candidate(module, node)
-
-    def judge(self, cand: Candidate, ctx: LintContext) -> Optional[Finding]:
-        if not ctx.declared_fleet_phases:
+        row = self.rows[cand.attr]
+        declared = ctx.declared[row.registry]
+        if not declared:
             return None
         if not cand.literal:
-            return self._cand_finding(
-                cand,
-                "fleet charge() phase name must be a string literal so "
-                "the fleet phase taxonomy stays statically checkable",
-            )
-        if cand.name not in ctx.declared_fleet_phases:
-            return self._cand_finding(
-                cand,
-                f"fleet phase {cand.name!r} is not declared in "
-                f"FLEETPERF_PHASES (repro.obs.fleetperf)",
-            )
-        return None
-
-
-class StateScopeSeriesRule(ContextRule):
-    """SL016: statescope series names must be declared in
-    STATESCOPE_SERIES.
-
-    The state observatory's series vocabulary
-    (:data:`repro.obs.statescope.STATESCOPE_SERIES`) is the schema of
-    the ``state.*`` regression-gate metrics, the Chrome-trace counter
-    tracks, and the conformance report's series table.  A typo'd name
-    at a ``track(...)`` call site would silently open an unregistered
-    series that the summary/merge layers drop, and a computed name
-    would defeat static checking, so non-literal names are findings in
-    their own right (the SL008/SL015 discipline).  Like those rules it
-    stays quiet when the scan saw no statescope registry at all.
-    """
-
-    code = "SL016"
-    title = "statescope series names must be declared in STATESCOPE_SERIES"
-
-    _CALL_ATTRS = {"track"}
-
-    def applies_to(self, module: Module) -> bool:
-        if "/" not in module.relpath:
-            return True
-        return module.relpath.startswith(("obs/", "exec/"))
-
-    def collect(self, module: Module) -> Iterator[Candidate]:
-        for node in module.index.calls:
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in self._CALL_ATTRS:
-                yield self._candidate(module, node)
-
-    def judge(self, cand: Candidate, ctx: LintContext) -> Optional[Finding]:
-        if not ctx.declared_statescope:
+            if row.nonliteral is None:
+                return None
+            return self._cand_finding(cand, row.nonliteral)
+        if cand.name in declared or (row.registry == "events" and cand.name == "*"):
             return None
-        if not cand.literal:
-            return self._cand_finding(
-                cand,
-                "statescope track() series name must be a string literal "
-                "so the state-series vocabulary stays statically checkable",
-            )
-        if cand.name not in ctx.declared_statescope:
-            return self._cand_finding(
-                cand,
-                f"state series {cand.name!r} is not declared in "
-                f"STATESCOPE_SERIES (repro.obs.statescope)",
-            )
-        return None
+        return self._cand_finding(cand, row.message.format(name=cand.name))
 
 
 #: Modules whose classes are instantiated per event / per packet, so an
@@ -864,15 +732,36 @@ class SlotsRule(Rule):
 ALL_RULES: Sequence[Rule] = (
     WallClockRule(),
     StdlibRandomRule(),
-    UndeclaredNameRule(),
+    RegistryRule(
+        "SL003",
+        "event/metric names must be declared in a registry",
+        "SL003: every emitted event / registered metric name is declared.",
+    ),
     MutableDefaultRule(),
     ScheduleMisuseRule(),
     DirectRunScenarioRule(),
-    FleetEventRule(),
-    DecisionKindRule(),
+    RegistryRule(
+        "SL007",
+        "fleet event names must be declared in FLEET_EVENTS",
+        "SL007: fleet/engine event emissions must be declared.",
+    ),
+    RegistryRule(
+        "SL008",
+        "audit decision kinds must be declared in DECISION_KINDS",
+        "SL008: audit decision kinds must be declared in DECISION_KINDS.",
+    ),
     SlotsRule(),
-    FleetPhaseRule(),
-    StateScopeSeriesRule(),
+    RegistryRule(
+        "SL015",
+        "fleet phase names must be declared in FLEETPERF_PHASES",
+        "SL015: fleet phase names must be declared in FLEETPERF_PHASES.",
+    ),
+    RegistryRule(
+        "SL016",
+        "statescope series names must be declared in STATESCOPE_SERIES",
+        "SL016: statescope series names must be declared in\n"
+        "STATESCOPE_SERIES.",
+    ),
 )
 
 RULES_BY_CODE: Dict[str, Rule] = {rule.code: rule for rule in ALL_RULES}

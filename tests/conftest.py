@@ -12,6 +12,7 @@ behaviour, plus helpers to register clients and pump the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, List
 
 import pytest
@@ -47,6 +48,25 @@ class MiniNet:
 
     def run(self, until: float = None) -> None:
         self.sim.run(until=until)
+
+
+def bare_run(sim: Simulator, network: Network = None, **fields) -> SimpleNamespace:
+    """The parts of the runner's assembled run an instrument's
+    ``install(run)`` reads, for wiring one to a bare simulator."""
+    run = dict(
+        sim=sim,
+        network=network,
+        metrics=None,
+        config=None,
+        scenario=None,
+        label="",
+        horizon=None,
+        sanitizer=None,
+        instruments={},
+        wall_seconds=0.0,
+    )
+    run.update(fields)
+    return SimpleNamespace(**run)
 
 
 def build_mini_net(config: TacticConfig = None) -> MiniNet:

@@ -16,7 +16,12 @@ import pytest
 from repro.__main__ import main
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
-from repro.obs.session import ROUTER_OPS, TelemetryConfig, current_telemetry
+from repro.obs.session import (
+    ROUTER_OPS,
+    TelemetryConfig,
+    TelemetrySession,
+    current_telemetry,
+)
 
 
 def _tiny_scenario(seed: int = 3) -> Scenario:
@@ -81,8 +86,9 @@ class TestCliFlags:
 class TestBridgedCounters:
     def test_router_ops_match_figure_counters(self, tmp_path):
         config = TelemetryConfig(metrics_path=str(tmp_path / "m.json"))
-        result = run_scenario(_tiny_scenario(), telemetry=config)
-        snapshot = result.telemetry.registry.snapshot()
+        session = TelemetrySession(config)
+        result = run_scenario(_tiny_scenario(), instruments=[session])
+        snapshot = session.registry.snapshot()
         samples = snapshot["tactic_router_ops_total"]["samples"]
 
         for edge in (True, False):
@@ -97,8 +103,9 @@ class TestBridgedCounters:
 
     def test_user_outcomes_match_collector(self, tmp_path):
         config = TelemetryConfig(metrics_path=str(tmp_path / "m.json"))
-        result = run_scenario(_tiny_scenario(), telemetry=config)
-        snapshot = result.telemetry.registry.snapshot()
+        session = TelemetrySession(config)
+        result = run_scenario(_tiny_scenario(), instruments=[session])
+        snapshot = session.registry.snapshot()
         values = {
             (s["labels"]["population"], s["labels"]["kind"]): s["value"]
             for s in snapshot["user_outcomes_total"]["samples"]
@@ -130,7 +137,9 @@ class TestZeroBehaviourChange:
             profile=True,
             stream=open(tmp_path / "prof.txt", "w"),
         )
-        telemetered = run_scenario(_tiny_scenario(), telemetry=config)
+        telemetered = run_scenario(
+            _tiny_scenario(), instruments=[TelemetrySession(config)]
+        )
         config.stream.close()
 
         assert plain.delivery_table_row() == telemetered.delivery_table_row()
@@ -146,8 +155,8 @@ class TestZeroBehaviourChange:
             metrics_path=str(tmp_path / "m.json"),
             trace_path=str(tmp_path / "t.jsonl"),
         )
-        run_scenario(_tiny_scenario(seed=3), telemetry=config)
-        run_scenario(_tiny_scenario(seed=4), telemetry=config)
+        run_scenario(_tiny_scenario(seed=3), instruments=[TelemetrySession(config)])
+        run_scenario(_tiny_scenario(seed=4), instruments=[TelemetrySession(config)])
         document = json.loads((tmp_path / "m.json").read_text())
         assert len(document["runs"]) == 2
         runs = {

@@ -20,7 +20,9 @@ from repro.exec import (
     run_specs,
 )
 from repro.exec.engine import _execute_spec
+from repro.obs.instruments import INSTRUMENTS, OBS_ENV, OBS_OUT_ENV, Obs, resolve
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.session import telemetry_report
 
 #: Small enough for CI, large enough that every figure quantity is
 #: non-trivial (clients request, attackers probe, filters fill).
@@ -218,44 +220,165 @@ class TestRunCache:
 
 
 # ---------------------------------------------------------------------------
-# Worker telemetry round-trip (fleet observability)
+# The instrument round-trip (repro.obs.instruments)
 # ---------------------------------------------------------------------------
+def _stable(name, merged):
+    """The part of a fleet view that must not depend on execution mode:
+    fleetperf measures wall time, so only its shape is stable, and the
+    telemetry view's exec counters are labelled by mode."""
+    if name == "fleetperf":
+        return merged["runs"], sorted(merged["phases"])
+    if name == "telemetry":
+        return merged["registry"].to_json()
+    return json.dumps(merged, sort_keys=True)
+
+
+def _per_run(name, record):
+    """The part of one run's record that must not depend on execution
+    mode (the telemetry envelope carries the run's wall time)."""
+    if name == "telemetry":
+        return {key: value for key, value in record.items() if key != "wall_seconds"}
+    return record
+
+
+def _exec_runs(merged):
+    snapshot = telemetry_report(merged)
+    return sum(sample["value"] for sample in snapshot["exec_runs_total"]["samples"])
+
+
+def _bundles_on_disk(out):
+    return sorted(path.name for path in (out / "flightrec").iterdir())
+
+
+#: Instrument-specific checks on a two-run fleet view and the engine's
+#: ``--obs-out`` directory.
+_FLEET_CHECKS = {
+    "audit": lambda m, out: m["totals"]["decisions"] > 0
+    and m["totals"]["false_positive"] == 0,
+    # One bundle per run, each its own file in the shared directory.
+    "flightrec": lambda m, out: m["runs"] == 2
+    and len(set(m["bundles"])) == 2
+    and _bundles_on_disk(out) == sorted(m["bundles"]),
+    # The fleet view counts every execution, serial or parallel.
+    "telemetry": lambda m, out: "tactic_router_ops_total" in m["registry"].snapshot()
+    and _exec_runs(m) == 2,
+    "statescope": lambda m, out: m["runs"] == 2
+    and m["conformance"]["pass"] is True
+    and m["series"]["state.total.bytes"]["peak"] > 0,
+    "fleetperf": lambda m, out: m["runs"] == 2,
+}
+
+
+def _engine(name, tmp_path, **kwargs):
+    kwargs.setdefault("use_cache", False)
+    kwargs.setdefault("registry", MetricsRegistry())
+    kwargs.setdefault("obs_out", str(tmp_path / "obs"))
+    return ExperimentEngine(obs=(name,), **kwargs)
+
+
+# The contracts every INSTRUMENTS row keeps.  Telemetry, audit and
+# statescope run them under their established test names; the other
+# rows through TestInstrumentRoundTrip.
+def _serial_and_parallel_merges_bit_for_bit(name, tmp_path):
+    specs = [fast_spec(seed=seed) for seed in (1, 2)]
+    serial = _engine(name, tmp_path / "serial", jobs=1)
+    parallel = _engine(name, tmp_path / "parallel", jobs=4)
+    first = serial.run_specs(specs)
+    second = parallel.run_specs(specs)
+    assert all(name in s.instruments for s in first + second)
+    if name != "fleetperf":  # wall-clock phases
+        assert [_per_run(name, s.instruments[name]) for s in first] == \
+            [_per_run(name, p.instruments[name]) for p in second]
+    assert _stable(name, serial.fleet[name]) == _stable(name, parallel.fleet[name])
+    assert _FLEET_CHECKS[name](serial.fleet[name], tmp_path / "serial" / "obs")
+    assert _FLEET_CHECKS[name](parallel.fleet[name], tmp_path / "parallel" / "obs")
+
+
+def _cache_hit_replays_record_without_executing(name, tmp_path, monkeypatch):
+    spec = fast_spec()
+    first = _engine(name, tmp_path, use_cache=True, cache_dir=tmp_path)
+    original = first.run_specs([spec])
+
+    def explode(_spec, _obs=None):
+        raise AssertionError("cache hit must not execute the scenario")
+
+    monkeypatch.setattr("repro.exec.engine._execute_spec", explode)
+    second = _engine(name, tmp_path, use_cache=True, cache_dir=tmp_path)
+    replayed = second.run_specs([spec])
+    assert replayed[0].cached
+    assert replayed[0].instruments[name] == original[0].instruments[name]
+    assert _stable(name, second.fleet[name]) == _stable(name, first.fleet[name])
+
+
+def _off_ships_nothing(name, tmp_path):
+    others = tuple(other for other in INSTRUMENTS if other != name)
+    engine = ExperimentEngine(jobs=1, use_cache=False, registry=MetricsRegistry(),
+                              obs=others, obs_out=str(tmp_path))
+    (summary,) = engine.run_specs([fast_spec()])
+    assert set(summary.instruments) == set(others)
+    assert name not in engine.fleet
+
+
+def _cache_re_executes(name, tmp_path):
+    """A row whose output is written during the run is never replayed:
+    a warm run re-executes and writes its own output."""
+    spec = fast_spec()
+    cached = dict(use_cache=True, cache_dir=tmp_path / "cache")
+    _engine(name, tmp_path, obs_out=str(tmp_path / "cold"), **cached).run_specs([spec])
+    warm = _engine(name, tmp_path, obs_out=str(tmp_path / "warm"), **cached)
+    (summary,) = warm.run_specs([spec])
+    assert not summary.cached
+    assert warm.stats.cache_misses == 1
+    assert _bundles_on_disk(tmp_path / "warm") == summary.instruments[name]["bundles"]
+
+
+def _record_excluded_from_equality_and_round_trips(name, tmp_path):
+    observed = _execute_spec(fast_spec(), resolve((name,), str(tmp_path)))
+    plain = _execute_spec(fast_spec())
+    assert plain.instruments == {}
+    assert dataclasses.replace(observed, instruments={}) == observed
+    if name != "statescope":  # its sampling ticks are events of their own
+        assert observed == plain
+    assert name not in observed.metrics_dict()
+    assert name not in plain.metrics_dict()
+    assert not any(key.startswith("instruments") for key in observed.metrics_dict())
+    restored = RunSummary.from_json_dict(
+        json.loads(json.dumps(observed.to_json_dict()))
+    )
+    assert restored.instruments[name] == observed.instruments[name]
+
+
+def _env_selects(name, monkeypatch, tmp_path):
+    monkeypatch.setenv(OBS_ENV, name)
+    monkeypatch.setenv(OBS_OUT_ENV, str(tmp_path))
+    assert ExperimentEngine(registry=MetricsRegistry()).obs.names == (name,)
+    # An explicit selection wins over the environment.
+    assert ExperimentEngine(registry=MetricsRegistry(), obs=()).obs.names == ()
+
+
 class TestFleetTelemetry:
-    def _engine(self, **kwargs):
-        kwargs.setdefault("use_cache", False)
-        kwargs.setdefault("registry", MetricsRegistry())
-        kwargs.setdefault("collect_telemetry", True)
-        return ExperimentEngine(**kwargs)
+    def test_serial_and_parallel_fleet_registries_bit_for_bit(self, tmp_path):
+        _serial_and_parallel_merges_bit_for_bit("telemetry", tmp_path)
 
-    def test_serial_and_parallel_fleet_registries_bit_for_bit(self):
-        specs = [fast_spec(seed=seed) for seed in (1, 2)]
-        serial = self._engine(jobs=1)
-        parallel = self._engine(jobs=4)
-        s = serial.run_specs(specs)
-        p = parallel.run_specs(specs)
-        assert all(x.telemetry is not None for x in s + p)
-        # The merged registries — counters, gauges, histogram buckets —
-        # must be bit-identical between execution modes.
-        assert serial.fleet_registry.to_json() == parallel.fleet_registry.to_json()
-        assert "tactic_router_ops_total" in serial.fleet_registry.snapshot()
-        # exec counters live in the merged parent view for both modes,
-        # and count the same number of executions.
-        merged_s, merged_p = serial.merged_snapshot(), parallel.merged_snapshot()
+    def test_cache_hit_replays_telemetry_without_executing(
+        self, tmp_path, monkeypatch
+    ):
+        _cache_hit_replays_record_without_executing("telemetry", tmp_path, monkeypatch)
 
-        def runs(snap):
-            return sum(
-                sample["value"] for sample in snap["exec_runs_total"]["samples"]
-            )
+    def test_collect_off_ships_no_envelope(self, tmp_path):
+        _off_ships_nothing("telemetry", tmp_path)
 
-        assert runs(merged_s) == runs(merged_p) == len(specs)
+    def test_telemetry_excluded_from_equality_and_metrics(self, tmp_path):
+        _record_excluded_from_equality_and_round_trips("telemetry", tmp_path)
+
+    def test_env_flag_resolution(self, monkeypatch, tmp_path):
+        _env_selects("telemetry", monkeypatch, tmp_path)
 
     def test_envelope_metrics_match_in_process_session(self):
         # The shipped envelope is the same finalize record an in-process
         # session would produce: bridged router ops equal OpCounters.
-        summary = _execute_spec(fast_spec(), {"profile": False,
-                                              "sample_interval": None})
-        envelope = summary.telemetry
-        assert envelope is not None
+        summary = _execute_spec(fast_spec(), resolve(("telemetry",)))
+        envelope = summary.instruments["telemetry"]
         ops = envelope["metrics"]["tactic_router_ops_total"]["samples"]
         edge_lookups = sum(
             s["value"] for s in ops
@@ -264,236 +387,171 @@ class TestFleetTelemetry:
         assert edge_lookups == summary.edge_ops["bf_lookups"]
         assert envelope["events_executed"] == summary.events_executed
 
-    def test_cache_hit_replays_telemetry_without_executing(
-        self, tmp_path, monkeypatch
-    ):
-        spec = fast_spec()
-        first = self._engine(jobs=1, use_cache=True, cache_dir=tmp_path)
-        original = first.run_specs([spec])
+    def test_metrics_out_gets_each_run_once_in_every_mode(self, tmp_path):
+        # In-process runs persist themselves; worker and cached records
+        # are forwarded, so every mode writes each run exactly once.
+        from repro.obs.session import TelemetryConfig, set_default_telemetry
 
-        def explode(_spec, _telemetry_args=None):
-            raise AssertionError("cache hit must not execute the scenario")
-
-        monkeypatch.setattr("repro.exec.engine._execute_spec", explode)
-        second = self._engine(jobs=1, use_cache=True, cache_dir=tmp_path)
-        replayed = second.run_specs([spec])
-        assert replayed[0].cached
-        assert replayed[0].telemetry == original[0].telemetry
-        assert second.fleet_registry.to_json() == first.fleet_registry.to_json()
+        specs = [fast_spec(seed=seed) for seed in (1, 2)]
+        cached = dict(use_cache=True, cache_dir=tmp_path / "cache")
+        labels = {}
+        for mode, jobs in (("serial", 1), ("parallel", 4), ("cached", 1)):
+            path = tmp_path / f"{mode}.json"
+            set_default_telemetry(TelemetryConfig(metrics_path=str(path)))
+            try:
+                _engine("telemetry", tmp_path, jobs=jobs,
+                        **(cached if mode != "parallel" else {})).run_specs(specs)
+            finally:
+                set_default_telemetry(None)
+            runs = json.loads(path.read_text())["runs"]
+            labels[mode] = [run["events_executed"] for run in runs]
+        assert labels["serial"] == labels["parallel"] == labels["cached"]
+        assert len(labels["serial"]) == len(specs)
 
     def test_cache_counter_parity_across_modes(self, tmp_path):
         specs = [fast_spec(seed=seed) for seed in (1, 2)]
-        self._engine(jobs=1, use_cache=True, cache_dir=tmp_path).run_specs(specs)
-        serial = self._engine(jobs=1, use_cache=True, cache_dir=tmp_path)
+        cached = dict(use_cache=True, cache_dir=tmp_path)
+        _engine("telemetry", tmp_path, jobs=1, **cached).run_specs(specs)
+        serial = _engine("telemetry", tmp_path, jobs=1, **cached)
         serial.run_specs(specs)
-        parallel = self._engine(jobs=4, use_cache=True, cache_dir=tmp_path)
+        parallel = _engine("telemetry", tmp_path, jobs=4, **cached)
         parallel.run_specs(specs)
 
         def cache_events(engine):
-            snap = engine.merged_snapshot()["exec_cache_events_total"]
+            snap = telemetry_report(engine.fleet["telemetry"])
             return {
                 tuple(sorted(s["labels"].items())): s["value"]
-                for s in snap["samples"]
+                for s in snap["exec_cache_events_total"]["samples"]
             }
 
         expected = {(("result", "hit"),): 2}
         assert cache_events(serial) == cache_events(parallel) == expected
-        assert serial.fleet_registry.to_json() == parallel.fleet_registry.to_json()
-
-    def test_collect_off_ships_no_envelope(self):
-        engine = self._engine(jobs=1, collect_telemetry=False)
-        summaries = engine.run_specs([fast_spec()])
-        assert summaries[0].telemetry is None
-        assert engine.fleet_registry.snapshot() == {}
-
-    def test_env_flag_resolution(self, monkeypatch):
-        from repro.exec.engine import FLEET_TELEMETRY_ENV
-
-        monkeypatch.delenv(FLEET_TELEMETRY_ENV, raising=False)
-        assert ExperimentEngine(registry=MetricsRegistry()).collect_telemetry is None
-        monkeypatch.setenv(FLEET_TELEMETRY_ENV, "1")
-        assert ExperimentEngine(registry=MetricsRegistry()).collect_telemetry is True
-        monkeypatch.setenv(FLEET_TELEMETRY_ENV, "0")
-        assert ExperimentEngine(registry=MetricsRegistry()).collect_telemetry is False
-        engine = ExperimentEngine(registry=MetricsRegistry(),
-                                  collect_telemetry=True)
-        assert engine.collect_telemetry is True
-
-    def test_telemetry_excluded_from_equality_and_metrics(self):
-        with_telemetry = _execute_spec(fast_spec(), {"profile": False,
-                                                     "sample_interval": None})
-        without = _execute_spec(fast_spec())
-        assert with_telemetry == without
-        assert "telemetry" not in without.metrics_dict()
-        restored = RunSummary.from_json_dict(
-            json.loads(json.dumps(with_telemetry.to_json_dict()))
-        )
-        assert restored.telemetry == with_telemetry.telemetry
+        assert _stable("telemetry", serial.fleet["telemetry"]) == \
+            _stable("telemetry", parallel.fleet["telemetry"])
 
 
-# ---------------------------------------------------------------------------
-# Fleet decision auditing
-# ---------------------------------------------------------------------------
 class TestFleetAudit:
-    def _engine(self, **kwargs):
-        kwargs.setdefault("registry", MetricsRegistry())
-        kwargs.setdefault("use_cache", False)
-        return ExperimentEngine(**kwargs)
+    def test_serial_and_parallel_fleet_audit_bit_for_bit(self, tmp_path):
+        _serial_and_parallel_merges_bit_for_bit("audit", tmp_path)
 
-    def test_serial_and_parallel_fleet_audit_bit_for_bit(self):
-        specs = [fast_spec(seed=seed) for seed in (1, 2)]
-        serial = self._engine(jobs=1, audit=True)
-        parallel = self._engine(jobs=4, audit=True)
-        first = serial.run_specs(specs)
-        second = parallel.run_specs(specs)
-        assert [s.audit for s in first] == [p.audit for p in second]
-        assert json.dumps(serial.fleet_audit, sort_keys=True) == \
-            json.dumps(parallel.fleet_audit, sort_keys=True)
-        assert serial.fleet_audit["totals"]["decisions"] > 0
-        assert serial.fleet_audit["totals"]["false_positive"] == 0
+    def test_cache_hit_replays_audit_summary(self, tmp_path, monkeypatch):
+        _cache_hit_replays_record_without_executing("audit", tmp_path, monkeypatch)
 
-    def test_cache_hit_replays_audit_summary(self, tmp_path):
-        spec = fast_spec()
-        first = self._engine(jobs=1, use_cache=True, cache_dir=tmp_path,
-                             audit=True)
-        first.run_specs([spec])
-        second = self._engine(jobs=1, use_cache=True, cache_dir=tmp_path,
-                              audit=True)
-        summaries = second.run_specs([spec])
-        assert summaries[0].cached is True
-        assert summaries[0].audit is not None
-        assert second.fleet_audit == first.fleet_audit
+    def test_audit_off_by_default(self, tmp_path):
+        _off_ships_nothing("audit", tmp_path)
+
+    def test_audit_excluded_from_equality_and_metrics(self, tmp_path):
+        _record_excluded_from_equality_and_round_trips("audit", tmp_path)
+
+    def test_env_flag_resolution(self, monkeypatch, tmp_path):
+        _env_selects("audit", monkeypatch, tmp_path)
 
     def test_audit_out_writes_fleet_report(self, tmp_path):
-        out = tmp_path / "audit-report.json"
-        engine = self._engine(jobs=1, audit_out=str(out))
-        assert engine.audit is True  # audit_out implies auditing
+        engine = _engine("audit", tmp_path, jobs=1, obs_out=str(tmp_path))
         engine.run_specs([fast_spec()], figure="fig6")
-        payload = json.loads(out.read_text())
+        payload = json.loads((tmp_path / "audit.json").read_text())
         assert payload["figure"] == "fig6"
         assert payload["summary"]["totals"]["decisions"] > 0
         assert payload["confidence"]["fleet"]["within_ci"] is True
         assert any("fleet" in line for line in payload["report"])
 
-    def test_audit_off_by_default(self):
-        engine = self._engine(jobs=1)
-        summaries = engine.run_specs([fast_spec()])
-        assert engine.audit is False
-        assert summaries[0].audit is None
-        assert engine.fleet_audit == {}
 
-    def test_audit_excluded_from_equality_and_metrics(self):
-        audited = _execute_spec(fast_spec(), audit=True)
-        plain = _execute_spec(fast_spec())
-        assert audited == plain
-        assert "audit" not in plain.metrics_dict()
-        restored = RunSummary.from_json_dict(
-            json.loads(json.dumps(audited.to_json_dict()))
-        )
-        assert restored.audit == audited.audit
-
-    def test_env_flag_resolution(self, monkeypatch):
-        from repro.obs.audit import AUDIT_ENV, AUDIT_OUT_ENV
-
-        monkeypatch.delenv(AUDIT_ENV, raising=False)
-        monkeypatch.delenv(AUDIT_OUT_ENV, raising=False)
-        assert ExperimentEngine(registry=MetricsRegistry()).audit is False
-        monkeypatch.setenv(AUDIT_ENV, "1")
-        assert ExperimentEngine(registry=MetricsRegistry()).audit is True
-        monkeypatch.delenv(AUDIT_ENV)
-        monkeypatch.setenv(AUDIT_OUT_ENV, "report.json")
-        engine = ExperimentEngine(registry=MetricsRegistry())
-        assert engine.audit is True
-        assert engine.audit_out == "report.json"
-        # An explicit False wins over the env opt-ins.
-        assert ExperimentEngine(registry=MetricsRegistry(),
-                                audit=False).audit is False
-
-
-# ---------------------------------------------------------------------------
-# Fleet state accounting
-# ---------------------------------------------------------------------------
 class TestFleetStateScope:
-    def _engine(self, **kwargs):
-        kwargs.setdefault("registry", MetricsRegistry())
-        kwargs.setdefault("use_cache", False)
-        return ExperimentEngine(**kwargs)
+    def test_serial_and_parallel_fleet_statescope_bit_for_bit(self, tmp_path):
+        _serial_and_parallel_merges_bit_for_bit("statescope", tmp_path)
 
-    def test_serial_and_parallel_fleet_statescope_bit_for_bit(self):
-        specs = [fast_spec(seed=seed) for seed in (1, 2)]
-        serial = self._engine(jobs=1, statescope=True)
-        parallel = self._engine(jobs=4, statescope=True)
-        first = serial.run_specs(specs)
-        second = parallel.run_specs(specs)
-        assert [s.statescope for s in first] == [p.statescope for p in second]
-        assert json.dumps(serial.fleet_statescope, sort_keys=True) == \
-            json.dumps(parallel.fleet_statescope, sort_keys=True)
-        assert serial.fleet_statescope["runs"] == 2
-        assert serial.fleet_statescope["conformance"]["pass"] is True
-        total = serial.fleet_statescope["series"]["state.total.bytes"]
-        assert total["peak"] > 0
+    def test_cache_hit_replays_statescope_record(self, tmp_path, monkeypatch):
+        _cache_hit_replays_record_without_executing("statescope", tmp_path, monkeypatch)
 
-    def test_cache_hit_replays_statescope_record(self, tmp_path):
-        spec = fast_spec()
-        first = self._engine(jobs=1, use_cache=True, cache_dir=tmp_path,
-                             statescope=True)
-        first.run_specs([spec])
-        second = self._engine(jobs=1, use_cache=True, cache_dir=tmp_path,
-                              statescope=True)
-        summaries = second.run_specs([spec])
-        assert summaries[0].cached is True
-        assert summaries[0].statescope is not None
-        assert second.fleet_statescope == first.fleet_statescope
+    def test_statescope_off_by_default(self, tmp_path):
+        _off_ships_nothing("statescope", tmp_path)
+
+    def test_statescope_excluded_from_equality_and_metrics(self, tmp_path):
+        _record_excluded_from_equality_and_round_trips("statescope", tmp_path)
+
+    def test_env_flag_resolution(self, monkeypatch, tmp_path):
+        _env_selects("statescope", monkeypatch, tmp_path)
 
     def test_statescope_out_writes_fleet_report(self, tmp_path):
-        out = tmp_path / "statescope-report.json"
-        engine = self._engine(jobs=1, statescope_out=str(out))
-        assert engine.statescope is True  # out-path implies accounting
+        engine = _engine("statescope", tmp_path, jobs=1, obs_out=str(tmp_path))
         engine.run_specs([fast_spec()], figure="fig6")
-        payload = json.loads(out.read_text())
+        payload = json.loads((tmp_path / "statescope.json").read_text())
         assert payload["figure"] == "fig6"
         assert payload["record"]["runs"] == 1
         assert payload["record"]["conformance"]["pass"] is True
         assert any("conformance" in line for line in payload["report"])
 
-    def test_statescope_off_by_default(self):
-        engine = self._engine(jobs=1)
-        summaries = engine.run_specs([fast_spec()])
-        assert engine.statescope is False
-        assert summaries[0].statescope is None
-        assert engine.fleet_statescope == {}
 
-    def test_statescope_excluded_from_equality_and_metrics(self):
-        scoped = _execute_spec(fast_spec(), statescope=True)
-        plain = _execute_spec(fast_spec())
-        assert scoped.statescope is not None
-        assert "statescope" not in plain.metrics_dict()
-        assert "statescope" not in scoped.metrics_dict()
-        restored = RunSummary.from_json_dict(
-            json.loads(json.dumps(scoped.to_json_dict()))
-        )
-        assert restored.statescope == scoped.statescope
-        # compare=False: two summaries differing only in the statescope
-        # record still compare equal.
-        other = dataclasses.replace(scoped, statescope=None)
-        assert other == scoped
+#: The rows without a class of their own above.
+@pytest.mark.parametrize("name", ["flightrec", "fleetperf"])
+class TestInstrumentRoundTrip:
+    def test_serial_and_parallel_merges_bit_for_bit(self, name, tmp_path):
+        _serial_and_parallel_merges_bit_for_bit(name, tmp_path)
 
-    def test_env_flag_resolution(self, monkeypatch):
-        from repro.obs.statescope import STATESCOPE_ENV, STATESCOPE_OUT_ENV
+    def test_cache_round_trip(self, name, tmp_path, monkeypatch):
+        if INSTRUMENTS[name].replayable:
+            _cache_hit_replays_record_without_executing(name, tmp_path, monkeypatch)
+        else:
+            _cache_re_executes(name, tmp_path)
 
-        monkeypatch.delenv(STATESCOPE_ENV, raising=False)
-        monkeypatch.delenv(STATESCOPE_OUT_ENV, raising=False)
-        assert ExperimentEngine(registry=MetricsRegistry()).statescope is False
-        monkeypatch.setenv(STATESCOPE_ENV, "1")
-        assert ExperimentEngine(registry=MetricsRegistry()).statescope is True
-        monkeypatch.delenv(STATESCOPE_ENV)
-        monkeypatch.setenv(STATESCOPE_OUT_ENV, "scope.json")
+    def test_off_ships_nothing(self, name, tmp_path):
+        _off_ships_nothing(name, tmp_path)
+
+    def test_record_excluded_from_equality_and_round_trips(self, name, tmp_path):
+        _record_excluded_from_equality_and_round_trips(name, tmp_path)
+
+
+class TestObsSelection:
+    def test_env_fallback_and_usage_errors(self, monkeypatch, tmp_path):
+        monkeypatch.delenv(OBS_ENV, raising=False)
+        monkeypatch.delenv(OBS_OUT_ENV, raising=False)
+        assert resolve() == Obs()
+        monkeypatch.setenv(OBS_ENV, "statescope, audit")
+        monkeypatch.setenv(OBS_OUT_ENV, str(tmp_path))
         engine = ExperimentEngine(registry=MetricsRegistry())
-        assert engine.statescope is True
-        assert engine.statescope_out == "scope.json"
-        # An explicit False wins over the env opt-ins.
-        assert ExperimentEngine(registry=MetricsRegistry(),
-                                statescope=False).statescope is False
+        assert engine.obs.names == ("audit", "statescope")  # table order
+        assert engine.obs.out == str(tmp_path)
+        assert resolve("telemetry").names == ("telemetry",)
+        assert resolve(()).out is None  # explicit names skip the env
+        for names, out in (("audit,bogus", None), ((), "dir"),
+                           (("flightrec",), None)):
+            with pytest.raises(ValueError, match="audit, flightrec"):
+                resolve(names, out)
+        monkeypatch.setenv(OBS_ENV, "nope")
+        with pytest.raises(ValueError, match="nope"):
+            ExperimentEngine(registry=MetricsRegistry())
+
+    def test_explicit_opt_out_beats_env(self, monkeypatch):
+        from repro.experiments.runner import run_scenario
+
+        monkeypatch.setenv(OBS_ENV, "audit,statescope")
+        engine = ExperimentEngine(jobs=1, use_cache=False,
+                                  registry=MetricsRegistry(), obs=())
+        (summary,) = engine.run_specs([fast_spec()])
+        assert summary.instruments == {}
+        assert engine.fleet == {}
+        assert run_scenario(fast_spec().build()).instruments == {}
+
+    def test_warm_cache_replays_every_record(self, tmp_path):
+        specs = [fast_spec(seed=seed) for seed in (1, 2)]
+
+        def audited(cache, out):
+            engine = ExperimentEngine(jobs=1, cache_dir=tmp_path / cache,
+                                      registry=MetricsRegistry(),
+                                      obs=("audit",), obs_out=str(tmp_path / out))
+            engine.run_specs(specs, figure="fig6")
+            return json.loads((tmp_path / out / "audit.json").read_text()), engine
+
+        # Seed 1 cached without auditing, then an audited pass over both.
+        run_specs(specs[:1], jobs=1, cache_dir=tmp_path / "warm",
+                  registry=MetricsRegistry(), obs=())
+        warm, engine = audited("warm", "warm-out")
+        assert engine.stats.cache_misses == 2  # the unaudited entry re-ran
+        cold, _ = audited("cold", "cold-out")
+        assert warm == cold
+        replay, engine = audited("warm", "replay-out")
+        assert engine.stats.cache_hits == 2
+        assert replay == cold
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A single run imports ``repro.exec.spec`` and ``repro.experiments.runner``.
 Neither may pull in the routing library the topology code once used,
 the experiment engine, the sweep driver or the observability stack;
-the packages' re-exports resolve lazily instead.
+the packages' re-exports resolve lazily instead.  Executing a plain run
+(no instruments, no sanitizer) loads no observability or QA module.
 """
 
 import importlib
@@ -34,6 +35,7 @@ def _loaded_after(statement: str) -> list:
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("REPRO_SIMSAN", None)  # measure the plain, unsanitized run
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -44,6 +46,17 @@ def test_paper_point_imports_stay_small():
     loaded = set(_loaded_after("import repro.exec.spec, repro.experiments.runner"))
     assert "repro.experiments.runner" in loaded
     assert sorted(loaded.intersection(FORBIDDEN)) == []
+
+
+def test_plain_run_loads_no_obs_or_qa_module():
+    loaded = _loaded_after(
+        "from repro.exec.spec import ScenarioSpec\n"
+        "from repro.experiments.runner import run_scenario\n"
+        "spec = ScenarioSpec.make(topology=1, duration=1.0, seed=1, scale=0.1)\n"
+        "assert run_scenario(spec.build()).sim.events_executed > 0"
+    )
+    assert "repro.sim.engine" in loaded
+    assert [m for m in loaded if m.startswith(("repro.obs.", "repro.qa."))] == []
 
 
 def test_engine_import_still_loads_engine():

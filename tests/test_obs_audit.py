@@ -18,15 +18,14 @@ from repro.obs.audit import (
     LABEL_CORRECT,
     LABEL_FALSE_NEGATIVE,
     LABEL_FALSE_POSITIVE,
-    audit_enabled,
     audit_metrics,
     fp_confidence,
-    maybe_audit,
     merge_audit_summaries,
     render_audit_report,
 )
+from repro.obs.instruments import INSTRUMENTS, OBS_ENV, resolve
 
-from tests.conftest import build_mini_net
+from tests.conftest import bare_run, build_mini_net
 
 
 class Probe(Node):
@@ -44,7 +43,7 @@ class Probe(Node):
 
 def audited_net():
     net = build_mini_net()
-    audit = DecisionAudit().attach(net.network)
+    audit = DecisionAudit().install(bare_run(net.sim, net.network))
     probe = Probe(net.sim, "probe")
     net.network.add_node(probe, routable=False)
     net.network.connect(probe, net.ap, bandwidth_bps=10e6, latency=0.002)
@@ -232,7 +231,7 @@ class TestRecordMaterialisation:
 
     def test_max_records_caps_retention(self):
         net = build_mini_net()
-        audit = DecisionAudit(max_records=3).attach(net.network)
+        audit = DecisionAudit(max_records=3).install(bare_run(net.sim, net.network))
         for i in range(5):
             audit.record_decision("bf_miss", net.edge, outcome="miss")
         assert len(audit.records) == 3
@@ -245,7 +244,7 @@ class TestRecordMaterialisation:
     def test_sink_sees_every_record(self):
         net = build_mini_net()
         seen = []
-        audit = DecisionAudit(sink=seen.append).attach(net.network)
+        audit = DecisionAudit(sink=seen.append).install(bare_run(net.sim, net.network))
         audit.record_decision("nack", net.edge, outcome="expired")
         assert [r.kind for r in seen] == ["nack"]
 
@@ -341,28 +340,27 @@ class TestZeroCostOff:
     def test_audited_run_matches_unaudited_bit_for_bit(self):
         from repro.exec import ScenarioSpec
         from repro.exec.engine import _execute_spec
+        from repro.obs.instruments import resolve
 
         spec = ScenarioSpec.make(
             seed=5, topology=1, duration=2.0, scale=0.1, hash_events=True
         )
         plain = _execute_spec(spec)
-        audited = _execute_spec(spec, audit=True)
+        audited = _execute_spec(spec, resolve(("audit",)))
         assert plain.metrics_dict() == audited.metrics_dict()
         assert plain.event_digest == audited.event_digest
         assert plain.event_digest  # the digest actually covers events
-        assert audited.audit is not None
-        assert audited.audit["totals"]["decisions"] > 0
-        assert plain.audit is None
+        assert audited.instruments["audit"]["totals"]["decisions"] > 0
+        assert plain.instruments == {}
 
     def test_runner_audit_matches_unaudited_metrics(self):
         scenario = Scenario.paper_topology(1, duration=2.0, seed=5, scale=0.1)
         plain = run_scenario(scenario)
-        audited = run_scenario(scenario, audit=DecisionAudit())
+        audited = run_scenario(scenario, instruments=[DecisionAudit()])
         assert plain.to_summary().metrics_dict() == \
             audited.to_summary().metrics_dict()
-        assert audited.audit is not None
-        assert audited.audit.summary()["totals"]["decisions"] > 0
-        assert plain.audit is None
+        assert audited.instruments["audit"]["totals"]["decisions"] > 0
+        assert plain.instruments == {}
 
 
 # ---------------------------------------------------------------------------
@@ -370,43 +368,37 @@ class TestZeroCostOff:
 # ---------------------------------------------------------------------------
 class TestTelemetryBridge:
     def test_audit_tallies_become_labeled_metrics(self, tmp_path):
-        from repro.obs.session import TelemetryConfig
+        from repro.obs.session import TelemetryConfig, TelemetrySession
 
         scenario = Scenario.paper_topology(1, duration=2.0, seed=5, scale=0.1)
         config = TelemetryConfig(metrics_path=str(tmp_path / "m.json"))
-        result = run_scenario(scenario, telemetry=config,
-                              audit=DecisionAudit())
-        snapshot = result.telemetry.registry.snapshot()
+        session = TelemetrySession(config)
+        result = run_scenario(scenario, instruments=[session, DecisionAudit()])
+        snapshot = session.registry.snapshot()
         decisions = snapshot["audit_decisions_total"]["samples"]
         assert decisions
         assert sum(s["value"] for s in decisions) == \
-            result.audit.summary()["totals"]["decisions"]
+            result.instruments["audit"]["totals"]["decisions"]
         rates = snapshot["audit_bf_misauth_rate"]["samples"]
         assert rates and all(s["value"] == 0.0 for s in rates)
         assert "audit_bf_expected_rate" in snapshot
 
 
 # ---------------------------------------------------------------------------
-# Environment gating
+# Environment gating (REPRO_OBS selects the audit row)
 # ---------------------------------------------------------------------------
 class TestEnvGating:
     def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        monkeypatch.delenv("REPRO_AUDIT_OUT", raising=False)
-        assert not audit_enabled()
-        assert maybe_audit() is None
+        monkeypatch.delenv(OBS_ENV, raising=False)
+        assert resolve().names == ()
 
     def test_audit_env_opts_in(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUDIT", "1")
-        assert audit_enabled()
-        assert isinstance(maybe_audit(), DecisionAudit)
+        monkeypatch.setenv(OBS_ENV, "audit")
+        obs = resolve()
+        assert obs.names == ("audit",)
+        assert isinstance(INSTRUMENTS["audit"].make(obs), DecisionAudit)
 
     def test_falsey_values_stay_off(self, monkeypatch):
-        for raw in ("0", "false", "no", "off"):
-            monkeypatch.setenv("REPRO_AUDIT", raw)
-            assert not audit_enabled()
-
-    def test_audit_out_implies_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        monkeypatch.setenv("REPRO_AUDIT_OUT", "/tmp/report.json")
-        assert audit_enabled()
+        for raw in ("", " ", ",", " , "):
+            monkeypatch.setenv(OBS_ENV, raw)
+            assert resolve().names == ()

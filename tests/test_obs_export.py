@@ -9,7 +9,7 @@ import pytest
 from repro.experiments.fig5_latency import enumerate_fig5
 from repro.experiments.runner import run_scenario
 from repro.obs.export import TRACE_FORMATS, chrome_trace_events, write_chrome_trace
-from repro.obs.session import TelemetryConfig
+from repro.obs.session import TelemetryConfig, TelemetrySession
 from repro.sim.tracing import TraceRecord
 
 
@@ -18,7 +18,7 @@ def _fig5_chrome_doc(tmp_path):
     path = tmp_path / "trace.json"
     spec = enumerate_fig5(duration=2.0, scale=0.1)[0]
     config = TelemetryConfig(trace_path=str(path), trace_format="chrome")
-    run_scenario(spec.build(), telemetry=config)
+    run_scenario(spec.build(), instruments=[TelemetrySession(config)])
     return json.loads(path.read_text())
 
 
@@ -168,7 +168,7 @@ class TestWriterIntegration:
         path = tmp_path / "trace.jsonl"
         spec = enumerate_fig5(duration=2.0, scale=0.1)[0]
         config = TelemetryConfig(trace_path=str(path), trace_format="jsonl")
-        run_scenario(spec.build(), telemetry=config)
+        run_scenario(spec.build(), instruments=[TelemetrySession(config)])
         lines = path.read_text().splitlines()
         assert lines
         first = json.loads(lines[0])

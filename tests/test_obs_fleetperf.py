@@ -11,12 +11,13 @@ import pickle
 import pytest
 
 from repro.exec import ExperimentEngine, ScenarioSpec
-from repro.obs.export import fleet_trace_events, write_fleet_trace
+from repro.obs.export import fleet_trace_events
 from repro.obs.fleetperf import (
     FLEETPERF_PHASES,
     FleetPerf,
     WorkerLifecycle,
     attribute_speedup,
+    fleetperf_report,
     main,
     merge_fleetperf,
     occupancy_samples,
@@ -134,12 +135,12 @@ class TestFleetPerf:
         fleet = FleetPerf(jobs=2, total=2, clock=clock)  # began_at = 50
         fleet.pool_opening()                             # 51 -> rel 1.0
         fleet.spec_submitted(0, "a")                     # 52 -> rel 2.0
-        summary = dataclasses.make_dataclass("S", ["fleetperf"])(
-            fleetperf={
+        summary = dataclasses.make_dataclass("S", ["instruments"])(
+            instruments={"fleetperf": {
                 "worker_pid": 9, "module_imported_at": 53.0,
                 "started_at": 54.0, "finished_at": 55.0,
                 "envelope_bytes": 10, "phases": {},
-            }
+            }}
         )
         fleet.spec_received(0, summary)                  # 53 -> rel 3.0
         report = fleet.report(wall_seconds=6.0)
@@ -232,22 +233,21 @@ class TestAttribution:
 # ---------------------------------------------------------------------------
 class TestEngineIntegration:
     def test_off_by_default(self):
-        engine = ExperimentEngine(jobs=1, use_cache=False)
+        engine = ExperimentEngine(jobs=1, use_cache=False, obs=())
         summaries = engine.run_specs([fast_spec()])
-        assert summaries[0].fleetperf is None
-        assert engine.last_fleetperf is None
-        assert engine.fleet_fleetperf == {}
+        assert summaries[0].instruments == {}
+        assert "fleetperf" not in engine.fleet
 
     def test_serial_records_and_report(self):
-        engine = ExperimentEngine(jobs=1, use_cache=False, fleetperf=True)
+        engine = ExperimentEngine(jobs=1, use_cache=False, obs=("fleetperf",))
         summaries = engine.run_specs([fast_spec(seed=1), fast_spec(seed=2)])
         for summary in summaries:
-            record = summary.fleetperf
+            record = summary.instruments["fleetperf"]
             assert record["envelope_bytes"] > 0
             assert set(record["phases"]) <= set(FLEETPERF_PHASES)
             assert record["phases"]["fleet.sim"]["seconds"] > 0
-        assert engine.fleet_fleetperf["runs"] == 2
-        report = engine.last_fleetperf
+        assert engine.fleet["fleetperf"]["runs"] == 2
+        report = engine.fleet["fleetperf"]["pool"]
         assert report["runs"] == 2
         assert len(report["timeline"]) == 2
         attribution = attribute_speedup(report)
@@ -256,10 +256,10 @@ class TestEngineIntegration:
         )
 
     def test_envelope_bytes_match_shipped_pickle(self):
-        engine = ExperimentEngine(jobs=1, use_cache=False, fleetperf=True)
+        engine = ExperimentEngine(jobs=1, use_cache=False, obs=("fleetperf",))
         (summary,) = engine.run_specs([fast_spec()])
-        bare = dataclasses.replace(summary, fleetperf=None)
-        assert summary.fleetperf["envelope_bytes"] == len(
+        bare = dataclasses.replace(summary, instruments={})
+        assert summary.instruments["fleetperf"]["envelope_bytes"] == len(
             pickle.dumps(bare, protocol=pickle.HIGHEST_PROTOCOL)
         )
 
@@ -267,7 +267,7 @@ class TestEngineIntegration:
         specs = [fast_spec(hash_events=True)]
         plain = ExperimentEngine(jobs=1, use_cache=False).run_specs(specs)
         observed = ExperimentEngine(
-            jobs=1, use_cache=False, fleetperf=True
+            jobs=1, use_cache=False, obs=("fleetperf",)
         ).run_specs(specs)
         assert plain[0].metrics_dict() == observed[0].metrics_dict()
         assert plain[0].event_digest == observed[0].event_digest
@@ -275,8 +275,8 @@ class TestEngineIntegration:
     def test_serial_parallel_parity_with_observatory(self):
         specs = [fast_spec(seed=1, hash_events=True),
                  fast_spec(seed=2, hash_events=True)]
-        serial = ExperimentEngine(jobs=1, use_cache=False, fleetperf=True)
-        parallel = ExperimentEngine(jobs=2, use_cache=False, fleetperf=True)
+        serial = ExperimentEngine(jobs=1, use_cache=False, obs=("fleetperf",))
+        parallel = ExperimentEngine(jobs=2, use_cache=False, obs=("fleetperf",))
         serial_out = serial.run_specs(specs)
         parallel_out = parallel.run_specs(specs)
         assert [s.metrics_dict() for s in serial_out] == [
@@ -285,32 +285,32 @@ class TestEngineIntegration:
         # The merged fleet views agree structurally: same run count,
         # same phase vocabulary (walls differ — they measure different
         # processes).
-        assert serial.fleet_fleetperf["runs"] == parallel.fleet_fleetperf["runs"]
-        worker_phases = set(serial.fleet_fleetperf["phases"])
-        assert worker_phases == set(parallel.fleet_fleetperf["phases"])
-        assert parallel.last_fleetperf["pool_opened"] is not None
-        assert len({e["worker_pid"] for e in parallel.last_fleetperf["timeline"]}) >= 1
+        merged_serial, merged_parallel = serial.fleet["fleetperf"], parallel.fleet["fleetperf"]
+        assert merged_serial["runs"] == merged_parallel["runs"]
+        assert set(merged_serial["phases"]) == set(merged_parallel["phases"])
+        pool = merged_parallel["pool"]
+        assert pool["pool_opened"] is not None
+        assert len({e["worker_pid"] for e in pool["timeline"]}) >= 1
 
     def test_cache_replays_fleetperf_records(self, tmp_path):
         specs = [fast_spec()]
-        prime = ExperimentEngine(cache_dir=tmp_path, fleetperf=True)
+        prime = ExperimentEngine(cache_dir=tmp_path, obs=("fleetperf",))
         (first,) = prime.run_specs(specs)
-        replay = ExperimentEngine(cache_dir=tmp_path, fleetperf=True)
+        replay = ExperimentEngine(cache_dir=tmp_path, obs=("fleetperf",))
         (second,) = replay.run_specs(specs)
         assert second.cached
-        assert second.fleetperf == first.fleetperf
-        assert replay.fleet_fleetperf["runs"] == 1
-        assert replay.last_fleetperf["cached"] == 1
-        assert replay.last_fleetperf["timeline"] == []  # nothing executed
+        assert second.instruments == first.instruments
+        merged = replay.fleet["fleetperf"]
+        assert merged["runs"] == 1
+        assert merged["pool"]["cached"] == 1
+        assert merged["pool"]["timeline"] == []  # nothing executed
 
     def test_fleet_trace_written(self, tmp_path):
-        trace = tmp_path / "fleet-trace.json"
         engine = ExperimentEngine(
-            jobs=1, use_cache=False, fleet_trace=str(trace)
+            jobs=1, use_cache=False, obs=("fleetperf",), obs_out=str(tmp_path)
         )
-        assert engine.fleetperf  # fleet_trace implies the observatory
         engine.run_specs([fast_spec()])
-        document = json.loads(trace.read_text())
+        document = json.loads((tmp_path / "fleetperf.json").read_text())
         names = {event["name"] for event in document["traceEvents"]}
         assert "process_name" in names
         assert "fleet.occupancy" in names
@@ -355,10 +355,9 @@ class TestFleetTraceExport:
         assert {"busy", "queued"} == set(counters[0]["args"])
 
     def test_write_fleet_trace_round_trips(self, tmp_path):
-        path = tmp_path / "trace.json"
-        count = write_fleet_trace(str(path), synthetic_report())
-        document = json.loads(path.read_text())
-        assert len(document["traceEvents"]) == count
+        document = fleetperf_report({"pool": synthetic_report()}, "fig6", 2)
+        assert json.loads(json.dumps(document)) == document
+        assert document["traceEvents"] == fleet_trace_events(synthetic_report())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Flight recorder: the bounded ring, the NACK-storm and SimSan
-triggers, on-demand bundles, snapshot contents, and env gating."""
+triggers, on-demand bundles, snapshot contents, and the ``--obs`` row."""
 
 from __future__ import annotations
 
 import json
+
+import pytest
 
 from repro.core.access_path import expected_access_path
 from repro.experiments.runner import run_scenario
@@ -13,15 +15,12 @@ from repro.ndn.node import Node
 from repro.ndn.packets import Interest
 from repro.ndn.pit import Pit, PitRecord
 from repro.obs.audit import DecisionAudit
-from repro.obs.flightrec import (
-    DEFAULT_RING_SIZE,
-    FlightRecorder,
-    maybe_flightrec,
-)
+from repro.obs.flightrec import DEFAULT_RING_SIZE, FlightRecorder
+from repro.obs.instruments import INSTRUMENTS, resolve
 from repro.qa.simsan import SimSan
 from repro.sim.engine import Simulator
 
-from tests.conftest import build_mini_net
+from tests.conftest import bare_run, build_mini_net
 
 
 class Probe(Node):
@@ -58,7 +57,7 @@ def mismatched_tag(net, user_id="probe"):
 class TestRing:
     def test_ring_is_bounded(self, tmp_path):
         sim = Simulator()
-        rec = FlightRecorder(tmp_path, size=4).install(sim)
+        rec = FlightRecorder(tmp_path, size=4).install(bare_run(sim))
         for i in range(10):
             sim.trace.emit("node.rx.interest", float(i), node=f"n{i}")
         assert len(rec.ring) == 4
@@ -67,12 +66,12 @@ class TestRing:
     def test_install_is_what_activates_tracing(self, tmp_path):
         sim = Simulator()
         assert not sim.trace.active  # zero-cost off: no subscriber
-        FlightRecorder(tmp_path).install(sim)
+        FlightRecorder(tmp_path).install(bare_run(sim))
         assert sim.trace.active
 
     def test_span_lifecycle_tracked(self, tmp_path):
         sim = Simulator()
-        rec = FlightRecorder(tmp_path).install(sim)
+        rec = FlightRecorder(tmp_path).install(bare_run(sim))
         sim.trace.emit("span.start", 0.1, span=7, kind="interest")
         sim.trace.emit("span.start", 0.2, span=8, kind="interest")
         sim.trace.emit("span.end", 0.3, span=7)
@@ -83,8 +82,8 @@ class TestRing:
 
     def test_audit_decisions_ride_the_ring(self, tmp_path):
         net = build_mini_net()
-        rec = FlightRecorder(tmp_path).install(net.sim, network=net.network)
-        audit = DecisionAudit(sink=rec.on_decision).attach(net.network)
+        rec = FlightRecorder(tmp_path).install(bare_run(net.sim, net.network))
+        audit = DecisionAudit(sink=rec.on_decision).install(bare_run(net.sim, net.network))
         audit.record_decision("bf_miss", net.edge, outcome="miss")
         names = [name for name, _, _ in rec.ring]
         assert "audit.decision" in names
@@ -98,7 +97,7 @@ class TestNackStormTrigger:
         net, probe = probed_net()
         rec = FlightRecorder(
             tmp_path, nack_threshold=2, nack_window=60.0
-        ).install(net.sim, network=net.network)
+        ).install(bare_run(net.sim, net.network))
         tag = mismatched_tag(net)
         for chunk in range(4):
             net.sim.schedule(
@@ -116,7 +115,7 @@ class TestNackStormTrigger:
         sim = Simulator()
         rec = FlightRecorder(
             tmp_path, nack_threshold=3, nack_window=1.0
-        ).install(sim)
+        ).install(bare_run(sim))
         for i in range(5):
             sim.trace.emit("node.tx.nack", float(i * 10), node="edge-0")
         assert rec.dumps == []
@@ -125,7 +124,7 @@ class TestNackStormTrigger:
         sim = Simulator()
         rec = FlightRecorder(
             tmp_path, nack_threshold=2, nack_window=1.0
-        ).install(sim)
+        ).install(bare_run(sim))
         sim.trace.emit("node.tx.data", 0.1, node="core-0", nack="invalid_signature")
         sim.trace.emit("node.tx.data", 0.2, node="core-0", nack="invalid_signature")
         sim.trace.emit("node.tx.data", 0.3, node="core-0", nack=None)
@@ -152,6 +151,23 @@ class TestSimSanTrigger:
         assert bundle["label"] == "san"
 
 
+    def test_end_of_run_violation_still_finalizes(self, tmp_path):
+        class FailingSanitizer:
+            flightrec = None
+
+            def install(self, sim, network):
+                pass
+
+            def finish(self):
+                raise AssertionError("conservation violated")
+
+        scenario = Scenario.paper_topology(1, duration=1.0, seed=5, scale=0.1)
+        rec = FlightRecorder(tmp_path, dump_on_exit=True)
+        with pytest.raises(AssertionError, match="conservation"):
+            run_scenario(scenario, instruments=[rec], sanitizer=FailingSanitizer())
+        assert [path.name for path in tmp_path.iterdir()] == [rec.dumps[0].name]
+
+
 # ---------------------------------------------------------------------------
 # Bundles
 # ---------------------------------------------------------------------------
@@ -159,8 +175,8 @@ class TestBundle:
     def test_end_to_end_bundle_snapshots_tables(self, tmp_path):
         scenario = Scenario.paper_topology(1, duration=2.0, seed=5, scale=0.1)
         rec = FlightRecorder(tmp_path, size=4096, dump_on_exit=True)
-        result = run_scenario(scenario, audit=DecisionAudit(), flightrec=rec)
-        assert result.flightrec is rec
+        result = run_scenario(scenario, instruments=[rec, DecisionAudit()])
+        assert result.instruments["flightrec"]["bundles"] == [rec.dumps[0].name]
         assert len(rec.dumps) == 1
         bundle = json.loads(rec.dumps[0].read_text())
         assert bundle["reason"] == "on-demand"
@@ -178,7 +194,7 @@ class TestBundle:
 
     def test_bundle_is_json_round_trippable(self, tmp_path):
         sim = Simulator()
-        rec = FlightRecorder(tmp_path).install(sim)
+        rec = FlightRecorder(tmp_path).install(bare_run(sim))
         sim.trace.emit("node.rx.data", 0.1, node="edge-0", key=b"\x01\x02")
         bundle = rec.bundle("test")
         assert json.loads(json.dumps(bundle)) == bundle
@@ -193,38 +209,23 @@ class TestBundle:
 
     def test_finish_without_dump_on_exit_writes_nothing(self, tmp_path):
         rec = FlightRecorder(tmp_path)
-        rec.finish()
+        assert rec.finalize() == {"runs": 1, "bundles": []}
         assert rec.dumps == []
         assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
-# Environment gating
+# Environment gating (REPRO_OBS selects the flightrec row)
 # ---------------------------------------------------------------------------
 class TestEnvGating:
     def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
-        assert maybe_flightrec() is None
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        assert "flightrec" not in resolve().names
 
     def test_directory_opts_in(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_FLIGHTREC", str(tmp_path))
-        monkeypatch.delenv("REPRO_FLIGHTREC_SIZE", raising=False)
-        monkeypatch.delenv("REPRO_FLIGHTREC_DUMP", raising=False)
-        rec = maybe_flightrec(label="x")
-        assert rec is not None
+        monkeypatch.setenv("REPRO_OBS", "flightrec")
+        monkeypatch.setenv("REPRO_OBS_OUT", str(tmp_path))
+        rec = INSTRUMENTS["flightrec"].make(resolve())
+        assert rec.directory == tmp_path / "flightrec"
         assert rec.size == DEFAULT_RING_SIZE
-        assert rec.label == "x"
-        assert not rec.dump_on_exit
-
-    def test_size_and_dump_envs(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_FLIGHTREC", str(tmp_path))
-        monkeypatch.setenv("REPRO_FLIGHTREC_SIZE", "64")
-        monkeypatch.setenv("REPRO_FLIGHTREC_DUMP", "1")
-        rec = maybe_flightrec()
-        assert rec.size == 64
-        assert rec.dump_on_exit
-
-    def test_bad_size_falls_back(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_FLIGHTREC", str(tmp_path))
-        monkeypatch.setenv("REPRO_FLIGHTREC_SIZE", "not-a-number")
-        assert maybe_flightrec().size == DEFAULT_RING_SIZE
+        assert rec.dump_on_exit  # --obs flightrec always bundles the run end

@@ -78,7 +78,7 @@ class TestAppendReadRoundTrip:
         # With auditing on, the misauthorization rates ride the entry's
         # metrics dict, putting them under the regression gate.
         engine = ExperimentEngine(jobs=1, use_cache=False,
-                                  history_dir=str(tmp_path), audit=True)
+                                  history_dir=str(tmp_path), obs=("audit",))
         engine.run_specs(_specs(1), figure="fig6")
         metrics = RunHistory(tmp_path).latest("fig6")["specs"][0]["metrics"]
         assert metrics["audit.decisions_total"] > 0

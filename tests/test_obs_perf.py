@@ -18,7 +18,7 @@ from repro.filters.bloom import BloomFilter
 from repro.obs.history import RunHistory, diff_entries
 from repro.obs.layers import ENTRY_POINTS, LayerTracer, resolve
 from repro.obs.profiler import StackSampler, merge_collapsed, write_collapsed
-from repro.obs.session import TelemetryConfig
+from repro.obs.session import TelemetryConfig, TelemetrySession
 from repro.qa.simsan import SimSan
 from repro.sim.engine import Simulator
 
@@ -275,7 +275,11 @@ class TestInstallation:
             collect=True, profile=True, heartbeat=0.001, stream=io.StringIO()
         )
         with pytest.raises(RuntimeError):
-            run_scenario(_tiny_scenario(), telemetry=config, sanitizer=_Boom())
+            run_scenario(
+                _tiny_scenario(),
+                instruments=[TelemetrySession(config)],
+                sanitizer=_Boom(),
+            )
         assert _current() == originals
         assert not any(t.name == "repro-heartbeat" for t in threading.enumerate())
 
@@ -381,16 +385,16 @@ class TestHistoryGate:
 class TestTelemetryEnvelope:
     def test_collect_mode_run_carries_perf_report(self):
         config = TelemetryConfig(collect=True, profile=True)
-        result = run_scenario(_tiny_scenario(), telemetry=config)
-        profile = result.telemetry.record["profile"]
+        result = run_scenario(_tiny_scenario(), instruments=[TelemetrySession(config)])
+        profile = result.instruments["telemetry"]["profile"]
         assert profile is not None
         assert profile["events"] == result.sim.events_executed
         assert profile["layers"]["sim.loop"]["calls"] == 1
 
     def test_collect_mode_flame_rides_envelope(self):
         config = TelemetryConfig(collect=True, flame=True, flame_interval=0.001)
-        result = run_scenario(_tiny_scenario(), telemetry=config)
-        flame = result.telemetry.record["flame"]
+        result = run_scenario(_tiny_scenario(), instruments=[TelemetrySession(config)])
+        flame = result.instruments["telemetry"]["flame"]
         assert flame is not None
         assert flame["samples"] >= 0
         assert isinstance(flame["stacks"], dict)

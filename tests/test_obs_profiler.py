@@ -14,11 +14,13 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.samplers import PeriodicSampler
 from repro.obs.session import TelemetryConfig, TelemetrySession
 from repro.sim.engine import Simulator
-from tests.conftest import attach_client, build_mini_net
+from tests.conftest import attach_client, bare_run, build_mini_net
 
 
 def _profiled_session(sim, **options):
-    return TelemetrySession(TelemetryConfig(collect=True, profile=True, **options), sim)
+    return TelemetrySession(
+        TelemetryConfig(collect=True, profile=True, **options)
+    ).install(bare_run(sim))
 
 
 class TestSimProfiler:
@@ -82,8 +84,8 @@ class TestSimProfiler:
         for i in range(5):
             sim.schedule(float(i), time.sleep, 0.02)
         session = TelemetrySession(
-            TelemetryConfig(collect=True, heartbeat=0.005, stream=stream), sim
-        )
+            TelemetryConfig(collect=True, heartbeat=0.005, stream=stream)
+        ).install(bare_run(sim))
         sim.run()
         session.finalize()
         pulses = stream.getvalue().strip().splitlines()
@@ -99,7 +101,7 @@ class TestSimProfiler:
             heartbeat=0.001,
             stream=io.StringIO(),
         )
-        session = TelemetrySession(config, sim)
+        session = TelemetrySession(config).install(bare_run(sim))
         sim.run()
         with pytest.raises(OSError):
             session.finalize()

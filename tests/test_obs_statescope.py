@@ -18,25 +18,24 @@ from repro.ndn.name import Name
 from repro.ndn.packets import Data
 from repro.ndn.pit import Pit, PitRecord
 from repro.obs.audit import DecisionAudit
+from repro.obs.instruments import INSTRUMENTS, OBS_ENV, resolve
 from repro.obs.spans import SpanRecorder
 from repro.obs.statescope import (
     GROWTH_SERIES,
-    STATESCOPE_ENV,
     STATESCOPE_INTERVAL_ENV,
-    STATESCOPE_OUT_ENV,
     STATESCOPE_SERIES,
     StateScope,
     deep_sizeof,
     fit_trend,
     growth_finding,
     main,
-    maybe_statescope,
     merge_statescope,
     render_statescope_report,
-    statescope_enabled,
     statescope_metrics,
 )
 from repro.sim.engine import Simulator
+
+from tests.conftest import bare_run
 
 
 def fast_scenario(**kwargs):
@@ -217,8 +216,7 @@ def leaky_pit_scope(horizon=20.0, interval=1.0):
     sim.schedule(0.5, leak)
     network = SimpleNamespace(nodes={"r0": SimpleNamespace(pit=pit)})
     scope = StateScope(interval=interval)
-    scope.install(sim, network=network, label="leaky")
-    scope.start(horizon=horizon)
+    scope.install(bare_run(sim, network, label="leaky", horizon=horizon))
     sim.run(until=horizon)
     return scope
 
@@ -237,22 +235,16 @@ class TestStateScope:
             StateScope().start()
 
     def test_env_gating(self, monkeypatch):
-        monkeypatch.delenv(STATESCOPE_ENV, raising=False)
-        monkeypatch.delenv(STATESCOPE_OUT_ENV, raising=False)
-        assert statescope_enabled() is False
-        assert maybe_statescope() is None
-        monkeypatch.setenv(STATESCOPE_ENV, "1")
-        assert statescope_enabled() is True
-        assert isinstance(maybe_statescope(), StateScope)
-        monkeypatch.setenv(STATESCOPE_ENV, "0")
-        assert statescope_enabled() is False
-        monkeypatch.delenv(STATESCOPE_ENV)
-        monkeypatch.setenv(STATESCOPE_OUT_ENV, "scope.json")
-        assert statescope_enabled() is True  # out-path implies on
+        monkeypatch.delenv(OBS_ENV, raising=False)
+        assert resolve().names == ()
+        monkeypatch.setenv(OBS_ENV, "statescope")
+        obs = resolve()
+        assert obs.names == ("statescope",)
+        assert isinstance(INSTRUMENTS["statescope"].make(obs), StateScope)
 
     def test_scoped_run_produces_clean_record(self):
         scope = StateScope()
-        run_scenario(fast_scenario(), statescope=scope)
+        run_scenario(fast_scenario(), instruments=[scope])
         record = scope.record()
         assert set(record["series"]) == set(STATESCOPE_SERIES)
         assert record["series"]["state.total.bytes"]["samples"] >= 5
@@ -266,7 +258,7 @@ class TestStateScope:
 
     def test_finalize_is_idempotent(self):
         scope = StateScope()
-        run_scenario(fast_scenario(), statescope=scope)
+        run_scenario(fast_scenario(), instruments=[scope])
         assert scope.finalize() is scope.finalize()
 
     def test_scope_does_not_change_figure_values(self):
@@ -274,7 +266,7 @@ class TestStateScope:
         # every published figure value must not.
         plain = run_scenario(fast_scenario()).to_summary().metrics_dict()
         scoped = (
-            run_scenario(fast_scenario(), statescope=StateScope())
+            run_scenario(fast_scenario(), instruments=[StateScope()])
             .to_summary()
             .metrics_dict()
         )
@@ -298,8 +290,7 @@ class TestStateScope:
     def test_flush_samples_partial_tail(self):
         sim = Simulator(seed=1)
         scope = StateScope(interval=1.0)
-        scope.install(sim, network=SimpleNamespace(nodes={}))
-        scope.start(horizon=10.0)
+        scope.install(bare_run(sim, SimpleNamespace(nodes={}), horizon=10.0))
         sim.run(until=2.5)  # 2 ticks; tail 2.0..2.5 unsampled
         assert len(scope.series["state.total.bytes"]) == 2
         scope.finalize()
@@ -320,7 +311,7 @@ class TestMergeAndMetrics:
     def _record(self, label="run-a", leak=False):
         scope = leaky_pit_scope() if leak else StateScope()
         if not leak:
-            run_scenario(fast_scenario(), statescope=scope)
+            run_scenario(fast_scenario(), instruments=[scope])
         record = dict(scope.record())
         record["label"] = label
         return record
@@ -379,7 +370,7 @@ class TestMergeAndMetrics:
 class TestReportCli:
     def _clean_record(self):
         scope = StateScope()
-        run_scenario(fast_scenario(), statescope=scope)
+        run_scenario(fast_scenario(), instruments=[scope])
         return scope.record()
 
     def test_render_mentions_series_and_verdict(self):

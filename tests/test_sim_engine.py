@@ -4,6 +4,8 @@ import pytest
 
 from repro.sim import SimulationError, Simulator
 
+from tests.conftest import bare_run
+
 
 def test_events_fire_in_time_order():
     sim = Simulator()
@@ -225,7 +227,9 @@ def test_step_sanitizer_takes_precedence_over_profiler():
     sim.sanitizer = san
     for i in range(3):
         sim.schedule(float(i + 1), lambda: None)
-    session = TelemetrySession(TelemetryConfig(collect=True, profile=True), sim)
+    session = TelemetrySession(
+        TelemetryConfig(collect=True, profile=True)
+    ).install(bare_run(sim))
     _drain_by_stepping(sim)
     profile = session.finalize()["profile"]
     # Stepping feeds the sanitizer every event; it never enters the
@@ -247,7 +251,9 @@ def test_step_feeds_perf_like_run():
             sim.schedule(rng.random() * 5.0, lambda: bloom.insert("/x"))
         victim = sim.schedule(2.5, lambda: bloom.insert("/x"))
         sim.cancel(victim)
-        session = TelemetrySession(TelemetryConfig(collect=True, profile=True), sim)
+        session = TelemetrySession(
+            TelemetryConfig(collect=True, profile=True)
+        ).install(bare_run(sim))
         if step:
             _drain_by_stepping(sim)
         else:
