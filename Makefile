@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test qa lint flow sanitize determinism bench perf regress
+.PHONY: test qa lint flow sanitize determinism bench perf perf-gate regress
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -37,15 +37,20 @@ bench:
 	PYTHONPATH=src:. $(PYTHON) -m pytest benchmarks -q -s
 
 # The performance benchmarks only: engine fan-out speedup + cache
-# round-trip (writes BENCH_parallel.json), sim-core throughput with
-# the layer table (writes BENCH_simcore.json + the flamegraph
-# source), and the Bloom hot-path micro-benchmarks.
-# docs/PERFORMANCE.md explains how to read the output.
+# round-trip (writes BENCH_parallel.json) and the Bloom hot-path
+# micro-benchmarks.  docs/PERFORMANCE.md explains how to read the output.
 perf:
 	PYTHONPATH=src:. $(PYTHON) -m pytest \
 		benchmarks/test_parallel_speedup.py \
-		benchmarks/test_simcore_throughput.py \
 		benchmarks/test_bloom_micro.py -q -s
+
+# The CI perf gate, as CI runs it on a push: perfbench's paper point on
+# HEAD^ (in a temporary worktree) against this checkout, alternated;
+# exit 1 when this checkout is slower beyond the gate's threshold.
+# Against another base: python benchmarks/perf_gate.py <ref>.
+# docs/PERFORMANCE.md, "The CI throughput gate".
+perf-gate:
+	$(PYTHON) benchmarks/perf_gate.py HEAD^
 
 # Regression gate: run a tiny two-spec fig6 fleet twice into a fresh
 # history (second pass replays from the run cache, telemetry included),

@@ -9,11 +9,8 @@ content-store bytes, Bloom-filter fill, …), deep byte totals, the
 capacity-model conformance verdicts, and any growth findings.
 
 The document is written to ``benchmarks/results/BENCH_memory.json``
-AND the repo root ``BENCH_memory.json``, and — when
-``REPRO_HISTORY_DIR`` is set — recorded in the run-history store so
-``python -m repro.obs.history diff --figure memory`` gates footprint
-regressions in CI.  The human-readable conformance report rides
-``results/memory_footprint.txt``.
+AND the repo root ``BENCH_memory.json``.  The human-readable
+conformance report rides ``results/memory_footprint.txt``.
 """
 
 from __future__ import annotations
@@ -77,22 +74,6 @@ def test_memory_footprint():
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_memory.json").write_text(blob)
     (REPO_ROOT / "BENCH_memory.json").write_text(blob)
-
-    history_dir = os.environ.get("REPRO_HISTORY_DIR")
-    if history_dir:
-        from repro.obs.history import RunHistory
-
-        RunHistory(history_dir).append_benchmark(
-            "memory",
-            label="paper-topo1",
-            metrics={
-                "deep_bytes_peak": metrics["mem.deep_bytes.peak"],
-                "pit_entries_peak": metrics["state.pit.entries.peak"],
-                "cs_bytes_peak": metrics["state.cs.bytes.peak"],
-                "model_pass": metrics["model.pass"],
-            },
-            wall_seconds=result.wall_seconds,
-        )
 
     publish(
         "memory_footprint",

@@ -13,8 +13,8 @@ One package gathers everything a run can tell you about itself:
 - :mod:`repro.obs.layers` — the per-layer tracer behind ``--profile``:
   call-through shims over the public entry points of every layer
   (event loop, NDN forwarding, TACTIC enforcement, crypto, engine)
-  with exact per-layer self times, the source of
-  ``BENCH_simcore.json``'s layer table;
+  with exact per-layer self times, the same table as perfbench's
+  traced run;
 - :mod:`repro.obs.profiler` — a statistical stack sampler emitting
   collapsed-stack flamegraph input;
 - :mod:`repro.obs.session` — the glue: one

@@ -33,8 +33,7 @@ envelope pickle + ship-home), **imbalance** (idle worker tails),
 **residual** remainder (contention, parent bookkeeping, clock skew).
 The six components sum to the measured wall *by construction*; the
 *coverage* figure — the five measured components over the wall — is the
-phase-coverage invariant (the ``BENCH_simcore`` discipline, ≥ 0.9
-asserted by the benchmark).
+phase-coverage invariant (≥ 0.9 asserted by the parallel benchmark).
 
 Phase names are compile-time constants declared in
 :data:`FLEETPERF_PHASES` and linted by simlint rule SL015.

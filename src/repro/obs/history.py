@@ -21,7 +21,8 @@ deterministic :meth:`~repro.exec.summary.RunSummary.metrics_dict`.
 figure against a baseline (the previous entry by default), failing on
 any metric drift beyond ``--tolerance`` (relative; default exact) or a
 wall-clock regression beyond ``--wall-tolerance`` percent.  ``make
-regress`` wires this into CI.
+regress`` wires this into CI.  Exit status: 0 clean, 1 drift found,
+2 no verdict (usage error, too few entries, or a corrupt history line).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence
 __all__ = [
     "HISTORY_DIR_ENV",
     "HISTORY_FILE",
+    "HistoryError",
     "RunHistory",
     "diff_entries",
     "host_metadata",
@@ -54,10 +56,9 @@ HISTORY_FILE = "history.jsonl"
 def host_metadata() -> Dict[str, Any]:
     """The execution host, as recorded next to every benchmark number.
 
-    Throughput figures (``events_per_sec`` and friends) are meaningless
-    across interpreters or machines, so benchmark entries and the
-    ``BENCH_*.json`` documents carry this dict and ``diff`` refuses to
-    compare entries whose hosts differ (see :func:`hosts_comparable`).
+    Timings are meaningless across interpreters or machines, so the
+    ``BENCH_*.json`` documents, perfbench results and the perf gate's
+    result carry this dict.
     """
     return {
         "python": platform.python_version(),
@@ -68,24 +69,14 @@ def host_metadata() -> Dict[str, Any]:
     }
 
 
-def hosts_comparable(baseline: dict, candidate: dict) -> bool:
-    """Whether two history entries may be wall-clock-compared.
-
-    Entries written before host stamping existed carry no ``host`` key;
-    those stay comparable (there is nothing to contradict).  Once both
-    sides are stamped, every recorded field must match.
-    """
-    base_host = baseline.get("host")
-    cand_host = candidate.get("host")
-    if base_host is None or cand_host is None:
-        return True
-    return base_host == cand_host
-
-
 def spec_fingerprint(spec: Any) -> str:
     """BLAKE2 over the spec's canonical JSON (code-independent)."""
     blob = json.dumps(spec.canonical(), sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(blob.encode("utf-8"), digest_size=12).hexdigest()
+
+
+class HistoryError(ValueError):
+    """A history file line that is not a JSON entry (e.g. truncated)."""
 
 
 class RunHistory:
@@ -127,51 +118,6 @@ class RunHistory:
                 for spec, summary in zip(specs, summaries)
             ],
         }
-        return self._append_entry(entry)
-
-    def append_benchmark(
-        self,
-        figure: str,
-        label: str,
-        metrics: Dict[str, Any],
-        wall_seconds: float,
-        timestamp: Optional[float] = None,
-    ) -> dict:
-        """Record one benchmark datapoint as a synthetic one-spec entry.
-
-        Benchmarks (``benchmarks/test_simcore_throughput.py``) have no
-        :class:`~repro.exec.spec.ScenarioSpec`, so the fingerprint is a
-        BLAKE2 of the benchmark label — stable across runs, which is
-        all ``diff`` needs to pair entries.  The metrics dict typically
-        carries ``events_per_sec`` and friends; gate with
-        ``python -m repro.obs.history diff --figure <figure>
-        --tolerance <rel>``.
-        """
-        fingerprint = hashlib.blake2b(
-            label.encode("utf-8"), digest_size=12
-        ).hexdigest()
-        entry = {
-            "sequence": self._next_sequence(),
-            "timestamp": time.time() if timestamp is None else timestamp,
-            "figure": figure,
-            "jobs": 1,
-            "wall_seconds": wall_seconds,
-            "host": host_metadata(),
-            "specs": [
-                {
-                    "fingerprint": fingerprint,
-                    "label": label,
-                    "scheme": "benchmark",
-                    "seed": 0,
-                    "cached": False,
-                    "wall_seconds": wall_seconds,
-                    "metrics": dict(metrics),
-                }
-            ],
-        }
-        return self._append_entry(entry)
-
-    def _append_entry(self, entry: dict) -> dict:
         self.directory.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(entry, sort_keys=True))
@@ -211,11 +157,16 @@ class RunHistory:
             return []
         out: List[dict] = []
         with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                entry = json.loads(line)
+                try:
+                    entry = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise HistoryError(
+                        f"{self.path}:{number}: corrupt history line ({exc})"
+                    ) from exc
                 if figure is None or entry.get("figure") == figure:
                     out.append(entry)
         return out
@@ -335,9 +286,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       help="relative metric tolerance (default: exact match)")
     diff.add_argument("--wall-tolerance", type=float, default=None, metavar="PCT",
                       help="max wall-clock growth in percent (default: ignore)")
-    diff.add_argument("--allow-cross-host", action="store_true",
-                      help="compare entries recorded on different hosts "
-                           "(throughput numbers will not be meaningful)")
 
     args = parser.parse_args(argv)
     directory = _resolve_dir(args.history_dir)
@@ -345,8 +293,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: no history directory (--history-dir or ${HISTORY_DIR_ENV})",
               file=sys.stderr)
         return 2
-    history = RunHistory(directory)
+    try:
+        return _command(args, RunHistory(directory))
+    except HistoryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _command(args: argparse.Namespace, history: RunHistory) -> int:
     if args.command == "list":
         for entry in history.entries(args.figure):
             print(
@@ -370,20 +324,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if baseline is None:
             print("error: need at least two entries to diff", file=sys.stderr)
             return 2
-
-    if not args.allow_cross_host and not hosts_comparable(baseline, candidate):
-        print(
-            f"error: entries #{baseline['sequence']} and "
-            f"#{candidate['sequence']} were recorded on different hosts; "
-            f"benchmark numbers are not comparable "
-            f"(re-baseline on this host, or pass --allow-cross-host)",
-            file=sys.stderr,
-        )
-        print(f"  baseline : {json.dumps(baseline.get('host'), sort_keys=True)}",
-              file=sys.stderr)
-        print(f"  candidate: {json.dumps(candidate.get('host'), sort_keys=True)}",
-              file=sys.stderr)
-        return 2
 
     problems = diff_entries(
         baseline, candidate,

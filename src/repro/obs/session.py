@@ -266,7 +266,7 @@ class TelemetrySession:
 
         Runs on its own thread and only reads the simulator's clock and
         event counter, so every run loop (``_drain``, the C kernel, the
-        sanitized loop) keeps its per-event cost.
+        sanitized ``step()`` loop) keeps its per-event cost.
         """
         began = time.perf_counter()
         while not self._beat_stop.wait(period):

@@ -2,8 +2,8 @@
 
 Installs invariant hooks into a :class:`~repro.sim.engine.Simulator`
 and the nodes/tables attached to it.  When *not* installed the
-substrate pays nothing: the engine selects a sanitized run loop only
-when ``sim.sanitizer`` is set, and the
+substrate pays nothing: the engine dispatches through ``step()``,
+which carries the hook, only when ``sim.sanitizer`` is set, and the
 table hook attributes (``pit.san`` / ``cs.san`` / ``bloom.san``)
 default to ``None`` behind single attribute checks on cold-ish paths.
 
@@ -224,7 +224,7 @@ class SimSan:
     # Engine hooks
     # ------------------------------------------------------------------
     def before_event(self, event: Any, now: float) -> None:
-        """Called by the sanitized run loop before each execution."""
+        """Called by ``Simulator.step`` before each execution."""
         self.events_seen += 1
         if event.time < now:
             self._violation(

@@ -74,8 +74,9 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
         self.rng = RngRegistry(seed)
         self.trace = TraceHub()
         #: Optional :class:`~repro.qa.simsan.SimSan`.  When set, ``run``
-        #: uses a sanitized loop that checks clock monotonicity and hashes
-        #: the event stream; ``None`` keeps the hot loop untouched.
+        #: dispatches through ``step()``, whose hook checks clock
+        #: monotonicity and hashes the event stream; ``None`` keeps the
+        #: hot loop untouched.
         self.sanitizer = None
 
     # ------------------------------------------------------------------
@@ -157,7 +158,13 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
         self._stopped = False
         try:
             if self.sanitizer is not None:
-                self._run_sanitized(until)
+                # step() carries the sanitizer hook, so run and
+                # single-stepping dispatch through one code path.
+                while not self._stopped:
+                    time = self.peek_time()
+                    if time is None or (until is not None and time > until):
+                        break
+                    self.step()
             elif _C_KERNEL is not None:
                 _C_KERNEL(self, until)
             else:
@@ -212,37 +219,12 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
                 self.events_executed += 1
                 event.callback(*event.args)
 
-    def _run_sanitized(self, until: Optional[float]) -> None:
-        """The ``run`` loop with SimSan invariant hooks.
-
-        A separate loop so the unsanitized path pays nothing; the extra
-        work per event is one method call into the sanitizer, which
-        checks clock monotonicity and folds the event into the
-        determinism hash.
-        """
-        heap = self._heap
-        san = self.sanitizer
-        while heap and not self._stopped:
-            event = heap[0][3]
-            if event.cancelled:
-                heappop(heap)
-                continue
-            if until is not None and event.time > until:
-                break
-            heappop(heap)
-            self._live -= 1
-            event.on_cancel = None
-            san.before_event(event, self._now)
-            self._now = event.time
-            self.events_executed += 1
-            event.callback(*event.args)
-
     def step(self) -> bool:
         """Execute exactly one pending event.  Returns False when drained.
 
-        Routes through the same sanitizer hook as ``run``, so
-        single-stepping a simulation produces the identical event digest
-        a full ``run`` would.
+        The only loop that calls the sanitizer hook: a sanitized ``run``
+        dispatches through it, so single-stepping a simulation produces
+        the identical event digest a full ``run`` would.
         """
         heap = self._heap
         while heap:

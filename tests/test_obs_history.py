@@ -10,6 +10,7 @@ import pytest
 from repro.exec.engine import ExperimentEngine
 from repro.experiments.fig6_tag_rates import enumerate_fig6
 from repro.obs.history import (
+    HistoryError,
     RunHistory,
     diff_entries,
     main,
@@ -204,6 +205,20 @@ class TestCli:
         monkeypatch.setenv("REPRO_HISTORY_DIR", str(tmp_path))
         assert main(["diff", "--figure", "fig6"]) == 0
         capsys.readouterr()
+
+    def test_truncated_line_exits_two_naming_file_and_line(self, tmp_path, capsys):
+        entry = {"sequence": 1, "figure": "fig6", "jobs": 1,
+                 "wall_seconds": 0.5, "specs": []}
+        whole = json.dumps(entry)
+        history = RunHistory(tmp_path)
+        tmp_path.joinpath("history.jsonl").write_text(
+            whole + "\n" + whole[: len(whole) // 2], encoding="utf-8"
+        )
+        with pytest.raises(HistoryError, match=r"history\.jsonl:2: corrupt"):
+            history.entries()
+        for command in ("diff", "list"):
+            assert main([command, "--history-dir", str(tmp_path)]) == 2
+            assert f"{history.path}:2: corrupt" in capsys.readouterr().err
 
     def test_list_renders_entries(self, tmp_path, capsys):
         _record_run(tmp_path)

@@ -15,7 +15,6 @@ import pytest
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
 from repro.filters.bloom import BloomFilter
-from repro.obs.history import RunHistory, diff_entries
 from repro.obs.layers import ENTRY_POINTS, LayerTracer, resolve
 from repro.obs.profiler import StackSampler, merge_collapsed, write_collapsed
 from repro.obs.session import TelemetryConfig, TelemetrySession
@@ -351,32 +350,6 @@ class TestStackSampler:
         out = tmp_path / "flame.txt"
         write_collapsed(str(out), {"b;c": 1, "a;b": 2})
         assert out.read_text() == "a;b 2\nb;c 1\n"
-
-
-# ---------------------------------------------------------------------------
-# History gate: append_benchmark + diff
-# ---------------------------------------------------------------------------
-class TestHistoryGate:
-    def test_benchmark_entries_pair_and_gate(self, tmp_path):
-        history = RunHistory(tmp_path)
-        history.append_benchmark(
-            "simcore", label="paper-topo1",
-            metrics={"events_per_sec": 100_000.0}, wall_seconds=1.0,
-            timestamp=1.0,
-        )
-        history.append_benchmark(
-            "simcore", label="paper-topo1",
-            metrics={"events_per_sec": 99_000.0}, wall_seconds=1.0,
-            timestamp=2.0,
-        )
-        entries = history.entries(figure="simcore")
-        assert len(entries) == 2
-        spec = entries[0]["specs"][0]
-        assert spec["scheme"] == "benchmark"
-        assert spec["fingerprint"] == entries[1]["specs"][0]["fingerprint"]
-        assert diff_entries(entries[0], entries[1], rel_tol=0.05) == []
-        problems = diff_entries(entries[0], entries[1], rel_tol=0.001)
-        assert problems and "events_per_sec" in problems[0]
 
 
 # ---------------------------------------------------------------------------
