@@ -25,7 +25,6 @@ from repro.experiments.fig8_bf_reset import render_fig8, reproduce_fig8
 from repro.experiments.table2_comparison import render_table2, reproduce_table2
 from repro.experiments.table4_delivery import render_table4, reproduce_table4
 from repro.experiments.table5_bf_resets import render_table5, reproduce_table5
-from repro.obs.export import TRACE_FORMATS
 from repro.obs.instruments import INSTRUMENTS, OBS_ENV, OBS_OUT_ENV, resolve
 
 
@@ -181,46 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="arm the SimSan runtime invariant checks on every run "
         "(equivalent to REPRO_SIMSAN=1; see docs/STATIC_ANALYSIS.md)",
     )
-    telemetry = parser.add_argument_group(
-        "telemetry", "observability outputs (all off by default; see "
-        "docs/OBSERVABILITY.md)"
-    )
-    telemetry.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="write per-run labeled metrics as one JSON document",
-    )
-    telemetry.add_argument(
-        "--trace-out", metavar="PATH", default=None,
-        help="write the packet/span event trace as JSON lines",
-    )
-    telemetry.add_argument(
-        "--trace-format", choices=TRACE_FORMATS, default="jsonl",
-        help="trace file format: 'jsonl' (archival lines) or 'chrome' "
-        "(a trace_event document for chrome://tracing / Perfetto)",
-    )
-    telemetry.add_argument(
-        "--sample-interval", type=float, default=None, metavar="SECONDS",
-        help="sample PIT/CS/BF/link/scheduler state every N virtual seconds",
-    )
-    telemetry.add_argument(
-        "--profile", action="store_true",
-        help="run under the layer tracer and print per-layer calls, total "
-        "and self seconds (docs/PERFORMANCE.md)",
-    )
-    telemetry.add_argument(
-        "--heartbeat", type=float, default=0.0, metavar="SECONDS",
-        help="print wall time, virtual time and events executed every N "
-        "wall seconds",
-    )
-    telemetry.add_argument(
-        "--flame-out", metavar="PATH", default=None,
-        help="statistically sample the run and write collapsed stacks "
-        "(Brendan Gregg format) for flamegraph.pl / speedscope",
-    )
-    telemetry.add_argument(
-        "--flame-interval", type=float, default=0.005, metavar="SECONDS",
-        help="stack-sampling period for --flame-out (default: 0.005)",
-    )
     fleet = parser.add_argument_group(
         "fleet observability", "engine-level progress, merged metrics, and "
         "run history (docs/OBSERVABILITY.md, \"Fleet observability\")"
@@ -253,29 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "--obs-out", metavar="DIR", default=None,
-        help="write each instrument's fleet report to DIR/<name>.json and "
-        "flight-recorder bundles under DIR/flightrec/ (equivalent to "
-        "REPRO_OBS_OUT)",
+        help="write each instrument's fleet report to DIR/<name>.json "
+        "(flame: DIR/flame.txt), flight-recorder bundles under "
+        "DIR/flightrec/ and per-run trace files under DIR/trace/ "
+        "(equivalent to REPRO_OBS_OUT)",
     )
     return parser
-
-
-def _telemetry_config(args) -> "TelemetryConfig | None":
-    if not (args.metrics_out or args.trace_out or args.sample_interval
-            or args.profile or args.heartbeat or args.flame_out):
-        return None
-    from repro.obs.session import TelemetryConfig
-
-    return TelemetryConfig(
-        metrics_path=args.metrics_out,
-        trace_path=args.trace_out,
-        trace_format=args.trace_format,
-        sample_interval=args.sample_interval,
-        profile=args.profile,
-        heartbeat=args.heartbeat,
-        flame_path=args.flame_out,
-        flame_interval=args.flame_interval,
-    )
 
 
 def main(argv: List[str] = None) -> int:
@@ -308,21 +250,9 @@ def main(argv: List[str] = None) -> int:
             print(f"{name:8s} -> repro.experiments.{name}_*")
         return 0
     targets = sorted(ARTIFACTS) if args.artifact == "all" else [args.artifact]
-    config = _telemetry_config(args)
-    if config is None:
-        for name in targets:
-            print(ARTIFACTS[name](args))
-            print()
-        return 0
-    from repro.obs.session import set_default_telemetry
-
-    set_default_telemetry(config)
-    try:
-        for name in targets:
-            print(ARTIFACTS[name](args))
-            print()
-    finally:
-        set_default_telemetry(None)
+    for name in targets:
+        print(ARTIFACTS[name](args))
+        print()
     return 0
 
 

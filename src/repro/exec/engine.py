@@ -21,34 +21,34 @@ rows.  The engine owns everything in between:
 
 Job-count resolution: an explicit ``jobs`` argument wins, then the
 ``REPRO_JOBS`` environment variable, then 1 (serial).  Serial runs
-execute in-process, where the telemetry instrument writes straight to
-the process-default config's files
-(:func:`repro.obs.session.set_default_telemetry`).
+execute in-process over the same completion loop a pool feeds.
 
 **Instrument round-trip** (docs/OBSERVABILITY.md, "Turning it on"):
 the engine resolves one :class:`~repro.obs.instruments.Obs` selection
 at construction (``obs=``/``obs_out=``, else ``REPRO_OBS``/
-``REPRO_OBS_OUT``; telemetry also whenever a process-default telemetry
-config is installed) and ships it to every run, worker or in-process.
+``REPRO_OBS_OUT``) and ships it to every run, worker or in-process.
 Each run's instrument records come home in
 ``RunSummary.instruments``; the run cache stores them, and a cached
 summary counts as a hit only when it carries every selected record
-and every selected row is replayable (flight-recorder bundles are
-files a replay cannot write, so runs that select them re-execute).
-The parent folds the records, in submission order, into
-:attr:`ExperimentEngine.fleet` with each row's ``merge`` — so serial
-and ``--jobs N`` merges are bit-identical — and writes each row's
-report to ``<obs-out>/<name>.json`` after every :meth:`run_specs` call.
+and every selected row is replayable (flight-recorder bundles, trace
+files, layer profiles and stack samples come from executing the run,
+so runs that select them re-execute).  The parent folds the records,
+in submission order, into :attr:`ExperimentEngine.fleet` with each
+row's ``merge`` as soon as every earlier slot is in — so serial and
+``--jobs N`` merges are bit-identical — and rewrites each row's report
+in ``<obs-out>`` after every fold, so a killed invocation leaves
+reports of every run finished so far.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exec.cache import RunCache, cache_key
 from repro.exec.spec import ScenarioSpec
@@ -198,8 +198,7 @@ class ExperimentEngine:
     obs:
         Instruments to attach to every run (:mod:`repro.obs.instruments`
         names, as an iterable or a comma list; ``None`` = ``REPRO_OBS``
-        env, ``()`` = none).  Telemetry is added whenever a
-        process-default telemetry config is installed.
+        env, ``()`` = none).
     obs_out:
         Directory for the per-instrument fleet reports (``None`` =
         ``REPRO_OBS_OUT`` env when ``obs`` is ``None``, else none).
@@ -345,74 +344,49 @@ class ExperimentEngine:
         if fleet is not None and self.cache is not None:
             fleet.charge("fleet.cache", time.perf_counter() - probe_began)
 
-        if pending:
-            workers = min(self.jobs, len(pending))
-            summaries: List[Optional[RunSummary]] = [None] * len(pending)
+        def submit(slot: int, label: str) -> None:
+            if progress is not None:
+                progress.spec_started(label)
+            if fleet is not None:
+                fleet.spec_submitted(slot, label)
+
+        payloads = [(slot, spec, obs) for slot, (_, spec, _) in enumerate(pending)]
+        workers = min(self.jobs, len(pending))
+        mode = "parallel" if workers > 1 else "serial"
+        folded = self._fold(results, 0, figure)
+        with contextlib.ExitStack() as stack:
             if workers > 1:
-                mode = "parallel"
-                payloads = [
-                    (slot, spec, obs) for slot, (_, spec, _) in enumerate(pending)
-                ]
-                context = multiprocessing.get_context("spawn")
                 if fleet is not None:
                     fleet.pool_opening()
-                with context.Pool(processes=workers) as pool:
-                    if progress is not None:
-                        for _, spec, _ in pending:
-                            progress.spec_started(spec.label)
-                    if fleet is not None:
-                        for slot, (_, spec, _) in enumerate(pending):
-                            fleet.spec_submitted(slot, spec.label)
-                    # Completion queue: results arrive as workers finish
-                    # (live progress), then land back in their submission
-                    # slot so downstream order never depends on timing.
-                    for slot, summary in pool.imap_unordered(
-                        _execute_indexed, payloads, chunksize=1
-                    ):
-                        summaries[slot] = summary
-                        if fleet is not None:
-                            fleet.spec_received(slot, summary)
-                        if progress is not None:
-                            progress.spec_finished(
-                                summary.label, summary.wall_seconds, mode
-                            )
-            else:
-                mode = "serial"
+                context = multiprocessing.get_context("spawn")
+                pool = stack.enter_context(context.Pool(processes=workers))
                 for slot, (_, spec, _) in enumerate(pending):
-                    if progress is not None:
-                        progress.spec_started(spec.label)
-                    if fleet is not None:
-                        fleet.spec_submitted(slot, spec.label)
-                    summary = _execute_spec(spec, obs)
-                    summaries[slot] = summary
-                    if fleet is not None:
-                        fleet.spec_received(slot, summary)
-                    if progress is not None:
-                        progress.spec_finished(
-                            summary.label, summary.wall_seconds, mode
-                        )
-            for (index, _, key), summary in zip(pending, summaries):
+                    submit(slot, spec.label)
+                # Completion queue: results arrive as workers finish
+                # (live progress), then land back in their submission
+                # slot so downstream order never depends on timing.
+                completions = pool.imap_unordered(_execute_indexed, payloads, chunksize=1)
+            else:
+
+                def serial() -> Iterator[Tuple[int, RunSummary]]:
+                    for payload in payloads:
+                        submit(payload[0], payload[1].label)
+                        yield _execute_indexed(payload)
+
+                completions = serial()
+            for slot, summary in completions:
+                index, _, key = pending[slot]
                 results[index] = summary
+                if fleet is not None:
+                    fleet.spec_received(slot, summary)
+                if progress is not None:
+                    progress.spec_finished(summary.label, summary.wall_seconds, mode)
                 self._note_run(mode, summary)
                 if self.cache is not None and key is not None:
                     self.cache.put(key, summary)
+                folded = self._fold(results, folded, figure)
 
         final = [summary for summary in results if summary is not None]
-        # Submission order, cache hits included: replayed records fold
-        # in exactly like freshly executed ones.  An in-process run has
-        # already persisted its records here; a worker's or a cached
-        # one is forwarded.
-        pid = os.getpid()
-        for summary in final:
-            foreign = summary.cached or summary.worker_pid != pid
-            for name in obs.names:
-                record = summary.instruments.get(name)
-                if not record:
-                    continue
-                row = INSTRUMENTS[name]
-                row.merge(self.fleet[name], record)
-                if foreign and row.forward is not None:
-                    row.forward(record)
         wall = time.perf_counter() - began
         if fleet is not None:
             self.fleet["fleetperf"]["pool"] = fleet.report(wall)
@@ -429,22 +403,52 @@ class ExperimentEngine:
                 summaries=final,
             )
         if obs.out:
-            self._write_reports(figure)
+            # Every fold has rewritten the reports already; the pool
+            # timeline is complete only now (and an empty call folds
+            # nothing).
+            self._write_reports(figure, ("fleetperf",) if ordered else obs.names)
         return final
 
-    def _write_reports(self, figure: str) -> None:
-        """Write each selected instrument's fleet report to
-        ``<obs-out>/<name>.json``."""
+    def _fold(
+        self, results: List[Optional[RunSummary]], folded: int, figure: str
+    ) -> int:
+        """Fold every finished summary from slot ``folded`` up to the
+        first unfinished one into :attr:`fleet` (submission order, cache
+        hits included: replayed records fold in exactly like executed
+        ones), rewrite the reports if any record moved, and return the
+        next slot to fold."""
+        start = folded
+        while folded < len(results) and results[folded] is not None:
+            for name in self.obs.names:
+                record = results[folded].instruments.get(name)
+                if record:
+                    INSTRUMENTS[name].merge(self.fleet[name], record)
+            folded += 1
+        if self.obs.out and folded > start:
+            self._write_reports(figure, self.obs.names)
+        return folded
+
+    def _write_reports(self, figure: str, names: Iterable[str]) -> None:
+        """Write the fleet report of each selected instrument in
+        ``names`` to ``<obs-out>/<name>.json`` (``.txt`` for a text
+        report), aside and renamed into place, so a killed invocation
+        leaves parseable reports of every run folded so far."""
         os.makedirs(self.obs.out, exist_ok=True)
-        for name in self.obs.names:
+        for name in names:
             report = INSTRUMENTS[name].report
-            if report is None:
+            if report is None or name not in self.fleet:
                 continue
             document = report(self.fleet[name], figure, self.jobs)
-            path = os.path.join(self.obs.out, f"{name}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(document, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            text = isinstance(document, str)
+            path = os.path.join(self.obs.out, f"{name}.{'txt' if text else 'json'}")
+            scratch = f"{path}.{os.getpid()}"
+            with open(scratch, "w", encoding="utf-8") as fh:
+                if text:
+                    fh.write(document)
+                else:
+                    json.dump(document, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+            os.replace(scratch, path)
 
     def _note_run(self, mode: str, summary: RunSummary) -> None:
         if mode == "parallel":

@@ -365,7 +365,7 @@ def run_scenario(
     """Assemble and execute one scenario end to end.
 
     ``instruments`` are live objects from :mod:`repro.obs.instruments`
-    (``DecisionAudit()``, ``TelemetrySession(config)``, …); each is
+    (``DecisionAudit()``, ``TelemetrySession()``, …); each is
     installed in table order before the first tag is issued and
     finalized in reverse after the run, and its record lands in
     ``RunResult.instruments``.  With none, the run loads no
@@ -421,8 +421,8 @@ def run_scenario(
             # (and its bundle named in the flight recorder's record).
             records = {item.name: item.finalize() for item in reversed(live)}
     finally:
-        # Restore the layer shims and stop the heartbeat even when the
-        # run raises (close is idempotent after finalize).
+        # Restore the layer shims and stop the side threads even when
+        # the run raises (close is idempotent after finalize).
         for item in live:
             close = getattr(item, "close", None)
             if close is not None:

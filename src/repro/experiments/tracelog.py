@@ -12,11 +12,19 @@ counts — the debugging loop for protocol work.
 >>> recorder = TraceRecorder(sim, events=("node.rx.data",))
 >>> # ... run a simulation ...
 >>> recorder.stop()
+
+As the ``trace`` row of :mod:`repro.obs.instruments` a recorder
+captures every substrate and ``span.*`` event of a run and, at
+finalize, writes them to ``<obs-out>/trace/<label>-<digest>.jsonl``
+(the digest is of the scenario, as for flight-recorder bundles, so the
+runs of one fleet never share a file).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -42,22 +50,67 @@ KNOWN_EVENTS = (
 
 
 class TraceRecorder:
-    """Subscribes to trace events and buffers them in arrival order."""
+    """Subscribes to trace events and buffers them in arrival order.
+
+    Built with a ``sim`` it records at once; built without one, it
+    records from :meth:`install` (the instrument protocol) and writes
+    its JSONL file into ``directory`` at :meth:`finalize`.
+    """
+
+    name = "trace"
 
     def __init__(
         self,
-        sim: Simulator,
+        sim: Optional[Simulator] = None,
         events: Sequence[str] = KNOWN_EVENTS,
         limit: int = 0,
+        directory: Optional[str] = None,
     ) -> None:
-        self.sim = sim
         self.events = tuple(events)
         self.limit = limit
+        self.directory = directory
         self.records: List[TraceRecord] = []
         self.dropped = 0
+        self.label = ""
+        self.path: Optional[str] = None
+        self._statescope = None
+        self._active = False
+        if sim is not None:
+            self._subscribe(sim)
+
+    def _subscribe(self, sim: Simulator) -> None:
+        self.sim = sim
         self._active = True
         for event in self.events:
             sim.trace.subscribe(event, self._on_record)
+
+    def install(self, run) -> "TraceRecorder":
+        """Instrument protocol: record ``run``; its statescope peer's
+        timeline rides the record as Chrome counter tracks."""
+        self.label = run.label
+        self._statescope = run.instruments.get("statescope")
+        if self.directory is not None:
+            digest = hashlib.sha1(repr(run.scenario).encode()).hexdigest()[:10]
+            stem = "-".join(part for part in (run.label, digest) if part)
+            self.path = os.path.join(self.directory, stem + ".jsonl")
+        self._subscribe(run.sim)
+        return self
+
+    def finalize(self) -> dict:
+        """Stop, write the JSONL file, and return its record."""
+        self.stop()
+        record = {"label": self.label, "records": len(self.records)}
+        if self.path is not None:
+            os.makedirs(self.directory, exist_ok=True)
+            # Written aside and renamed into place: two workers running
+            # the same scenario never leave a torn file.
+            scratch = f"{self.path}.{os.getpid()}"
+            write_jsonl(self.records, scratch)
+            os.replace(scratch, self.path)
+            record["path"] = self.path
+        if self._statescope is not None:
+            record["state"] = [[at, values] for at, values in self._statescope.timeline]
+        return record
 
     def _on_record(self, record: TraceRecord) -> None:
         if not self._active:
@@ -69,9 +122,15 @@ class TraceRecorder:
 
     def stop(self) -> None:
         """Detach from the hub; buffered records remain readable."""
+        if not self._active:
+            return
         self._active = False
         for event in self.events:
             self.sim.trace.unsubscribe(event, self._on_record)
+
+    #: Instrument protocol: the runner closes an instrument even when
+    #: the run raises.
+    close = stop
 
     def __len__(self) -> int:
         return len(self.records)

@@ -10,16 +10,16 @@ One package gathers everything a run can tell you about itself:
 - :mod:`repro.obs.samplers` — periodic virtual-time sampling of live
   state (PIT occupancy, CS hit ratio, Bloom-filter fill, link queues,
   pending events);
-- :mod:`repro.obs.layers` — the per-layer tracer behind ``--profile``:
+- :mod:`repro.obs.layers` — the per-layer tracer (the ``profile`` row):
   call-through shims over the public entry points of every layer
   (event loop, NDN forwarding, TACTIC enforcement, crypto, engine)
   with exact per-layer self times, the same table as perfbench's
   traced run;
 - :mod:`repro.obs.profiler` — a statistical stack sampler emitting
-  collapsed-stack flamegraph input;
-- :mod:`repro.obs.session` — the glue: one
-  :class:`~repro.obs.session.TelemetrySession` per run, driven by
-  ``python -m repro`` flags;
+  collapsed-stack flamegraph input, and the wall-clock heartbeat;
+- :mod:`repro.obs.session` — the ``telemetry`` row: one
+  :class:`~repro.obs.session.TelemetrySession` per run bridging the
+  run's counters into a metrics registry;
 - :mod:`repro.obs.audit` — access-control decision records with a
   ground-truth oracle labeling each one correct / false-positive /
   false-negative (the empirical BF-misauthorization report);
@@ -32,10 +32,9 @@ One package gathers everything a run can tell you about itself:
   trend fitting that flags unbounded growth, and conformance checks
   comparing empirical occupancy against the ``repro.analysis`` closed
   forms;
-- :mod:`repro.obs.instruments` — the one table that turns the audit,
-  flight recorder, telemetry, statescope and fleet observatory on
-  (``--obs``) and carries each one's record from the run to its fleet
-  report.
+- :mod:`repro.obs.instruments` — the one table that turns every
+  instrument above on (``--obs``) and carries each one's record from
+  the run to its fleet report.
 
 Everything is off by default; a plain run imports none of this and
 pays nothing beyond a handful of ``None`` checks.
@@ -60,12 +59,7 @@ if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.profiler import StackSampler, merge_collapsed
     from repro.obs.samplers import PeriodicSampler
-    from repro.obs.session import (
-        TelemetryConfig,
-        TelemetrySession,
-        current_telemetry,
-        set_default_telemetry,
-    )
+    from repro.obs.session import TelemetrySession
     from repro.obs.spans import SPAN_EVENTS, Span, SpanBuilder, SpanRecorder
     from repro.obs.statescope import (
         STATESCOPE_SERIES,
@@ -95,10 +89,7 @@ _EXPORTS = {
     "StackSampler": "profiler",
     "merge_collapsed": "profiler",
     "PeriodicSampler": "samplers",
-    "TelemetryConfig": "session",
     "TelemetrySession": "session",
-    "current_telemetry": "session",
-    "set_default_telemetry": "session",
     "SPAN_EVENTS": "spans",
     "Span": "spans",
     "SpanBuilder": "spans",

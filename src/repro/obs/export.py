@@ -1,9 +1,10 @@
 """Chrome ``trace_event`` export for span and substrate traces.
 
-The JSONL trace file (``--trace-out t.jsonl``) is the archival format:
-one record per line, lossless, greppable.  This module renders the same
-records into the Chrome trace-event JSON that ``chrome://tracing`` and
-Perfetto load directly (``--trace-format=chrome``):
+The ``trace`` row's JSONL files (``<obs-out>/trace/*.jsonl``) are the
+archival format: one record per line, lossless, greppable.  This module
+renders the same records into the Chrome trace-event JSON that
+``chrome://tracing`` and Perfetto load directly (the row's fleet
+report, ``<obs-out>/trace.json``, one process per run):
 
 - one *process* per run (``pid`` = run index, named via ``process_name``
   metadata), one *thread track* per simulated node (``thread_name``);
@@ -29,21 +30,20 @@ the trace-event spec mandates.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Sequence, Tuple
+import os
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.obs.spans import SpanBuilder
 from repro.sim.tracing import TraceRecord
 
 __all__ = [
-    "TRACE_FORMATS",
     "chrome_trace_events",
     "fleet_trace_events",
+    "merge_trace",
     "state_counter_events",
+    "trace_report",
     "write_chrome_trace",
 ]
-
-#: Accepted ``--trace-format`` values.
-TRACE_FORMATS = ("jsonl", "chrome")
 
 _MICROS = 1e6
 
@@ -369,3 +369,26 @@ def write_chrome_trace(
         json.dump(document, fh)
         fh.write("\n")
     return len(events)
+
+
+def merge_trace(into: Dict[str, Any], record: Dict[str, Any]) -> Dict[str, Any]:
+    """Fold one run's trace into the fleet view: read its JSONL file
+    back and append its Chrome events as the next process (runs are
+    folded in submission order, so pids follow it), with the
+    statescope timeline as counter tracks when the record carries one."""
+    from repro.experiments.tracelog import read_jsonl
+
+    path = record["path"]
+    pid = into.get("runs", 0) + 1
+    into["runs"] = pid
+    into.setdefault("files", []).append(os.path.basename(path))
+    events = into.setdefault("traceEvents", [])
+    events.extend(chrome_trace_events(read_jsonl(path), pid=pid, run=record["label"]))
+    if record.get("state"):
+        events.extend(state_counter_events(record["state"], pid=pid))
+    return into
+
+
+def trace_report(merged: Dict[str, Any], figure: str, jobs: int) -> Dict[str, Any]:
+    """``<obs-out>/trace.json``: the fleet's Chrome trace document."""
+    return {"traceEvents": merged.get("traceEvents", []), "displayTimeUnit": "ms"}

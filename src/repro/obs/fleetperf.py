@@ -342,10 +342,11 @@ def merge_fleetperf(into: Dict[str, Any], record: Dict[str, Any]) -> Dict[str, A
 def fleetperf_report(merged: Dict[str, Any], figure: str, jobs: int) -> Dict[str, Any]:
     """``<obs-out>/fleetperf.json``: the latest ``run_specs`` pool
     timeline (``merged["pool"]``, a :meth:`FleetPerf.report`) as a
-    Chrome trace — one lane per worker, spec slices, occupancy counter."""
+    Chrome trace — one lane per worker, spec slices, occupancy counter.
+    Before a call's final write there is no timeline yet: an empty one."""
     from repro.obs.export import fleet_trace_events
 
-    events = fleet_trace_events(merged["pool"])
+    events = fleet_trace_events(merged.get("pool") or {})
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

@@ -1,4 +1,4 @@
-"""Per-layer wall-time attribution: the instrument behind ``--profile``.
+"""Per-layer wall-time attribution: the ``profile`` instrument.
 
 A :class:`LayerTracer` swaps every public entry point in
 :data:`ENTRY_POINTS` (the event loop, NDN forwarding, the TACTIC
@@ -17,14 +17,19 @@ cover), so the self times of all spans partition the time spent under
 the outermost traced calls exactly.  No span records are kept.
 
 Usage: ``with LayerTracer() as tracer: run_scenario(scenario)``, then
-``tracer.render()``.  The table is kept equal to the benchmark's own
-copy (``perfbench/spans.py``) by a tier-1 test.
+``tracer.render()``.  As the ``profile`` row of
+:mod:`repro.obs.instruments` a tracer wraps one run; the engine prints
+each executed run's layer table on stderr as it folds the record
+(:func:`merge_profile`) and writes every record to
+``<obs-out>/profile.json``.  The table is kept equal to the
+benchmark's own copy (``perfbench/spans.py``) by a tier-1 test.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib
+import sys
 import time
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -99,8 +104,11 @@ class LayerTracer:
     so nested tracers unwind cleanly.
     """
 
+    name = "profile"
+
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
+        self.label = ""
         self.calls: Dict[str, int] = {}
         self.total_s: Dict[str, float] = {}
         self.self_s: Dict[str, float] = {}
@@ -130,6 +138,20 @@ class LayerTracer:
             owner, attr, original = self._swaps.pop()
             setattr(owner, attr, original)
         return False
+
+    def install(self, run: Any) -> "LayerTracer":
+        """Instrument protocol: trace from here to :meth:`finalize`."""
+        self.label = run.label
+        return self.__enter__()
+
+    def close(self) -> None:
+        """Restore the entry points if they are still shimmed."""
+        if self._swaps:
+            self.__exit__()
+
+    def finalize(self) -> dict:
+        self.close()
+        return {"label": self.label, **self.report()}
 
     def wrap(self, name: str, func: Callable) -> Callable:
         """A call-through shim that charges each call of ``func`` to
@@ -187,16 +209,32 @@ class LayerTracer:
 
     def render(self) -> str:
         """The report as an ``events/sec`` line and a layer table."""
-        data = self.report()
-        wall = data["wall_seconds"] or 1.0
-        lines = [
-            f"traced {data['events']} events in {data['wall_seconds']:.3f}s wall "
-            f"({data['events_per_second']:,.0f} events/sec)",
-            f"{'layer':<20} {'calls':>10} {'total s':>9} {'self s':>9} {'self':>6}",
-        ]
-        for name, row in data["layers"].items():
-            lines.append(
-                f"{name:<20} {row['calls']:>10} {row['total_s']:>9.4f} "
-                f"{row['self_s']:>9.4f} {row['self_s'] / wall:>6.1%}"
-            )
-        return "\n".join(lines)
+        return render_profile(self.report())
+
+
+def render_profile(data: dict) -> str:
+    """A :meth:`LayerTracer.report` as an ``events/sec`` line and a
+    layer table."""
+    wall = data["wall_seconds"] or 1.0
+    lines = [
+        f"traced {data['events']} events in {data['wall_seconds']:.3f}s wall "
+        f"({data['events_per_second']:,.0f} events/sec)",
+        f"{'layer':<20} {'calls':>10} {'total s':>9} {'self s':>9} {'self':>6}",
+    ]
+    for name, row in data["layers"].items():
+        lines.append(
+            f"{name:<20} {row['calls']:>10} {row['total_s']:>9.4f} "
+            f"{row['self_s']:>9.4f} {row['self_s'] / wall:>6.1%}"
+        )
+    return "\n".join(lines)
+
+
+def merge_profile(into: dict, record: dict) -> dict:
+    """Fold one run's record into the fleet view and print its layer
+    table on stderr (the engine folds in submission order, so tables
+    come out in that order in every execution mode)."""
+    into.setdefault("runs", []).append(record)
+    sys.stderr.write(
+        f"── profile: {record.get('label') or 'run'} ──\n{render_profile(record)}\n"
+    )
+    return into

@@ -1,9 +1,16 @@
-"""Statistical stack sampling of the event loop (flamegraph input).
+"""Side-thread instruments: stack sampling and the heartbeat.
 
 A :class:`StackSampler` samples the running thread's Python stack from
 a side thread and folds the samples into Brendan Gregg's collapsed-stack
-format; :func:`write_collapsed` and :func:`merge_collapsed` persist and
-aggregate them (the ``--flame-out`` flag).
+format; :func:`collapsed_text` and :func:`merge_collapsed` render and
+aggregate them.  As the ``flame`` row of :mod:`repro.obs.instruments`
+it samples every run at :data:`FLAME_INTERVAL`, and the engine writes
+the fleet's summed stacks to ``<obs-out>/flame.txt``.
+
+A :class:`Heartbeat` (the ``heartbeat`` row) prints a liveness pulse
+every :data:`HEARTBEAT_PERIOD` wall seconds.  Both only read the
+simulator from their own thread, so every run loop keeps its per-event
+cost.
 """
 
 from __future__ import annotations
@@ -12,7 +19,15 @@ import os
 import sys
 import threading
 import time
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
+
+#: Stack-sampling period of the ``flame`` row, in wall seconds.
+FLAME_INTERVAL = 0.005
+
+#: Pulse period of the ``heartbeat`` row, in wall seconds: long enough
+#: that a minutes-long paper point prints a handful of lines, short
+#: enough to tell a slow run from a hung one.
+HEARTBEAT_PERIOD = 10.0
 
 
 def _frame_label(code) -> str:
@@ -43,9 +58,11 @@ class StackSampler:
     like fleet metrics.
     """
 
+    name = "flame"
+
     def __init__(
         self,
-        interval: float = 0.005,
+        interval: float = FLAME_INTERVAL,
         max_depth: int = 120,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
@@ -57,6 +74,7 @@ class StackSampler:
         self.samples = 0
         self.started_at: Optional[float] = None
         self.stopped_at: Optional[float] = None
+        self.label = ""
         self._target_ident: Optional[int] = None
         self._stop_event: Optional[threading.Event] = None
         self._thread: Optional[threading.Thread] = None
@@ -83,6 +101,20 @@ class StackSampler:
         self._thread = None
         self.stopped_at = self.clock()
 
+    #: Instrument protocol: the runner closes an instrument even when
+    #: the run raises.
+    close = stop
+
+    def install(self, run: Any) -> "StackSampler":
+        """Instrument protocol: sample the thread executing ``run``."""
+        self.label = run.label
+        self.start()
+        return self
+
+    def finalize(self) -> dict:
+        self.stop()
+        return {"label": self.label, **self.report()}
+
     def _sample_loop(self) -> None:
         wait = self._stop_event.wait
         interval = self.interval
@@ -107,7 +139,7 @@ class StackSampler:
         return max(0.0, end - self.started_at)
 
     def report(self) -> dict:
-        """JSON-serializable summary (rides the telemetry envelope)."""
+        """JSON-serializable summary (the ``flame`` row's record)."""
         return {
             "interval": self.interval,
             "samples": self.samples,
@@ -115,20 +147,11 @@ class StackSampler:
             "stacks": dict(self.collapsed),
         }
 
-    def write_collapsed(self, path: str) -> int:
-        """Write collapsed stacks (``--flame-out`` target); feed the
-        file to ``flamegraph.pl`` or speedscope.  Returns line count."""
-        return write_collapsed(path, self.collapsed)
 
-
-def write_collapsed(path: str, collapsed: Dict[str, int]) -> int:
-    """Write a collapsed-stack dict in Brendan Gregg's format."""
-    lines = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for stack in sorted(collapsed):
-            fh.write(f"{stack} {collapsed[stack]}\n")
-            lines += 1
-    return lines
+def collapsed_text(collapsed: Dict[str, int]) -> str:
+    """A collapsed-stack dict in Brendan Gregg's format, stacks sorted:
+    the input ``flamegraph.pl`` and speedscope read."""
+    return "".join(f"{stack} {collapsed[stack]}\n" for stack in sorted(collapsed))
 
 
 def merge_collapsed(into: Dict[str, int], stacks: Dict[str, int]) -> Dict[str, int]:
@@ -136,3 +159,58 @@ def merge_collapsed(into: Dict[str, int], stacks: Dict[str, int]) -> Dict[str, i
     for stack, count in stacks.items():
         into[stack] = into.get(stack, 0) + count
     return into
+
+
+def merge_flame(into: Dict[str, Any], record: Dict[str, Any]) -> Dict[str, Any]:
+    """Sum one run's stacks into the fleet view (``into["stacks"]``)."""
+    merge_collapsed(into.setdefault("stacks", {}), record.get("stacks") or {})
+    return into
+
+
+def flame_report(merged: Dict[str, Any], figure: str, jobs: int) -> str:
+    """``<obs-out>/flame.txt``: the fleet's collapsed stacks."""
+    return collapsed_text(merged.get("stacks", {}))
+
+
+class Heartbeat:
+    """Prints wall time, ``sim.now`` and events executed every
+    ``period`` wall seconds from a daemon thread, on ``stream``
+    (stderr when None)."""
+
+    name = "heartbeat"
+
+    def __init__(self, period: float = HEARTBEAT_PERIOD, stream: Any = None) -> None:
+        self.period = period
+        self.stream = stream
+        self._stop_event = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+
+    def install(self, run: Any) -> "Heartbeat":
+        self.sim = run.sim
+        self._thread = threading.Thread(
+            target=self._pulse, name="repro-heartbeat", daemon=True
+        )
+        self._thread.start()
+        return self
+
+    def _pulse(self) -> None:
+        stream = self.stream or sys.stderr
+        began = time.perf_counter()
+        while not self._stop_event.wait(self.period):
+            stream.write(
+                f"[obs] {time.perf_counter() - began:8.1f}s wall  "
+                f"sim.now={self.sim.now:.3f}s  "
+                f"{self.sim.events_executed} events\n"
+            )
+            stream.flush()
+
+    def close(self) -> None:
+        """Stop and join the pulse thread; idempotent."""
+        if self._thread is not None:
+            self._stop_event.set()
+            self._thread.join()
+            self._thread = None
+
+    def finalize(self) -> dict:
+        self.close()
+        return {"runs": 1}

@@ -16,6 +16,12 @@ over a :class:`~repro.ndn.network.Network`: per-node PIT occupancy and
 CS size / hit ratio, per-router Bloom-filter fill ratio and
 false-positive probability, per-direction link queue depth, and the
 scheduler's pending-event count.
+
+As the ``samples`` row of :mod:`repro.obs.instruments` a sampler
+installs itself on a run with that probe set, ticks every
+:data:`~repro.obs.instruments.SAMPLE_INTERVAL` virtual seconds up to
+the run's horizon and backs its gauges in the ``telemetry`` peer's
+registry when that row is selected too.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.obs.instruments import SAMPLE_INTERVAL
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 
@@ -42,10 +49,12 @@ class Probe:
 class PeriodicSampler:
     """Samples a probe list every ``interval`` virtual seconds."""
 
+    name = "samples"
+
     def __init__(
         self,
-        sim: Simulator,
-        interval: float,
+        sim: Optional[Simulator] = None,
+        interval: float = SAMPLE_INTERVAL,
         until: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -58,8 +67,28 @@ class PeriodicSampler:
         self.probes: List[Probe] = []
         self.series: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], List[Tuple[float, float]]] = {}
         self.ticks = 0
+        self.label = ""
         self._stopped = False
         self._last_tick: Optional[float] = None
+
+    def install(self, run) -> "PeriodicSampler":
+        """Instrument protocol: sample ``run``'s network up to its
+        horizon, backing gauges in the telemetry peer's registry."""
+        self.sim = run.sim
+        self.until = run.horizon
+        self.label = run.label
+        telemetry = run.instruments.get("telemetry")
+        if telemetry is not None:
+            self.registry = telemetry.registry
+        if run.network is not None:
+            self.install_standard_probes(run.network)
+        self.start()
+        return self
+
+    def finalize(self) -> dict:
+        """Take the tail sample, stop, and return the series."""
+        self.stop()
+        return {"label": self.label, "series": self.series_dict()}
 
     # ------------------------------------------------------------------
     # Probe registration

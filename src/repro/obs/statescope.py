@@ -53,8 +53,9 @@ import sys
 from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-#: Environment knobs for the sampling period and the tracemalloc section.
-STATESCOPE_INTERVAL_ENV = "REPRO_STATESCOPE_INTERVAL"
+from repro.obs.instruments import SAMPLE_INTERVAL
+
+#: Environment knob for the tracemalloc section.
 STATESCOPE_TRACEMALLOC_ENV = "REPRO_STATESCOPE_TRACEMALLOC"
 
 #: Registry of every state series a scope may emit (simlint SL016: a
@@ -281,13 +282,10 @@ class StateScope:
 
     def __init__(
         self,
-        interval: Optional[float] = None,
+        interval: float = SAMPLE_INTERVAL,
         tracemalloc: Optional[bool] = None,
         z: float = 1.96,
     ) -> None:
-        if interval is None:
-            raw = os.environ.get(STATESCOPE_INTERVAL_ENV, "")
-            interval = float(raw) if raw else 1.0
         if interval <= 0:
             raise ValueError(f"statescope interval must be positive, got {interval!r}")
         if tracemalloc is None:

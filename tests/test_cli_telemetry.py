@@ -1,10 +1,10 @@
-"""End-to-end telemetry: CLI flags, artifact files, and equivalence.
+"""End-to-end telemetry: the ``--obs`` rows, their files, and equivalence.
 
 These tests run real (tiny) scenarios through ``python -m repro``'s
-``main`` and through ``run_scenario`` with a telemetry config, then
-check the three acceptance properties: parseable artifacts, bridged
-counters equal to the figures' OpCounters, and zero change to
-published values when telemetry is on.
+``main``, through the engine and through ``run_scenario`` with the
+telemetry rows attached, then check the three acceptance properties:
+parseable artifacts, bridged counters equal to the figures'
+OpCounters, and zero change to published values when telemetry is on.
 """
 
 from __future__ import annotations
@@ -14,13 +14,24 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.exec import ExperimentEngine, ScenarioSpec
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
-from repro.obs.session import (
-    ROUTER_OPS,
-    TelemetryConfig,
-    TelemetrySession,
-    current_telemetry,
+from repro.obs.instruments import INSTRUMENTS, OBS_ENV, OBS_OUT_ENV, resolve
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.session import ROUTER_OPS, TelemetrySession
+
+#: The flags the ``telemetry``, ``trace``, ``samples``, ``profile``,
+#: ``flame`` and ``heartbeat`` rows replaced.
+REMOVED_FLAGS = (
+    ("--metrics-out", "m.json"),
+    ("--trace-out", "t.jsonl"),
+    ("--trace-format", "chrome"),
+    ("--sample-interval", "0.5"),
+    ("--profile",),
+    ("--heartbeat", "1"),
+    ("--flame-out", "f.txt"),
+    ("--flame-interval", "0.01"),
 )
 
 
@@ -29,26 +40,28 @@ def _tiny_scenario(seed: int = 3) -> Scenario:
 
 
 class TestCliFlags:
-    def test_table4_writes_parseable_artifacts(self, tmp_path, capsys):
-        metrics_path = tmp_path / "metrics.json"
-        trace_path = tmp_path / "trace.jsonl"
+    def test_table4_writes_parseable_artifacts(self, tmp_path, capsys, monkeypatch):
+        # main() forwards --obs/--obs-out through the environment;
+        # restore it afterwards.
+        monkeypatch.setenv(OBS_ENV, "")
+        monkeypatch.setenv(OBS_OUT_ENV, "")
+        out = tmp_path / "obs"
         code = main(
             [
                 "table4",
                 "--duration", "2",
                 "--scale", "0.1",
-                "--metrics-out", str(metrics_path),
-                "--trace-out", str(trace_path),
-                "--profile",
-                "--sample-interval", "0.5",
+                "--obs", "telemetry,trace,profile,samples",
+                "--obs-out", str(out),
             ]
         )
         assert code == 0
-        out = capsys.readouterr()
-        assert "Table IV" in out.out
-        assert "events/sec" in out.err  # layer table went to stderr
+        captured = capsys.readouterr()
+        assert "Table IV" in captured.out
+        assert "events/sec" in captured.err  # layer table went to stderr
 
-        document = json.loads(metrics_path.read_text())
+        document = json.loads((out / "telemetry.json").read_text())
+        assert "exec_runs_total" in document["metrics"]
         assert document["runs"]
         run = document["runs"][0]
         assert run["wall_seconds"] > 0
@@ -60,33 +73,45 @@ class TestCliFlags:
         own = sum(row["self_s"] for row in layers.values())
         assert own == pytest.approx(layers["sim.loop"]["total_s"], rel=0.01)
         assert run["samples"], "sampler produced no series"
+        profile = json.loads((out / "profile.json").read_text())
+        assert [r["layers"] for r in profile["runs"]] == [
+            r["profile"]["layers"] for r in document["runs"]
+        ]
 
-        lines = trace_path.read_text().splitlines()
+        files = sorted((out / "trace").iterdir())
+        assert len(files) == len(document["runs"])
+        lines = files[0].read_text().splitlines()
         assert lines
         events = set()
         for line in lines:
             record = json.loads(line)
-            assert "run" in record and "time" in record
+            assert "time" in record
             events.add(record["event"])
         # The new substrate events and the span lifecycle all fired
         # (aggregation-dependent events like pit.aggregate are too rare
         # at this tiny scale to assert on).
         assert {"node.tx.interest", "node.tx.data", "node.rx.interest",
                 "span.start", "span.link", "span.end"} <= events
+        chrome = json.loads((out / "trace.json").read_text())
+        assert chrome["traceEvents"]
 
-        # The default config was cleared again on the way out.
-        assert current_telemetry() is None
-
-    def test_flags_off_means_no_telemetry(self, capsys):
+    def test_flags_off_means_no_telemetry(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(OBS_ENV, raising=False)
         code = main(["fig7", "--duration", "1", "--scale", "0.1"])
         assert code == 0
-        assert current_telemetry() is None
+        assert capsys.readouterr().err == ""
+        assert list(tmp_path.iterdir()) == []
+        for flag in REMOVED_FLAGS:
+            with pytest.raises(SystemExit):
+                main(["fig7", "--duration", "1", "--scale", "0.1", *flag])
+        for name in ("telemetry", "trace", "samples", "profile", "flame", "heartbeat"):
+            assert name in INSTRUMENTS
 
 
 class TestBridgedCounters:
-    def test_router_ops_match_figure_counters(self, tmp_path):
-        config = TelemetryConfig(metrics_path=str(tmp_path / "m.json"))
-        session = TelemetrySession(config)
+    def test_router_ops_match_figure_counters(self):
+        session = TelemetrySession()
         result = run_scenario(_tiny_scenario(), instruments=[session])
         snapshot = session.registry.snapshot()
         samples = snapshot["tactic_router_ops_total"]["samples"]
@@ -101,9 +126,8 @@ class TestBridgedCounters:
             for op in ROUTER_OPS:
                 assert totals[op] == getattr(merged, op), (role, op)
 
-    def test_user_outcomes_match_collector(self, tmp_path):
-        config = TelemetryConfig(metrics_path=str(tmp_path / "m.json"))
-        session = TelemetrySession(config)
+    def test_user_outcomes_match_collector(self):
+        session = TelemetrySession()
         result = run_scenario(_tiny_scenario(), instruments=[session])
         snapshot = session.registry.snapshot()
         values = {
@@ -130,18 +154,13 @@ class TestBridgedCounters:
 class TestZeroBehaviourChange:
     def test_published_values_identical_with_telemetry_on(self, tmp_path):
         plain = run_scenario(_tiny_scenario())
-        config = TelemetryConfig(
-            metrics_path=str(tmp_path / "m.json"),
-            trace_path=str(tmp_path / "t.jsonl"),
-            sample_interval=0.25,
-            profile=True,
-            stream=open(tmp_path / "prof.txt", "w"),
-        )
+        obs = resolve(("telemetry", "trace", "samples", "profile"), str(tmp_path))
         telemetered = run_scenario(
-            _tiny_scenario(), instruments=[TelemetrySession(config)]
+            _tiny_scenario(),
+            instruments=[INSTRUMENTS[name].make(obs) for name in obs.names],
         )
-        config.stream.close()
 
+        assert set(telemetered.instruments) == set(obs.names)
         assert plain.delivery_table_row() == telemetered.delivery_table_row()
         assert plain.mean_latency() == telemetered.mean_latency()
         assert plain.latency_series() == telemetered.latency_series()
@@ -151,16 +170,20 @@ class TestZeroBehaviourChange:
             assert a == b
 
     def test_multi_run_artifacts_accumulate(self, tmp_path):
-        config = TelemetryConfig(
-            metrics_path=str(tmp_path / "m.json"),
-            trace_path=str(tmp_path / "t.jsonl"),
+        specs = [
+            ScenarioSpec.make(topology=1, duration=2.0, seed=seed, scale=0.1)
+            for seed in (3, 4)
+        ]
+        engine = ExperimentEngine(
+            jobs=1, use_cache=False, registry=MetricsRegistry(),
+            obs=("telemetry", "trace"), obs_out=str(tmp_path),
         )
-        run_scenario(_tiny_scenario(seed=3), instruments=[TelemetrySession(config)])
-        run_scenario(_tiny_scenario(seed=4), instruments=[TelemetrySession(config)])
-        document = json.loads((tmp_path / "m.json").read_text())
+        engine.run_specs(specs)
+        document = json.loads((tmp_path / "telemetry.json").read_text())
         assert len(document["runs"]) == 2
-        runs = {
-            json.loads(line)["run"]
-            for line in (tmp_path / "t.jsonl").read_text().splitlines()
-        }
-        assert runs == {"topo1@0.1"}
+        # Same label, different scenarios: one trace file each.
+        files = sorted(path.name for path in (tmp_path / "trace").iterdir())
+        assert len(files) == 2
+        assert all(name.startswith("topo1@0.1-") for name in files)
+        chrome = json.loads((tmp_path / "trace.json").read_text())
+        assert {e["pid"] for e in chrome["traceEvents"]} == {1, 2}

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import pickle
 
 import pytest
@@ -224,30 +225,59 @@ class TestRunCache:
 # ---------------------------------------------------------------------------
 def _stable(name, merged):
     """The part of a fleet view that must not depend on execution mode:
-    fleetperf measures wall time, so only its shape is stable, and the
-    telemetry view's exec counters are labelled by mode."""
+    fleetperf measures wall time, so only its shape is stable; the
+    telemetry view's exec counters are labelled by mode; profile and
+    flame views are wall-clock measurements."""
     if name == "fleetperf":
         return merged["runs"], sorted(merged["phases"])
     if name == "telemetry":
         return merged["registry"].to_json()
+    if name == "profile":
+        return [(run["label"], run["events"]) for run in merged["runs"]]
+    if name == "flame":
+        return sorted(merged)
     return json.dumps(merged, sort_keys=True)
 
 
 def _per_run(name, record):
     """The part of one run's record that must not depend on execution
-    mode (the telemetry envelope carries the run's wall time)."""
+    mode (wall times, stack samples, and the trace file's directory)."""
     if name == "telemetry":
         return {key: value for key, value in record.items() if key != "wall_seconds"}
+    if name == "profile":
+        return record["label"], record["events"], sorted(record["layers"])
+    if name == "flame":
+        return record["label"]
+    if name == "trace":
+        return {**record, "path": os.path.basename(record["path"])}
     return record
 
 
 def _exec_runs(merged):
-    snapshot = telemetry_report(merged)
+    snapshot = telemetry_report(merged)["metrics"]
     return sum(sample["value"] for sample in snapshot["exec_runs_total"]["samples"])
 
 
 def _bundles_on_disk(out):
     return sorted(path.name for path in (out / "flightrec").iterdir())
+
+
+def _traces_on_disk(out):
+    return {path.name: path.read_text() for path in (out / "trace").iterdir()}
+
+
+def _trace_check(merged, out):
+    """One JSONL file per spec, each named in the fleet view and each
+    rendered as its own Chrome process in ``trace.json``."""
+    files = _traces_on_disk(out)
+    chrome = json.loads((out / "trace.json").read_text())
+    return (
+        merged["runs"] == 2
+        and sorted(files) == sorted(merged["files"])
+        and len(files) == 2
+        and all(files.values())
+        and {event["pid"] for event in chrome["traceEvents"]} == {1, 2}
+    )
 
 
 #: Instrument-specific checks on a two-run fleet view and the engine's
@@ -259,12 +289,23 @@ _FLEET_CHECKS = {
     "flightrec": lambda m, out: m["runs"] == 2
     and len(set(m["bundles"])) == 2
     and _bundles_on_disk(out) == sorted(m["bundles"]),
-    # The fleet view counts every execution, serial or parallel.
+    # The fleet view counts every execution, serial or parallel, and
+    # the report carries every run's record.
     "telemetry": lambda m, out: "tactic_router_ops_total" in m["registry"].snapshot()
-    and _exec_runs(m) == 2,
+    and _exec_runs(m) == 2
+    and len(json.loads((out / "telemetry.json").read_text())["runs"]) == 2,
+    "trace": _trace_check,
+    "samples": lambda m, out: len(m["runs"]) == 2
+    and all(run["series"] for run in m["runs"])
+    and json.loads((out / "samples.json").read_text()) == {"runs": m["runs"]},
     "statescope": lambda m, out: m["runs"] == 2
     and m["conformance"]["pass"] is True
     and m["series"]["state.total.bytes"]["peak"] > 0,
+    "profile": lambda m, out: len(m["runs"]) == 2
+    and all("sim.loop" in run["layers"] for run in m["runs"])
+    and len(json.loads((out / "profile.json").read_text())["runs"]) == 2,
+    "flame": lambda m, out: (out / "flame.txt").read_text().strip() != "",
+    "heartbeat": lambda m, out: m["runs"] == 2,
     "fleetperf": lambda m, out: m["runs"] == 2,
 }
 
@@ -292,6 +333,9 @@ def _serial_and_parallel_merges_bit_for_bit(name, tmp_path):
     assert _stable(name, serial.fleet[name]) == _stable(name, parallel.fleet[name])
     assert _FLEET_CHECKS[name](serial.fleet[name], tmp_path / "serial" / "obs")
     assert _FLEET_CHECKS[name](parallel.fleet[name], tmp_path / "parallel" / "obs")
+    if name == "trace":  # the same records, file by file
+        assert _traces_on_disk(tmp_path / "serial" / "obs") == \
+            _traces_on_disk(tmp_path / "parallel" / "obs")
 
 
 def _cache_hit_replays_record_without_executing(name, tmp_path, monkeypatch):
@@ -319,9 +363,20 @@ def _off_ships_nothing(name, tmp_path):
     assert name not in engine.fleet
 
 
+#: What a non-replayable row leaves in ``--obs-out`` during a run.
+_RUN_OUTPUT = {
+    "flightrec": lambda out, record: _bundles_on_disk(out) == record["bundles"],
+    "trace": lambda out, record: list(_traces_on_disk(out))
+    == [os.path.basename(record["path"])],
+    "profile": lambda out, record: record["events"] > 0
+    and len(json.loads((out / "profile.json").read_text())["runs"]) == 1,
+    "flame": lambda out, record: (out / "flame.txt").exists(),
+}
+
+
 def _cache_re_executes(name, tmp_path):
-    """A row whose output is written during the run is never replayed:
-    a warm run re-executes and writes its own output."""
+    """A row whose output comes from executing the run is never
+    replayed: a warm run re-executes and writes its own output."""
     spec = fast_spec()
     cached = dict(use_cache=True, cache_dir=tmp_path / "cache")
     _engine(name, tmp_path, obs_out=str(tmp_path / "cold"), **cached).run_specs([spec])
@@ -329,7 +384,7 @@ def _cache_re_executes(name, tmp_path):
     (summary,) = warm.run_specs([spec])
     assert not summary.cached
     assert warm.stats.cache_misses == 1
-    assert _bundles_on_disk(tmp_path / "warm") == summary.instruments[name]["bundles"]
+    assert _RUN_OUTPUT[name](tmp_path / "warm", summary.instruments[name])
 
 
 def _record_excluded_from_equality_and_round_trips(name, tmp_path):
@@ -337,7 +392,7 @@ def _record_excluded_from_equality_and_round_trips(name, tmp_path):
     plain = _execute_spec(fast_spec())
     assert plain.instruments == {}
     assert dataclasses.replace(observed, instruments={}) == observed
-    if name != "statescope":  # its sampling ticks are events of their own
+    if name not in ("statescope", "samples"):  # ticks are events of their own
         assert observed == plain
     assert name not in observed.metrics_dict()
     assert name not in plain.metrics_dict()
@@ -388,25 +443,41 @@ class TestFleetTelemetry:
         assert envelope["events_executed"] == summary.events_executed
 
     def test_metrics_out_gets_each_run_once_in_every_mode(self, tmp_path):
-        # In-process runs persist themselves; worker and cached records
-        # are forwarded, so every mode writes each run exactly once.
-        from repro.obs.session import TelemetryConfig, set_default_telemetry
-
+        # telemetry.json's runs are written by the engine's fold alone,
+        # so serial, parallel and cached runs each land there once.
         specs = [fast_spec(seed=seed) for seed in (1, 2)]
         cached = dict(use_cache=True, cache_dir=tmp_path / "cache")
         labels = {}
         for mode, jobs in (("serial", 1), ("parallel", 4), ("cached", 1)):
-            path = tmp_path / f"{mode}.json"
-            set_default_telemetry(TelemetryConfig(metrics_path=str(path)))
-            try:
-                _engine("telemetry", tmp_path, jobs=jobs,
-                        **(cached if mode != "parallel" else {})).run_specs(specs)
-            finally:
-                set_default_telemetry(None)
-            runs = json.loads(path.read_text())["runs"]
+            out = tmp_path / mode
+            engine = _engine("telemetry", tmp_path, jobs=jobs, obs_out=str(out),
+                             **(cached if mode != "parallel" else {}))
+            engine.run_specs(specs)
+            runs = json.loads((out / "telemetry.json").read_text())["runs"]
             labels[mode] = [run["events_executed"] for run in runs]
+        assert engine.stats.cache_hits == len(specs)
         assert labels["serial"] == labels["parallel"] == labels["cached"]
         assert len(labels["serial"]) == len(specs)
+
+    def test_reports_hold_every_finished_run_when_a_later_run_fails(
+        self, tmp_path, monkeypatch
+    ):
+        # Each fold rewrites the reports, so an invocation that dies
+        # mid-fleet still leaves a parseable file of the runs before.
+        specs = [fast_spec(seed=seed) for seed in (1, 2)]
+        real = _execute_spec
+
+        def second_fails(spec, obs=None):
+            if spec.seed == 2:
+                raise KeyboardInterrupt
+            return real(spec, obs)
+
+        monkeypatch.setattr("repro.exec.engine._execute_spec", second_fails)
+        engine = _engine("telemetry", tmp_path, jobs=1, obs_out=str(tmp_path))
+        with pytest.raises(KeyboardInterrupt):
+            engine.run_specs(specs)
+        runs = json.loads((tmp_path / "telemetry.json").read_text())["runs"]
+        assert [run["label"] for run in runs] == [specs[0].build().label]
 
     def test_cache_counter_parity_across_modes(self, tmp_path):
         specs = [fast_spec(seed=seed) for seed in (1, 2)]
@@ -418,7 +489,7 @@ class TestFleetTelemetry:
         parallel.run_specs(specs)
 
         def cache_events(engine):
-            snap = telemetry_report(engine.fleet["telemetry"])
+            snap = telemetry_report(engine.fleet["telemetry"])["metrics"]
             return {
                 tuple(sorted(s["labels"].items())): s["value"]
                 for s in snap["exec_cache_events_total"]["samples"]
@@ -483,10 +554,14 @@ class TestFleetStateScope:
 
 
 #: The rows without a class of their own above.
-@pytest.mark.parametrize("name", ["flightrec", "fleetperf"])
+@pytest.mark.parametrize(
+    "name", ["flightrec", "fleetperf", "trace", "profile", "flame", "samples", "heartbeat"]
+)
 class TestInstrumentRoundTrip:
-    def test_serial_and_parallel_merges_bit_for_bit(self, name, tmp_path):
+    def test_serial_and_parallel_merges_bit_for_bit(self, name, tmp_path, capsys):
         _serial_and_parallel_merges_bit_for_bit(name, tmp_path)
+        if name == "profile":  # one layer table per executed spec
+            assert capsys.readouterr().err.count("── profile: topo1@0.1 ──") == 4
 
     def test_cache_round_trip(self, name, tmp_path, monkeypatch):
         if INSTRUMENTS[name].replayable:

@@ -4,7 +4,8 @@ A single run imports ``repro.exec.spec`` and ``repro.experiments.runner``.
 Neither may pull in the routing library the topology code once used,
 the experiment engine, the sweep driver or the observability stack;
 the packages' re-exports resolve lazily instead.  Executing a plain run
-(no instruments, no sanitizer) loads no observability or QA module.
+(no instruments, no sanitizer) loads no observability or QA module,
+and an engine with no instrument selected loads no telemetry module.
 """
 
 import importlib
@@ -57,6 +58,16 @@ def test_plain_run_loads_no_obs_or_qa_module():
     )
     assert "repro.sim.engine" in loaded
     assert [m for m in loaded if m.startswith(("repro.obs.", "repro.qa."))] == []
+
+
+def test_plain_engine_loads_no_telemetry_module():
+    loaded = _loaded_after(
+        "from repro.exec.engine import ExperimentEngine\n"
+        "ExperimentEngine(obs=())"
+    )
+    assert "repro.exec.engine" in loaded
+    telemetry = ("repro.obs.session", "repro.obs.samplers", "repro.obs.spans")
+    assert [m for m in telemetry if m in loaded] == []
 
 
 def test_engine_import_still_loads_engine():

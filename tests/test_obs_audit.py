@@ -367,12 +367,11 @@ class TestZeroCostOff:
 # Telemetry bridge
 # ---------------------------------------------------------------------------
 class TestTelemetryBridge:
-    def test_audit_tallies_become_labeled_metrics(self, tmp_path):
-        from repro.obs.session import TelemetryConfig, TelemetrySession
+    def test_audit_tallies_become_labeled_metrics(self):
+        from repro.obs.session import TelemetrySession
 
         scenario = Scenario.paper_topology(1, duration=2.0, seed=5, scale=0.1)
-        config = TelemetryConfig(metrics_path=str(tmp_path / "m.json"))
-        session = TelemetrySession(config)
+        session = TelemetrySession()
         result = run_scenario(scenario, instruments=[session, DecisionAudit()])
         snapshot = session.registry.snapshot()
         decisions = snapshot["audit_decisions_total"]["samples"]

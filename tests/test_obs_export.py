@@ -6,20 +6,29 @@ import json
 
 import pytest
 
+from repro.exec import ExperimentEngine
 from repro.experiments.fig5_latency import enumerate_fig5
-from repro.experiments.runner import run_scenario
-from repro.obs.export import TRACE_FORMATS, chrome_trace_events, write_chrome_trace
-from repro.obs.session import TelemetryConfig, TelemetrySession
+from repro.experiments.tracelog import read_jsonl
+from repro.obs.export import chrome_trace_events, write_chrome_trace
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.tracing import TraceRecord
 
 
-def _fig5_chrome_doc(tmp_path):
-    """Run a tiny Fig. 5 scenario with --trace-format=chrome semantics."""
-    path = tmp_path / "trace.json"
+def _traced_fig5(tmp_path):
+    """Run a tiny Fig. 5 scenario under the ``trace`` row; return the
+    engine's Chrome report and the run's JSONL file."""
     spec = enumerate_fig5(duration=2.0, scale=0.1)[0]
-    config = TelemetryConfig(trace_path=str(path), trace_format="chrome")
-    run_scenario(spec.build(), instruments=[TelemetrySession(config)])
-    return json.loads(path.read_text())
+    engine = ExperimentEngine(
+        jobs=1, use_cache=False, registry=MetricsRegistry(),
+        obs=("trace",), obs_out=str(tmp_path),
+    )
+    engine.run_specs([spec])
+    (path,) = (tmp_path / "trace").iterdir()
+    return json.loads((tmp_path / "trace.json").read_text()), path
+
+
+def _fig5_chrome_doc(tmp_path):
+    return _traced_fig5(tmp_path)[0]
 
 
 class TestChromeTraceStructure:
@@ -159,16 +168,21 @@ class TestChromeTraceUnits:
         assert len(document["traceEvents"]) == count
         assert {e["pid"] for e in document["traceEvents"]} == {1, 2}
 
-    def test_known_formats(self):
-        assert TRACE_FORMATS == ("jsonl", "chrome")
+    def test_known_formats(self, tmp_path):
+        # The trace row writes both forms: the archival JSONL file and
+        # the Chrome document rendered from exactly its records.
+        document, path = _traced_fig5(tmp_path)
+        records = read_jsonl(str(path))
+        assert records
+        assert document["traceEvents"] == json.loads(
+            json.dumps(chrome_trace_events(records, pid=1, run=path.stem.rsplit("-", 1)[0]))
+        )
 
 
 class TestWriterIntegration:
     def test_jsonl_format_unchanged(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        spec = enumerate_fig5(duration=2.0, scale=0.1)[0]
-        config = TelemetryConfig(trace_path=str(path), trace_format="jsonl")
-        run_scenario(spec.build(), instruments=[TelemetrySession(config)])
+        _, path = _traced_fig5(tmp_path)
+        assert path.suffix == ".jsonl"
         lines = path.read_text().splitlines()
         assert lines
         first = json.loads(lines[0])

@@ -1,7 +1,7 @@
-"""The per-layer tracer behind ``--profile`` (``repro.obs.layers``):
+"""The per-layer tracer behind ``--obs profile`` (``repro.obs.layers``):
 exact self-time arithmetic, traced runs that compute what untraced runs
 compute, shim install and restore, flamegraph sampling, and the
-telemetry envelope."""
+telemetry record that gathers both."""
 
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
 from repro.filters.bloom import BloomFilter
 from repro.obs.layers import ENTRY_POINTS, LayerTracer, resolve
-from repro.obs.profiler import StackSampler, merge_collapsed, write_collapsed
-from repro.obs.session import TelemetryConfig, TelemetrySession
+from repro.obs.profiler import Heartbeat, StackSampler, collapsed_text, merge_collapsed
+from repro.obs.session import TelemetrySession
 from repro.qa.simsan import SimSan
 from repro.sim.engine import Simulator
 
@@ -268,15 +268,12 @@ class TestInstallation:
             with LayerTracer():
                 run_scenario(_tiny_scenario(), sanitizer=_Boom())
         assert _current() == originals
-        # The --profile session restores them too when the run raises,
-        # and stops its heartbeat thread.
-        config = TelemetryConfig(
-            collect=True, profile=True, heartbeat=0.001, stream=io.StringIO()
-        )
+        # The profile row restores them too when the run raises, and
+        # the heartbeat row's thread stops.
         with pytest.raises(RuntimeError):
             run_scenario(
                 _tiny_scenario(),
-                instruments=[TelemetrySession(config)],
+                instruments=[LayerTracer(), Heartbeat(0.001, io.StringIO())],
                 sanitizer=_Boom(),
             )
         assert _current() == originals
@@ -314,7 +311,7 @@ class TestZeroBehaviourChange:
 # Stack sampling / flamegraphs
 # ---------------------------------------------------------------------------
 class TestStackSampler:
-    def test_samples_own_thread_and_writes_collapsed(self, tmp_path):
+    def test_samples_own_thread_and_writes_collapsed(self):
         sampler = StackSampler(interval=0.001)
         sampler.start()
         deadline = 200_000
@@ -329,9 +326,7 @@ class TestStackSampler:
         for stack, count in sampler.collapsed.items():
             assert ";" in stack or "." in stack
             assert count >= 1
-        out = tmp_path / "flame.txt"
-        sampler.write_collapsed(str(out))
-        lines = out.read_text().strip().splitlines()
+        lines = collapsed_text(sampler.collapsed).strip().splitlines()
         assert lines
         for line in lines:
             stack, _, count = line.rpartition(" ")
@@ -346,28 +341,31 @@ class TestStackSampler:
         merge_collapsed(into, {"a;b": 3, "c": 1})
         assert into == {"a;b": 5, "c": 1}
 
-    def test_write_collapsed_module_fn_sorted(self, tmp_path):
-        out = tmp_path / "flame.txt"
-        write_collapsed(str(out), {"b;c": 1, "a;b": 2})
-        assert out.read_text() == "a;b 2\nb;c 1\n"
+    def test_write_collapsed_module_fn_sorted(self):
+        assert collapsed_text({"b;c": 1, "a;b": 2}) == "a;b 2\nb;c 1\n"
 
 
 # ---------------------------------------------------------------------------
-# Telemetry envelope
+# Telemetry record
 # ---------------------------------------------------------------------------
 class TestTelemetryEnvelope:
     def test_collect_mode_run_carries_perf_report(self):
-        config = TelemetryConfig(collect=True, profile=True)
-        result = run_scenario(_tiny_scenario(), instruments=[TelemetrySession(config)])
+        result = run_scenario(
+            _tiny_scenario(), instruments=[TelemetrySession(), LayerTracer()]
+        )
         profile = result.instruments["telemetry"]["profile"]
         assert profile is not None
         assert profile["events"] == result.sim.events_executed
         assert profile["layers"]["sim.loop"]["calls"] == 1
+        assert result.instruments["profile"]["layers"] == profile["layers"]
 
     def test_collect_mode_flame_rides_envelope(self):
-        config = TelemetryConfig(collect=True, flame=True, flame_interval=0.001)
-        result = run_scenario(_tiny_scenario(), instruments=[TelemetrySession(config)])
+        result = run_scenario(
+            _tiny_scenario(),
+            instruments=[TelemetrySession(), StackSampler(interval=0.001)],
+        )
         flame = result.instruments["telemetry"]["flame"]
         assert flame is not None
         assert flame["samples"] >= 0
         assert isinstance(flame["stacks"], dict)
+        assert result.instruments["flame"]["stacks"] == flame["stacks"]

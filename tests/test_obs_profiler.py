@@ -9,22 +9,25 @@ import time
 import pytest
 
 from repro.filters.bloom import BloomFilter
+from repro.experiments.runner import run_scenario
+from repro.experiments.scenario import Scenario
+from repro.obs.instruments import SAMPLE_INTERVAL
 from repro.obs.layers import LayerTracer
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profiler import Heartbeat
 from repro.obs.samplers import PeriodicSampler
-from repro.obs.session import TelemetryConfig, TelemetrySession
+from repro.obs.session import TelemetrySession
 from repro.sim.engine import Simulator
 from tests.conftest import attach_client, bare_run, build_mini_net
 
 
-def _profiled_session(sim, **options):
-    return TelemetrySession(
-        TelemetryConfig(collect=True, profile=True, **options)
-    ).install(bare_run(sim))
+def _profiled_session(sim):
+    return LayerTracer().install(bare_run(sim))
 
 
 class TestSimProfiler:
-    """``--profile``: the run under the layer tracer, and ``--heartbeat``."""
+    """The ``profile`` row (the run under the layer tracer) and the
+    ``heartbeat`` row."""
 
     def test_categories_and_rates(self):
         sim = Simulator(seed=1)
@@ -38,7 +41,7 @@ class TestSimProfiler:
             sim.schedule(0.1 * i + 0.05, lambda: None)
         session = _profiled_session(sim)
         sim.run()
-        report = session.finalize()["profile"]
+        report = session.finalize()
 
         assert report["events"] == 20
         assert report["events_per_second"] > 0
@@ -83,28 +86,31 @@ class TestSimProfiler:
         sim = Simulator(seed=1)
         for i in range(5):
             sim.schedule(float(i), time.sleep, 0.02)
-        session = TelemetrySession(
-            TelemetryConfig(collect=True, heartbeat=0.005, stream=stream)
-        ).install(bare_run(sim))
+        heartbeat = Heartbeat(period=0.005, stream=stream).install(bare_run(sim))
         sim.run()
-        session.finalize()
+        assert heartbeat.finalize() == {"runs": 1}
         pulses = stream.getvalue().strip().splitlines()
         assert len(pulses) >= 2
         assert "sim.now=" in pulses[-1] and "events" in pulses[-1]
         assert not any(t.name == "repro-heartbeat" for t in threading.enumerate())
 
-    def test_heartbeat_stops_when_finalize_fails(self, tmp_path):
-        sim = Simulator(seed=1)
-        sim.schedule(1.0, lambda: None)
-        config = TelemetryConfig(
-            metrics_path=str(tmp_path / "missing" / "m.json"),
-            heartbeat=0.001,
-            stream=io.StringIO(),
-        )
-        session = TelemetrySession(config).install(bare_run(sim))
-        sim.run()
+    def test_heartbeat_stops_when_finalize_fails(self):
+        class Failing:
+            """A peer that finalizes before the heartbeat and raises."""
+
+            name = "fleetperf"  # the last row: finalized first
+
+            def install(self, run):
+                return self
+
+            def finalize(self):
+                raise OSError("disk full")
+
+        scenario = Scenario.paper_topology(1, duration=1.0, seed=1, scale=0.1)
         with pytest.raises(OSError):
-            session.finalize()
+            run_scenario(
+                scenario, instruments=[Heartbeat(0.001, io.StringIO()), Failing()]
+            )
         assert not any(t.name == "repro-heartbeat" for t in threading.enumerate())
 
 
@@ -234,6 +240,18 @@ class TestPeriodicSampler:
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             PeriodicSampler(Simulator(), interval=0.0)
+
+    def test_samples_row_backs_telemetry_gauges(self):
+        scenario = Scenario.paper_topology(1, duration=2.0, seed=3, scale=0.1)
+        telemetry, sampler = TelemetrySession(), PeriodicSampler()
+        result = run_scenario(scenario, instruments=[sampler, telemetry])
+        assert sampler.interval == SAMPLE_INTERVAL
+        record = result.instruments["samples"]
+        pending = [s for s in record["series"] if s["name"] == "sim_pending_events"]
+        times = [t for t, _ in pending[0]["samples"]]
+        assert times[:2] == [SAMPLE_INTERVAL, 2 * SAMPLE_INTERVAL]
+        assert result.instruments["telemetry"]["samples"] == record["series"]
+        assert "pit_entries" in telemetry.registry.snapshot()
 
 
 class TestSchedulerObservability:

@@ -18,11 +18,10 @@ from repro.ndn.name import Name
 from repro.ndn.packets import Data
 from repro.ndn.pit import Pit, PitRecord
 from repro.obs.audit import DecisionAudit
-from repro.obs.instruments import INSTRUMENTS, OBS_ENV, resolve
+from repro.obs.instruments import INSTRUMENTS, OBS_ENV, SAMPLE_INTERVAL, resolve
 from repro.obs.spans import SpanRecorder
 from repro.obs.statescope import (
     GROWTH_SERIES,
-    STATESCOPE_INTERVAL_ENV,
     STATESCOPE_SERIES,
     StateScope,
     deep_sizeof,
@@ -223,10 +222,10 @@ def leaky_pit_scope(horizon=20.0, interval=1.0):
 
 class TestStateScope:
     def test_interval_env_and_validation(self, monkeypatch):
-        monkeypatch.setenv(STATESCOPE_INTERVAL_ENV, "0.25")
-        assert StateScope().interval == 0.25
-        monkeypatch.delenv(STATESCOPE_INTERVAL_ENV)
-        assert StateScope().interval == 1.0
+        # One sampling period, shared with the samples row; no env knob.
+        monkeypatch.setenv("REPRO_STATESCOPE_INTERVAL", "0.25")
+        assert StateScope().interval == SAMPLE_INTERVAL == 1.0
+        assert StateScope(interval=0.25).interval == 0.25
         with pytest.raises(ValueError):
             StateScope(interval=0.0)
 
@@ -240,7 +239,10 @@ class TestStateScope:
         monkeypatch.setenv(OBS_ENV, "statescope")
         obs = resolve()
         assert obs.names == ("statescope",)
-        assert isinstance(INSTRUMENTS["statescope"].make(obs), StateScope)
+        scope = INSTRUMENTS["statescope"].make(obs)
+        assert isinstance(scope, StateScope)
+        assert scope.interval == SAMPLE_INTERVAL
+        assert INSTRUMENTS["samples"].make(obs).interval == SAMPLE_INTERVAL
 
     def test_scoped_run_produces_clean_record(self):
         scope = StateScope()

@@ -219,7 +219,7 @@ def test_step_feeds_profiler_like_run():
 
 
 def test_step_sanitizer_takes_precedence_over_profiler():
-    from repro.obs.session import TelemetryConfig, TelemetrySession
+    from repro.obs.layers import LayerTracer
     from repro.qa.simsan import SimSan
 
     sim = Simulator(seed=7)
@@ -227,11 +227,9 @@ def test_step_sanitizer_takes_precedence_over_profiler():
     sim.sanitizer = san
     for i in range(3):
         sim.schedule(float(i + 1), lambda: None)
-    session = TelemetrySession(
-        TelemetryConfig(collect=True, profile=True)
-    ).install(bare_run(sim))
+    tracer = LayerTracer().install(bare_run(sim))
     _drain_by_stepping(sim)
-    profile = session.finalize()["profile"]
+    profile = tracer.finalize()
     # Stepping feeds the sanitizer every event; it never enters the
     # loop entry point, so the profile charges no loop events.
     assert san.events_seen == 3
@@ -241,7 +239,7 @@ def test_step_sanitizer_takes_precedence_over_profiler():
 
 def test_step_feeds_perf_like_run():
     from repro.filters.bloom import BloomFilter
-    from repro.obs.session import TelemetryConfig, TelemetrySession
+    from repro.obs.layers import LayerTracer
 
     def profiled(step):
         sim = Simulator(seed=7)
@@ -251,14 +249,12 @@ def test_step_feeds_perf_like_run():
             sim.schedule(rng.random() * 5.0, lambda: bloom.insert("/x"))
         victim = sim.schedule(2.5, lambda: bloom.insert("/x"))
         sim.cancel(victim)
-        session = TelemetrySession(
-            TelemetryConfig(collect=True, profile=True)
-        ).install(bare_run(sim))
+        tracer = LayerTracer().install(bare_run(sim))
         if step:
             _drain_by_stepping(sim)
         else:
             sim.run()
-        return sim, session.finalize()["profile"]["layers"]
+        return sim, tracer.finalize()["layers"]
 
     ran_sim, ran = profiled(step=False)
     stepped_sim, stepped = profiled(step=True)
