@@ -40,9 +40,14 @@ class ContentRouterMixin:
     """
 
     def serve_content(self, interest: Interest, data: Data, in_face: Face) -> None:
-        """Answer ``interest`` with cached/origin ``data`` per Protocol 3."""
+        """Answer ``interest`` with cached/origin ``data`` per Protocol 3.
+
+        Takes ownership of ``data``: it is stamped with the request's
+        tag, span and flag and sent on, so callers pass a fresh object
+        (``ContentStore.lookup`` returns a copy; the provider builds
+        one per request).
+        """
         tag = interest.tag
-        data = data.copy()
         data.tag = tag
         data.span_id = interest.nonce
         self.trace_span_serve(interest)

@@ -25,9 +25,9 @@ class NextHop:
 class Fib:
     """Maps name prefixes to ranked nexthop sets.
 
-    Lookup walks from the full name down to the root, returning the
-    entry with the longest matching prefix — the standard NDN
-    forwarding rule.
+    Lookup walks from the longest installed prefix length (or the full
+    name, if shorter) down to the root, returning the entry with the
+    longest matching prefix — the standard NDN forwarding rule.
 
     >>> fib = Fib()
     >>> fib.add('/prov-0', face='f1', cost=2)
@@ -40,16 +40,14 @@ class Fib:
     True
     """
 
-    __slots__ = ("_entries", "_memo")
+    __slots__ = ("_entries", "_max_len")
 
     def __init__(self) -> None:
         self._entries: Dict[Tuple[str, ...], List[NextHop]] = {}
-        # Longest-prefix-match results keyed by the *full* looked-up
-        # component tuple.  Routers look up a small set of content names
-        # over and over, so after the first walk every further lookup is
-        # one dict probe — the exact-match fast path.  Any mutation
-        # invalidates the whole memo (routing changes are rare).
-        self._memo: Dict[Tuple[str, ...], List[NextHop]] = {}
+        # Component count of the longest prefix ever added: no lookup
+        # can match deeper, so the walk starts here instead of at the
+        # full name.  Removals leave it as an upper bound.
+        self._max_len = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -65,7 +63,8 @@ class Fib:
         hops.append(NextHop(face=face, cost=cost))
         hops.sort(key=lambda h: h.cost)
         self._entries[key] = hops
-        self._memo.clear()
+        if len(key) > self._max_len:
+            self._max_len = len(key)
 
     def add_if_cheaper(self, prefix: NameLike, face: object, cost: float) -> bool:
         """Add the hop unless an existing one is at least as cheap.
@@ -82,7 +81,6 @@ class Fib:
 
     def remove(self, prefix: NameLike) -> None:
         self._entries.pop(Name(prefix).components, None)
-        self._memo.clear()
 
     def remove_nexthop(self, prefix: NameLike, face: object) -> bool:
         """Drop one face from a prefix's hop set (link-failure repair)."""
@@ -97,7 +95,6 @@ class Fib:
             self._entries[key] = kept
         else:
             del self._entries[key]
-        self._memo.clear()
         return True
 
     def lookup(self, name: NameLike) -> Optional[object]:
@@ -118,19 +115,12 @@ class Fib:
             components = name.components
         else:
             components = Name(name).components
-        memo = self._memo
-        cached = memo.get(components)
-        if cached is not None:
-            return cached
         entries = self._entries
-        result: List[NextHop] = []
-        for length in range(len(components), -1, -1):
+        for length in range(min(len(components), self._max_len), -1, -1):
             hops = entries.get(components[:length])
             if hops is not None:
-                result = hops
-                break
-        memo[components] = result
-        return result
+                return hops
+        return []
 
     def purge_face(self, face: object) -> int:
         """Remove ``face`` from every entry (its link died); returns the
@@ -145,18 +135,13 @@ class Fib:
                     self._entries[key] = kept
                 else:
                     del self._entries[key]
-        if touched:
-            self._memo.clear()
         return touched
 
     def prefixes(self) -> list:
         return [Name(components) for components in self._entries]
 
     def state_cost(self) -> Dict[str, int]:
-        """Statescope accounting: routed prefixes + deep bytes (the
-        lookup memo is real resident state, so it is billed too)."""
+        """Statescope accounting: routed prefixes + deep bytes."""
         from repro.obs.statescope import deep_sizeof
 
-        seen: set = set()
-        size = deep_sizeof(self._entries, seen) + deep_sizeof(self._memo, seen)
-        return {"entries": len(self._entries), "bytes": size}
+        return {"entries": len(self._entries), "bytes": deep_sizeof(self._entries)}

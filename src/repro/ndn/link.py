@@ -24,12 +24,14 @@ class Face:
 
     A face is the NDN abstraction for "interface": nodes send packets
     out of faces, and receive packets along with the face they arrived
-    on.  ``face.peer`` is the node on the other side of the link.
+    on.  ``face.peer`` is the node on the other side of the link, and
+    ``face.busy_until`` the virtual time this direction of the link
+    finishes serializing its last queued packet.
     """
 
     _counter = 0
 
-    __slots__ = ("face_id", "node", "link", "peer", "remote_face")
+    __slots__ = ("face_id", "node", "link", "peer", "remote_face", "busy_until")
 
     @classmethod
     def reset_face_ids(cls) -> None:
@@ -46,6 +48,7 @@ class Face:
         #: below pays attribute reads, not descriptor calls.
         self.peer: "Node" = None  # type: ignore[assignment]
         self.remote_face: "Face" = None  # type: ignore[assignment]
+        self.busy_until = 0.0
 
     def send(self, packet: object) -> bool:
         """Transmit ``packet`` toward the peer; False if tail-dropped."""
@@ -57,7 +60,7 @@ class Face:
         # Allocation-free fast path for the headline configuration
         # (link up, lossless, no trace subscriber): the same
         # serialization arithmetic — identical expression forms, so
-        # float results are bit-identical — and the same ``schedule_at``
+        # float results are bit-identical — and the same ``post_at``
         # call as :meth:`Link.transmit`, minus the branches that
         # configuration can never take.  The drop-tail
         # case defers to the slow path, which recomputes the identical
@@ -66,15 +69,13 @@ class Face:
         now = sim._now
         size = packet.size_bytes()
         tx_time = size * 8.0 / link.bandwidth_bps
-        next_free = link._next_free
-        node_id = self.node.node_id
-        busy = next_free[node_id]
+        busy = self.busy_until
         start = now if now >= busy else busy
         if (start - now) * link.bandwidth_bps / 8.0 > link.queue_bytes:
             return link.transmit(packet, src=self.node)
-        next_free[node_id] = start + tx_time
-        sim.schedule_at(
-            start + tx_time + link.latency, self.peer.receive, packet, self.remote_face
+        self.busy_until = start + tx_time
+        sim.post_at(
+            start + tx_time + link.latency, self.peer.receive, (packet, self.remote_face)
         )
         link.packets_sent += 1
         link.bytes_sent += size
@@ -115,8 +116,6 @@ class Link:  # simlint: disable=SL014 (one per edge; observability hooks attach 
             node_a.node_id: Face(node_a, self),
             node_b.node_id: Face(node_b, self),
         }
-        # Per-direction state, keyed by source node id.
-        self._next_free: Dict[str, float] = {node_a.node_id: 0.0, node_b.node_id: 0.0}
         self.packets_sent = 0
         self.packets_dropped = 0
         self.bytes_sent = 0
@@ -150,25 +149,25 @@ class Link:  # simlint: disable=SL014 (one per edge; observability hooks attach 
             self.packets_dropped += 1
             self._trace_span_drop(packet, src, "loss")
             return False
+        face = self._faces[src.node_id]
         now = self.sim.now
         size = packet.size_bytes()
         tx_time = size * 8.0 / self.bandwidth_bps
-        start = max(now, self._next_free[src.node_id])
+        start = max(now, face.busy_until)
         backlog_bytes = (start - now) * self.bandwidth_bps / 8.0
         if backlog_bytes > self.queue_bytes:
             self.packets_dropped += 1
             if self.sim.trace.enabled:
                 self.sim.trace.emit(
                     "link.drop", now,
-                    src=src.node_id, dst=self.other_endpoint(src).node_id,
+                    src=src.node_id, dst=face.peer.node_id,
                     size=size,
                 )
             self._trace_span_drop(packet, src, "queue-overflow")
             return False
-        self._next_free[src.node_id] = start + tx_time
+        face.busy_until = start + tx_time
         arrival = start + tx_time + self.latency
-        dst = self.other_endpoint(src)
-        in_face = self._faces[dst.node_id]
+        dst = face.peer
         trace = self.sim.trace
         if trace.active and trace.wants("span.link"):
             span = packet_span_id(packet)
@@ -183,7 +182,7 @@ class Link:  # simlint: disable=SL014 (one per edge; observability hooks attach 
                     kind=type(packet).__name__.lower(),
                     queue=start - now, tx=tx_time, prop=self.latency,
                 )
-        self.sim.schedule_at(arrival, dst.receive, packet, in_face)
+        self.sim.post_at(arrival, dst.receive, (packet, face.remote_face))
         self.packets_sent += 1
         self.bytes_sent += size
         return True
@@ -203,4 +202,4 @@ class Link:  # simlint: disable=SL014 (one per edge; observability hooks attach 
     def utilization(self, direction_src: "Node", now: Optional[float] = None) -> float:
         """Seconds of queued transmission remaining in one direction."""
         now = self.sim.now if now is None else now
-        return max(0.0, self._next_free[direction_src.node_id] - now)
+        return max(0.0, self._faces[direction_src.node_id].busy_until - now)

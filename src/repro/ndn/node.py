@@ -143,7 +143,8 @@ class Node:  # simlint: disable=SL014 (SimSan patches send/on_interest per insta
         if trace._n_subs and trace.enabled:
             self._trace_tx(trace, packet, delay)
         if delay > 0.0:
-            self.sim.schedule(delay, face.send, packet)
+            sim = self.sim
+            sim.post_at(sim._now + delay, face.send, (packet,))
         else:
             face.send(packet)
 

@@ -433,7 +433,8 @@ class MutableDefaultRule(Rule):
 
 
 class ScheduleMisuseRule(Rule):
-    """SL005: no negative delays or invoked callbacks in ``schedule()``.
+    """SL005: no negative delays or invoked callbacks in ``schedule()``
+    (nor in ``schedule_at()``/``post_at()``, which share the layout).
 
     ``sim.schedule(-1.0, cb)`` raises at runtime — but only on the
     code path that reaches it.  ``sim.schedule(d, cb())`` is worse: the
@@ -450,7 +451,7 @@ class ScheduleMisuseRule(Rule):
     def check(self, module: Module, ctx: LintContext) -> Iterator[Finding]:
         for node in module.index.calls:
             func_name = _dotted_name(node.func).split(".")[-1]
-            if func_name not in ("schedule", "schedule_at"):
+            if func_name not in ("schedule", "schedule_at", "post_at"):
                 continue
             if node.args:
                 delay = node.args[0]

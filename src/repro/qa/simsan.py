@@ -156,7 +156,7 @@ class SimSan:
     def attach_engine(self, sim: Any) -> None:
         self._sim = sim
         sim.sanitizer = self
-        for name in ("schedule", "schedule_at"):
+        for name in ("schedule", "schedule_at", "post_at"):
             original = getattr(sim, name)
 
             def wrapper(*args: Any, _orig: Any = original, **kwargs: Any) -> Any:
@@ -223,21 +223,22 @@ class SimSan:
     # ------------------------------------------------------------------
     # Engine hooks
     # ------------------------------------------------------------------
-    def before_event(self, event: Any, now: float) -> None:
-        """Called by ``Simulator.step`` before each execution."""
+    def before_event(
+        self, time: float, priority: int, callback: Any, args: tuple, now: float
+    ) -> None:
+        """Called by ``Simulator.step`` before each execution, with the
+        popped entry's fields (the same for an :class:`Event` and a
+        posted entry)."""
         self.events_seen += 1
-        if event.time < now:
+        name = getattr(callback, "__qualname__", "?")
+        if time < now:
             self._violation(
                 "clock-regression",
-                f"event {event!r} fires at {event.time!r} but the clock "
+                f"event {name} fires at {time!r} but the clock "
                 f"is already at {now!r}",
             )
         if self.hash_events:
-            descriptor = (
-                f"{event.time!r}|{event.priority}|"
-                f"{getattr(event.callback, '__qualname__', '?')}|"
-                f"{len(event.args)}"
-            ).encode()
+            descriptor = f"{time!r}|{priority}|{name}|{len(args)}".encode()
             self._hasher.update(descriptor)
             self._block_hasher.update(descriptor)
             if self.events_seen % HASH_BLOCK_EVENTS == 0:

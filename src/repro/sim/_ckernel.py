@@ -3,8 +3,9 @@
 The Python dispatch loop (:meth:`~repro.sim.engine.Simulator._drain`)
 is already tight, but every iteration still pays interpreter overhead:
 bytecode dispatch, frame bookkeeping, and boxed attribute traffic.  This
-module compiles a C mirror of that exact loop on first use — same heap
-entry layout ``(time, priority, seq, event)``, same lazy-cancel skip,
+module compiles a C mirror of that exact loop on first use — the same
+two heap entry shapes (a cancellable ``(time, priority, seq, event)``
+and a posted ``(time, 0, seq, callback, args)``), same lazy-cancel skip,
 same ``_live`` / ``_now`` / ``events_executed`` bookkeeping per event —
 so the event stream it produces is digest-identical to the Python loop
 by construction (see ``tests/test_speed_equivalence.py``).
@@ -16,13 +17,15 @@ Design constraints:
   interpreter's headers; there is no setuptools build step.
 - **Silently optional.**  :func:`load_kernel` raises on any failure (no
   compiler, no headers, self-check mismatch) and the engine's guarded
-  import falls back to the Python loop.
+  import falls back to the Python loop.  A failed compile raises
+  :class:`KernelBuildError`; anything else is a kernel fault.
 - **Exact heap semantics.**  The C heap-pop yields the same pop *order*
   as :func:`heapq.heappop` for any valid heap: entry keys are unique
   (``seq`` is a global counter), so the sorted order — and therefore
   the dispatch order and the SimSan digest — is uniquely determined
   regardless of the internal sift variant.  Callbacks that
-  ``schedule_at`` push with Python's ``heappush`` into the same list;
+  ``schedule_at``/``post_at`` push with Python's ``heappush`` into the
+  same list;
   both sides maintain the same heap invariant, so they interleave
   freely.
 
@@ -161,8 +164,11 @@ fail:
  * loop statement for statement):
  *   pop -> _live -= 1 -> on_cancel = None -> _now = entry[0]
  *   -> events_executed += 1 -> callback(*args)
- * Cancelled entries are popped and skipped without touching counters
- * (Simulator._note_cancel already adjusted _live at cancel time).
+ * A posted 5-tuple (time, 0, seq, callback, args) has no event: no
+ * cancel check and no on_cancel reset; its callback and args are the
+ * entry's own fields.  Cancelled entries are popped and skipped
+ * without touching counters (Simulator._note_cancel already adjusted
+ * _live at cancel time).
  *
  * The simulator's mutable fields (_stopped, _live, _now,
  * events_executed) are plain instance attributes with no shadowing
@@ -170,8 +176,8 @@ fail:
  * instance __dict__ directly -- PyDict_GetItemWithError on an interned
  * key instead of the full attribute protocol.  _stopped and _live are
  * re-read every iteration because callbacks mutate them (stop(),
- * schedule_at, _note_cancel).  Event attributes live in __slots__ and
- * go through PyObject_GetAttr/SetAttr.
+ * schedule_at, post_at, _note_cancel).  Event attributes live in
+ * __slots__ and go through PyObject_GetAttr/SetAttr.
  */
 static PyObject *
 drain(PyObject *self, PyObject *args)
@@ -213,43 +219,50 @@ drain(PyObject *self, PyObject *args)
             break;
 
         PyObject *entry = PyList_GET_ITEM(heap, 0);  /* borrowed */
-        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 4) {
+        Py_ssize_t entry_size =
+            PyTuple_Check(entry) ? PyTuple_GET_SIZE(entry) : -1;
+        if (entry_size != 4 && entry_size != 5) {
             PyErr_SetString(PyExc_TypeError,
-                            "heap entries must be 4-tuples");
+                            "heap entries must be 4- or 5-tuples");
             goto fail;
         }
-        PyObject *event = PyTuple_GET_ITEM(entry, 3);  /* borrowed */
-        if (event_type == NULL && !resolve_event_type(event)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "event type lacks __slots__ members");
-            goto fail;
-        }
-        int fast = (Py_TYPE(event) == event_type);
-        int is_cancelled;
-        if (fast) {
-            PyObject *c = SLOT(event, off_cancelled);
-            if (c == Py_False)
-                is_cancelled = 0;
-            else if (c == Py_True)
-                is_cancelled = 1;
-            else
-                fast = 0;  /* unset or exotic value: generic path */
-        }
-        if (!fast) {
-            PyObject *cancelled = PyObject_GetAttr(event, s_cancelled);
-            if (cancelled == NULL)
+        int posted = (entry_size == 5);
+        PyObject *event = NULL;  /* borrowed; NULL for a posted entry */
+        int fast = 0;
+        if (!posted) {
+            event = PyTuple_GET_ITEM(entry, 3);
+            if (event_type == NULL && !resolve_event_type(event)) {
+                PyErr_SetString(PyExc_TypeError,
+                                "event type lacks __slots__ members");
                 goto fail;
-            is_cancelled = PyObject_IsTrue(cancelled);
-            Py_DECREF(cancelled);
-            if (is_cancelled < 0)
-                goto fail;
-        }
-        if (is_cancelled) {
-            PyObject *dead = heap_pop(heap);
-            if (dead == NULL)
-                goto fail;
-            Py_DECREF(dead);
-            continue;
+            }
+            fast = (Py_TYPE(event) == event_type);
+            int is_cancelled;
+            if (fast) {
+                PyObject *c = SLOT(event, off_cancelled);
+                if (c == Py_False)
+                    is_cancelled = 0;
+                else if (c == Py_True)
+                    is_cancelled = 1;
+                else
+                    fast = 0;  /* unset or exotic value: generic path */
+            }
+            if (!fast) {
+                PyObject *cancelled = PyObject_GetAttr(event, s_cancelled);
+                if (cancelled == NULL)
+                    goto fail;
+                is_cancelled = PyObject_IsTrue(cancelled);
+                Py_DECREF(cancelled);
+                if (is_cancelled < 0)
+                    goto fail;
+            }
+            if (is_cancelled) {
+                PyObject *dead = heap_pop(heap);
+                if (dead == NULL)
+                    goto fail;
+                Py_DECREF(dead);
+                continue;
+            }
         }
 
         PyObject *time_obj = PyTuple_GET_ITEM(entry, 0);  /* borrowed */
@@ -266,7 +279,8 @@ drain(PyObject *self, PyObject *args)
         PyObject *popped = heap_pop(heap);
         if (popped == NULL)
             goto fail;
-        event = PyTuple_GET_ITEM(popped, 3);
+        if (!posted)
+            event = PyTuple_GET_ITEM(popped, 3);
         time_obj = PyTuple_GET_ITEM(popped, 0);
 
         PyObject *live = PyDict_GetItemWithError(ns, s_live);
@@ -290,13 +304,15 @@ drain(PyObject *self, PyObject *args)
         }
         Py_DECREF(new_live);
 
-        if (fast) {
+        /* A posted entry has no on_cancel to disarm. */
+        if (!posted && fast) {
             PyObject *old = SLOT(event, off_on_cancel);
             Py_INCREF(Py_None);
             SLOT(event, off_on_cancel) = Py_None;
             Py_XDECREF(old);
         }
-        else if (PyObject_SetAttr(event, s_on_cancel, Py_None) < 0) {
+        else if (!posted &&
+                 PyObject_SetAttr(event, s_on_cancel, Py_None) < 0) {
             Py_DECREF(popped);
             goto fail;
         }
@@ -327,7 +343,12 @@ drain(PyObject *self, PyObject *args)
         Py_DECREF(new_count);
 
         PyObject *callback, *cb_args;
-        if (fast) {
+        if (posted) {
+            callback = PyTuple_GET_ITEM(popped, 3);
+            cb_args = PyTuple_GET_ITEM(popped, 4);
+            Py_INCREF(callback);
+            Py_INCREF(cb_args);
+        } else if (fast) {
             callback = SLOT(event, off_callback);
             cb_args = SLOT(event, off_args);
             if (callback == NULL || cb_args == NULL) {
@@ -355,7 +376,7 @@ drain(PyObject *self, PyObject *args)
             Py_DECREF(cb_args);
             Py_DECREF(callback);
             Py_DECREF(popped);
-            PyErr_SetString(PyExc_TypeError, "event.args must be a tuple");
+            PyErr_SetString(PyExc_TypeError, "event args must be a tuple");
             goto fail;
         }
         /* Vectorcall straight off the args tuple's item array; the
@@ -411,6 +432,10 @@ PyInit__simkernel(void)
 """
 
 
+class KernelBuildError(RuntimeError):
+    """The host could not compile the kernel (no compiler or headers)."""
+
+
 def _build_dir() -> str:
     override = os.environ.get("SIM_KERNEL_BUILD_DIR")
     if override:
@@ -433,7 +458,14 @@ def _compile(so_path: str) -> None:
         cc.split()[0], "-O2", "-shared", "-fPIC",
         f"-I{include}", c_path, "-o", tmp,
     ]
-    subprocess.run(cmd, check=True, capture_output=True)
+    try:
+        subprocess.run(cmd, check=True, capture_output=True)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        stderr = getattr(exc, "stderr", None) or b""
+        raise KernelBuildError(
+            f"cannot compile the kernel with {cmd[0]}: {exc} "
+            f"{stderr.decode(errors='replace').strip()}"
+        ) from exc
     os.replace(tmp, so_path)  # atomic: concurrent builders race safely
 
 
@@ -444,7 +476,8 @@ def _self_check(drain: Callable[[Any, Any], None]) -> None:
     guarded import fall back to the Python loop."""
     from heapq import heappush
 
-    from repro.sim.events import Event  # no import cycle: events != engine
+    # no import cycle: events != engine
+    from repro.sim.events import Event, _event_counter
 
     class FakeSim:  # simlint: disable=SL014 (kernel contract requires __dict__)
         pass
@@ -458,26 +491,32 @@ def _self_check(drain: Callable[[Any, Any], None]) -> None:
 
     fired = []
 
-    def make(tag):
-        return lambda: fired.append((sim._now, tag))
+    def record(tag):
+        fired.append((sim._now, tag))
 
-    order = [(2.0, "c"), (0.5, "a"), (1.0, "b"), (3.5, "d")]
+    # (time, tag, posted): "p" is a posted entry tied with the event
+    # "c" and pushed after it, so it must fire second.
+    order = [(2.0, "c", False), (0.5, "a", False), (1.0, "b", False),
+             (2.0, "p", True), (3.5, "d", False)]
     events = {}
-    for time, tag in order:
-        event = Event(time, make(tag), (), 0)
-        heappush(sim._heap, (time, 0, event.seq, event))
+    for time, tag, posted in order:
+        if posted:
+            heappush(sim._heap, (time, 0, next(_event_counter), record, (tag,)))
+        else:
+            event = Event(time, record, (tag,), 0)
+            heappush(sim._heap, (time, 0, event.seq, event))
+            events[tag] = event
         sim._live += 1
-        events[tag] = event
     events["b"].cancel()  # no on_cancel hook on the fake: adjust by hand
     sim._live -= 1
 
     drain(sim, 3.0)
-    if fired != [(0.5, "a"), (2.0, "c")]:
+    if fired != [(0.5, "a"), (2.0, "c"), (2.0, "p")]:
         raise RuntimeError(f"kernel self-check: bad until-run order {fired!r}")
-    if sim.events_executed != 2 or sim._live != 1 or sim._now != 2.0:
+    if sim.events_executed != 3 or sim._live != 1 or sim._now != 2.0:
         raise RuntimeError("kernel self-check: bad counters after until-run")
     drain(sim, None)
-    if fired[-1] != (3.5, "d") or sim._live != 0 or sim.events_executed != 3:
+    if fired[-1] != (3.5, "d") or sim._live != 0 or sim.events_executed != 4:
         raise RuntimeError("kernel self-check: bad full drain")
     if sim._heap:
         raise RuntimeError("kernel self-check: heap not drained")
@@ -486,8 +525,10 @@ def _self_check(drain: Callable[[Any, Any], None]) -> None:
 def load_kernel() -> Callable[[Any, Any], None]:
     """Compile (or reuse) the C drain loop and return its callable.
 
-    Raises on any failure — missing compiler, missing headers, or a
-    self-check mismatch — so callers can fall back to the Python loop.
+    Raises on any failure so callers can fall back to the Python loop:
+    :class:`KernelBuildError` when the host cannot compile it (missing
+    compiler or headers), anything else when the kernel misbehaves (a
+    self-check mismatch).
     """
     tag = hashlib.blake2s(_C_SOURCE.encode("utf-8"), digest_size=8).hexdigest()
     cache_tag = sys.implementation.cache_tag or "python"

@@ -4,6 +4,17 @@ The design mirrors ns-3's scheduler in miniature: a binary heap of
 events ordered by virtual time, a ``now`` clock that only moves when an
 event is dequeued, and helpers for scheduling relative (``schedule``)
 or absolute (``schedule_at``) callbacks.
+
+The heap holds two entry shapes, both ordered by their first three
+fields:
+
+- ``(time, priority, seq, event)`` from ``schedule``/``schedule_at``:
+  a cancellable :class:`~repro.sim.events.Event`;
+- ``(time, 0, seq, callback, args)`` from ``post_at``: fire-and-forget,
+  no object to allocate or cancel (link deliveries, delayed sends).
+
+``seq`` comes from one global counter for both, so keys are unique and
+same-time entries dispatch in scheduling order whatever their shape.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ import os
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
-from repro.sim.events import Event
+from repro.sim.events import Event, _event_counter
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import TraceHub
 
@@ -39,7 +50,7 @@ class SimulationError(RuntimeError):
     """Raised for invalid scheduler operations (e.g. scheduling in the past)."""
 
 
-class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at; C kernel reads __dict__)
+class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/post_at; C kernel reads __dict__)
     """A deterministic discrete-event scheduler.
 
     Parameters
@@ -63,8 +74,8 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
     """
 
     def __init__(self, seed: int = 0) -> None:
-        # Heap entries are (time, priority, seq, event) tuples so heapq
-        # compares native tuples (C speed) instead of Event.__lt__.
+        # Heap entries are native tuples (see the module docstring), so
+        # heapq compares them at C speed.
         self._heap: list = []
         self._now: float = 0.0
         self._running = False
@@ -120,6 +131,18 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
         self._live += 1
         return event
 
+    def post_at(
+        self, time: float, callback: Callable[..., Any], args: tuple
+    ) -> None:
+        """Run ``callback(*args)`` at absolute virtual ``time``; no handle.
+
+        The per-packet paths' scheduler: the entry cannot be cancelled,
+        so no :class:`Event` is built.  Callers pass a ``time`` at or
+        after ``now`` (it is not checked).
+        """
+        heappush(self._heap, (time, 0, next(_event_counter), callback, args))
+        self._live += 1
+
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (lazy deletion)."""
         event.cancel()
@@ -132,11 +155,14 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
         # local reference to the heap keeps working; relative order of
         # live entries is restored by heapify (tuples are unique by
         # seq), so dispatch order — and therefore the SimSan digest —
-        # is unchanged.
+        # is unchanged.  Posted (5-tuple) entries are never cancelled.
         heap = self._heap
         dead = len(heap) - self._live
         if dead > _COMPACT_MIN_DEAD and dead << 1 > len(heap):
-            heap[:] = [entry for entry in heap if not entry[3].cancelled]
+            heap[:] = [
+                entry for entry in heap
+                if len(entry) == 5 or not entry[3].cancelled
+            ]
             heapify(heap)
 
     # ------------------------------------------------------------------
@@ -178,20 +204,27 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
         """The plain (uninstrumented) dispatch loop — the hot path.
 
         Restructured for per-event cost: the heap entry tuple is read
-        once (its ``[0]`` element *is* ``event.time``, so the event's
-        attributes are not re-read), ``heappop`` is a preloaded global,
-        and the no-deadline case drops the ``until`` comparison from
-        the loop entirely.  Same-timestamp runs drain through the same
-        tight body — ``heappop`` resolves time/priority/seq ties in C
-        tuple comparison, so no re-heapify or tie-break work happens in
-        Python.  Dispatch order, clock updates, and counter updates are
-        exactly the seed loop's; the SimSan digest is bit-identical.
+        once (its ``[0]`` element *is* the event time), ``heappop`` is a
+        preloaded global, and the no-deadline case drops the ``until``
+        comparison from the loop entirely.  A posted 5-tuple skips the
+        cancel check and the ``on_cancel`` reset.  Same-timestamp runs
+        drain through the same tight body — ``heappop`` resolves
+        time/priority/seq ties in C tuple comparison.  Dispatch order,
+        clock updates, and counter updates are exactly the seed loop's;
+        the SimSan digest is bit-identical.
         """
         heap = self._heap
         pop = heappop
         if until is None:
             while heap and not self._stopped:
                 entry = heap[0]
+                if len(entry) == 5:
+                    pop(heap)
+                    self._live -= 1
+                    self._now = entry[0]
+                    self.events_executed += 1
+                    entry[3](*entry[4])
+                    continue
                 event = entry[3]
                 if event.cancelled:
                     pop(heap)
@@ -205,6 +238,16 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
         else:
             while heap and not self._stopped:
                 entry = heap[0]
+                if len(entry) == 5:
+                    time = entry[0]
+                    if time > until:
+                        break
+                    pop(heap)
+                    self._live -= 1
+                    self._now = time
+                    self.events_executed += 1
+                    entry[3](*entry[4])
+                    continue
                 event = entry[3]
                 if event.cancelled:
                     pop(heap)
@@ -224,22 +267,28 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
 
         The only loop that calls the sanitizer hook: a sanitized ``run``
         dispatches through it, so single-stepping a simulation produces
-        the identical event digest a full ``run`` would.
+        the identical event digest a full ``run`` would.  Both entry
+        shapes reach the hook as the same ``(time, priority, callback,
+        args)`` fields.
         """
         heap = self._heap
         while heap:
-            event = heap[0][3]
-            if event.cancelled:
-                heappop(heap)
-                continue
-            heappop(heap)
+            entry = heappop(heap)
+            if len(entry) == 5:
+                time, priority, _, callback, args = entry
+            else:
+                event = entry[3]
+                if event.cancelled:
+                    continue
+                event.on_cancel = None
+                time, priority = entry[0], entry[1]
+                callback, args = event.callback, event.args
             self._live -= 1
-            event.on_cancel = None
             if self.sanitizer is not None:
-                self.sanitizer.before_event(event, self._now)
-            self._now = event.time
+                self.sanitizer.before_event(time, priority, callback, args, self._now)
+            self._now = time
             self.events_executed += 1
-            event.callback(*event.args)
+            callback(*args)
             return True
         return False
 
@@ -249,9 +298,10 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at;
 
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next live event, or None when drained."""
-        while self._heap and self._heap[0][3].cancelled:
-            heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        while heap and len(heap[0]) == 4 and heap[0][3].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.

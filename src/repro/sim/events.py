@@ -1,9 +1,16 @@
-"""Schedulable events for the discrete-event engine."""
+"""Cancellable events for the discrete-event engine.
+
+Only callers that may cancel need an :class:`Event`: the engine's
+fire-and-forget entries (:meth:`~repro.sim.engine.Simulator.post_at`)
+carry no object at all.  Both draw their tie-breaking sequence number
+from :data:`_event_counter`, so same-time entries dispatch in
+scheduling order whichever shape they have.
+"""
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 _event_counter = itertools.count()
 
@@ -51,23 +58,7 @@ class Event:
         if self.on_cancel is not None:
             self.on_cancel()
 
-    def sort_key(self) -> Tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         name = getattr(self.callback, "__qualname__", repr(self.callback))
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time:.6f} {name}{state}>"
-
-
-def make_event(
-    time: float,
-    callback: Callable[..., Any],
-    args: Tuple[Any, ...] = (),
-    priority: int = 0,
-) -> Event:
-    """Convenience constructor mirroring :class:`Event`."""
-    return Event(time, callback, args, priority)

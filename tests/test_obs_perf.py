@@ -224,7 +224,7 @@ class _Boom:
     def install(self, sim, network=None):
         sim.sanitizer = self
 
-    def before_event(self, event, now):
+    def before_event(self, time, priority, callback, args, now):
         raise RuntimeError("boom")
 
 

@@ -235,6 +235,12 @@ class TestScheduleMisuse:
         assert codes(findings) == ["SL005"]
         assert "invoked at schedule time" in findings[0].message
 
+    def test_invoked_callback_flagged_in_post_at(self, tmp_path):
+        findings = run_lint(
+            tmp_path, "def f(sim, cb, t):\n    sim.post_at(t, cb(), ())\n"
+        )
+        assert codes(findings) == ["SL005"]
+
     def test_partial_factory_clean(self, tmp_path):
         findings = run_lint(
             tmp_path,

@@ -15,7 +15,6 @@ from repro.ndn.pit import Pit, PitRecord
 from repro.qa.determinism import check_scenario, scenario_digest
 from repro.qa.simsan import SanitizerError, SimSan, enabled, maybe_install
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
 
 
 def record(face="f0", at=0.0):
@@ -187,9 +186,8 @@ class TestEngineInvariants:
         san = SimSan(mode="raise")
         sim = Simulator(seed=1)
         san.attach_engine(sim)
-        stale = Event(1.0, lambda: None, (), 0)
         with pytest.raises(SanitizerError, match="clock-regression"):
-            san.before_event(stale, now=2.0)
+            san.before_event(1.0, 0, lambda: None, (), now=2.0)
 
     def test_identical_runs_hash_identically(self):
         def digest():
@@ -315,3 +313,24 @@ class TestDeterminism:
             Scenario.paper_topology(1, duration=1.0, seed=4, scale=0.05)
         )
         assert a.stream != b.stream
+
+    def test_dispatch_digests_are_pinned(self):
+        """``python -m repro.qa.determinism --duration 3 --scale 0.1``
+        prints these digests (docs/STATIC_ANALYSIS.md); they do not
+        depend on ``PYTHONHASHSEED``.  Any change to a dispatched
+        event's time (down to float rounding), priority, callback or
+        order, or an event added or dropped, moves them."""
+        import argparse
+
+        from repro.qa.determinism import _default_scenarios
+
+        args = argparse.Namespace(topology=1, duration=3.0, scale=0.1, seed=3)
+        got = {
+            label: (digest.events, digest.stream)
+            for label, scenario in _default_scenarios(args)
+            for digest in [scenario_digest(scenario)]
+        }
+        assert got == {
+            "fig5-style": (30933, "6f130b04abb2261a0c2a57b5d89d1a4f"),
+            "fig6-style": (29668, "4400b6ff66a4da6ef1f9e0ca1289dbce"),
+        }

@@ -1,8 +1,9 @@
 """Golden-equivalence property tests for the sim-core speed overhaul.
 
 The hot-path rewrite (precomputed TLV sizes, packed PIT/CS entries,
-memoized FIB lookups, the restructured ``_drain`` dispatch loop, and
-the optional ``SIM_KERNEL=c`` compiled loop) is only admissible if it
+the bounded FIB walk, the restructured ``_drain`` dispatch loop with
+its two heap entry shapes, and the optional ``SIM_KERNEL=c`` compiled
+loop) is only admissible if it
 is *behavior-preserving*.  These tests pin that down property-style:
 each optimized structure is driven with randomized workloads next to a
 straightforward reference implementation of the seed semantics, and
@@ -12,6 +13,7 @@ dispatch order — must match exactly.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import random
 
@@ -336,7 +338,7 @@ def test_cs_occupancy_trace_matches_reference(policy):
 
 
 # ----------------------------------------------------------------------
-# FIB: memoized longest-prefix match vs a fresh walk every time
+# FIB: the walk from the longest installed prefix vs a full-name walk
 # ----------------------------------------------------------------------
 
 
@@ -462,11 +464,13 @@ def test_observed_loop_matches_seed_loop():
 
 
 def _load_ckernel():
-    try:
-        from repro.sim._ckernel import load_kernel
+    """The compiled drain loop; skips only when the host cannot compile
+    it.  A kernel that builds but fails its self-check is a failure."""
+    from repro.sim._ckernel import KernelBuildError, load_kernel
 
+    try:
         return load_kernel()
-    except Exception as exc:  # no compiler / headers on this host
+    except KernelBuildError as exc:  # no compiler / headers on this host
         pytest.skip(f"compiled kernel unavailable: {exc}")
 
 
@@ -483,3 +487,146 @@ def test_c_kernel_matches_python_drain_on_larger_workload():
     got = _dispatch_digest(lambda sim, u: kernel(sim, u), None, n=800, seed=11)
     expected = _dispatch_digest(lambda sim, u: sim._drain(u), None, n=800, seed=11)
     assert got == expected
+
+
+# ----------------------------------------------------------------------
+# A heap mixing both entry shapes: Event 4-tuples and posted 5-tuples
+# ----------------------------------------------------------------------
+
+
+class _RefHandle:
+    __slots__ = ("cancelled",)
+
+    def __init__(self) -> None:
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+
+class _ReferenceSim:
+    """The scheduling contract on a plain list, with no heap and no
+    shared counter: the next entry is the live one with the smallest
+    ``(time, priority, scheduling index)``, whether it was scheduled
+    (cancellable) or posted.  It also hashes each dispatched entry the
+    way SimSan does, so the sanitized loop's digest has a reference."""
+
+    def __init__(self) -> None:
+        self._now = 0.0
+        self._entries = []  # (time, priority, index, callback, args, handle)
+        self._index = 0
+        self.events_executed = 0
+        self.hasher = hashlib.blake2b(digest_size=16)
+
+    def _push(self, time, priority, callback, args, handle):
+        self._entries.append((time, priority, self._index, callback, args, handle))
+        self._index += 1
+
+    def schedule(self, delay, callback, *args, priority=0):
+        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
+
+    def schedule_at(self, time, callback, *args, priority=0):
+        handle = _RefHandle()
+        self._push(time, priority, callback, args, handle)
+        return handle
+
+    def post_at(self, time, callback, args):
+        self._push(time, 0, callback, args, None)
+
+    def live(self):
+        return [e for e in self._entries if e[5] is None or not e[5].cancelled]
+
+    def run(self, until=None):
+        while True:
+            live = self.live()
+            if not live:
+                break
+            entry = min(live, key=lambda e: e[:3])
+            time, priority, _, callback, args, _ = entry
+            if until is not None and time > until:
+                break
+            self._entries.remove(entry)
+            self._now = time
+            self.events_executed += 1
+            self.hasher.update(
+                f"{time!r}|{priority}|{callback.__qualname__}|{len(args)}".encode()
+            )
+            callback(*args)
+
+
+def _build_mixed_workload(sim, n: int = 150, seed: int = 5):
+    """Events and posted entries on a coarse time grid, so same-time
+    ties between the two shapes (and across priorities) are common.
+    Callbacks schedule, post and cancel from a per-simulator RNG: any
+    dispatch-order divergence changes every later draw."""
+    trace = []
+    rng = random.Random(seed)
+    pending = []
+
+    def fire(tag):
+        trace.append((sim._now, tag))
+        if tag >= n * 6:
+            return
+        roll = rng.random()
+        delay = rng.randrange(4) * 0.005
+        if roll < 0.35:
+            pending.append(sim.schedule(delay, fire, tag + n))
+        elif roll < 0.7:
+            sim.post_at(sim._now + delay, fire, (tag + n,))
+        elif roll < 0.85 and pending:
+            pending.pop(rng.randrange(len(pending))).cancel()
+
+    for i in range(n):
+        time = rng.randrange(40) * 0.01
+        if rng.random() < 0.5:
+            pending.append(sim.schedule_at(time, fire, i, priority=rng.randrange(2)))
+        else:
+            sim.post_at(time, fire, (i,))
+    return trace
+
+
+def _mixed_reference(until):
+    ref = _ReferenceSim()
+    trace = _build_mixed_workload(ref)
+    ref.run(until)
+    ref.run()
+    return trace, ref.events_executed, ref._now, len(ref.live()), ref.hasher.hexdigest()
+
+
+def _mixed_dispatch(runner, until):
+    """Run the mixed workload in two legs (to ``until``, then to the
+    end) and return what the reference returns, minus the digest."""
+    sim = Simulator(seed=3)
+    trace = _build_mixed_workload(sim)
+    runner(sim, until)
+    runner(sim, None)
+    assert sim.pending() == 0 and not sim._heap
+    return trace, sim.events_executed, sim._now, sim._live
+
+
+@pytest.mark.parametrize("until", [None, 0.17])
+def test_mixed_entry_shapes_dispatch_in_reference_order(until):
+    trace, executed, now, live, digest = _mixed_reference(until)
+    expected = (trace, executed, now, live)
+    assert executed > 400 and len({t for t, _ in trace}) < executed  # ties
+    assert _mixed_dispatch(lambda sim, u: sim._drain(u), until) == expected
+    assert _mixed_dispatch(lambda sim, u: sim.run(u), until) == expected
+
+    from repro.qa.simsan import SimSan
+
+    sanitizers = []
+
+    def sanitized(sim, u):
+        if sim.sanitizer is None:
+            sanitizers.append(SimSan(mode="raise"))
+            sanitizers[-1].attach_engine(sim)
+        sim.run(u)
+
+    assert _mixed_dispatch(sanitized, until) == expected
+    assert sanitizers[0].stream_digest() == digest
+
+
+@pytest.mark.parametrize("until", [None, 0.17])
+def test_c_kernel_dispatches_mixed_entry_shapes_in_reference_order(until):
+    kernel = _load_ckernel()
+    assert _mixed_dispatch(kernel, until) == _mixed_reference(until)[:4]
