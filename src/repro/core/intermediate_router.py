@@ -51,35 +51,37 @@ class IntermediateRouterMixin:
 
     def distribute_content(self, data: Data, in_face: Face) -> None:
         """Lines 6-26: per-record validation and reverse-path delivery."""
+        entry = self.pit.consume(data.name, now=self.sim.now)
+        if entry is not None:
+            primary_key = data.tag.cache_key() if data.tag is not None else None
+            primary_served = False
+
+            for record in entry.records:
+                record_key = record.tag.cache_key() if record.tag is not None else b""
+
+                # Lines 6-10: the first requester's copy goes out as-is
+                # (including any attached NACK).
+                if not primary_served and record_key == (primary_key or b""):
+                    out = data.copy()
+                    out.tag = record.tag
+                    out.span_id = record.nonce
+                    # Lines 6-10 forward the primary copy *as received* —
+                    # the upstream content router already enforced (and
+                    # any denial rides along as the attached NACK), so
+                    # this is the one designed send with no local decision.
+                    self.send(record.in_face, out)  # simflow: disable=SL010
+                    primary_served = True
+                    continue
+
+                self._validate_and_deliver(data, record)
+
+        # Last, because delivery reads the tag, NACK and F flag that the
+        # store strips from the packet it keeps (docs/ARCHITECTURE.md,
+        # "Packet ownership").
         if data.nack is None and not data.is_tag_response():
             # Registration responses are client-specific and never
             # reused; caching them would only pollute the store.
             self.cs.insert(data)
-        entry = self.pit.consume(data.name, now=self.sim.now)
-        if entry is None:
-            return
-
-        primary_key = data.tag.cache_key() if data.tag is not None else None
-        primary_served = False
-
-        for record in entry.records:
-            record_key = record.tag.cache_key() if record.tag is not None else b""
-
-            # Lines 6-10: the first requester's copy goes out as-is
-            # (including any attached NACK).
-            if not primary_served and record_key == (primary_key or b""):
-                out = data.copy()
-                out.tag = record.tag
-                out.span_id = record.nonce
-                # Lines 6-10 forward the primary copy *as received* —
-                # the upstream content router already enforced (and any
-                # denial rides along as the attached NACK), so this is
-                # the one designed send with no local decision.
-                self.send(record.in_face, out)  # simflow: disable=SL010
-                primary_served = True
-                continue
-
-            self._validate_and_deliver(data, record)
 
     def _validate_and_deliver(self, data: Data, record: PitRecord) -> None:
         """Lines 11-26 for one aggregated ``<Tw, F, InFacew>`` tuple."""

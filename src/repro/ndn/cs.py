@@ -73,24 +73,30 @@ class ContentStore:  # simlint: disable=SL014 (QA tests stub methods per instanc
         return Name(name) in self._store
 
     def insert(self, data: Data) -> None:
-        """Cache a copy of ``data`` (tag/NACK/flag per-request state is
-        stripped so cached content is request-neutral)."""
+        """Cache ``data`` itself: the store takes ownership of the packet.
+
+        Its per-request state (tag, NACK, F flag) is stripped *in place*
+        to make cached content request-neutral.  The caller must not
+        read those fields, or hand the packet to anyone, afterwards.
+        Every reader gets a fresh copy from :meth:`lookup`.
+        """
         if self.capacity <= 0:
             return
-        clean = data.copy()
-        clean.tag = None
-        clean.nack = None
-        clean.flag_f = 0.0
-        name = clean.name
+        data.tag = None
+        data.nack = None
+        data.flag_f = 0.0
+        name = data.name
         if type(name) is not Name:
             name = Name(name)
         if name in self._store:
             if self.policy == "lru":
                 self._store.move_to_end(name)
-            self._store[name] = clean
+            self._store[name] = data
             return
-        self._store[name] = clean
-        self._frequency[name] = self._frequency.get(name, 0)
+        self._store[name] = data
+        if self.policy == "lfu":
+            # Only lfu eviction reads frequencies, so only lfu keeps them.
+            self._frequency[name] = self._frequency.get(name, 0)
         if len(self._store) > self.capacity:
             self._evict_one()
         if self.san is not None:
@@ -104,8 +110,7 @@ class ContentStore:  # simlint: disable=SL014 (QA tests stub methods per instanc
         else:
             # lru and fifo both evict the front; they differ in whether
             # lookups refresh an entry's position.
-            victim, _ = self._store.popitem(last=False)
-            self._frequency.pop(victim, None)
+            self._store.popitem(last=False)
         self.evictions += 1
 
     def lookup(self, name: NameLike, now: Optional[float] = None) -> Optional[Data]:

@@ -85,7 +85,30 @@ class Name:
         return Name(self.components[:-1])
 
     def append(self, *components: str) -> "Name":
-        return Name(self.components + components)
+        """The child name ``self + components``.
+
+        Built from this name's cached fields, validating only the new
+        components (one ``chunk_name`` per client Interest comes through
+        here).  A component that is not a ``str`` or contains ``/``
+        takes the generic constructor, which converts or rejects it.
+        """
+        if not components:
+            return self
+        for component in components:
+            if type(component) is not str or "/" in component:
+                return Name(self.components + components)
+        child = object.__new__(Name)
+        joined = self.components + components
+        tail = "/".join(components)
+        setattr_ = object.__setattr__
+        setattr_(child, "components", joined)
+        setattr_(child, "_uri", self._uri + "/" + tail if self.components else "/" + tail)
+        setattr_(child, "_hash", hash(joined))
+        setattr_(
+            child, "_esize",
+            self._esize + 2 * len(components) + sum(map(len, components)),
+        )
+        return child
 
     def __truediv__(self, component: str) -> "Name":
         return self.append(component)

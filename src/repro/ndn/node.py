@@ -270,16 +270,18 @@ class Node:  # simlint: disable=SL014 (SimSan patches send/on_interest per insta
         return True
 
     def on_data(self, data: Data, in_face: Face) -> None:
+        entry = self.pit.consume(data.name, now=self.sim.now)
+        if entry is not None:
+            for record in entry.records:
+                out = data.copy()
+                out.tag = record.tag
+                out.span_id = record.nonce
+                self.send(record.in_face, out)
+        # Last: the store takes the received packet itself and strips
+        # its per-request fields (see docs/ARCHITECTURE.md, "Packet
+        # ownership").
         if data.nack is None:
             self.cs.insert(data)
-        entry = self.pit.consume(data.name, now=self.sim.now)
-        if entry is None:
-            return
-        for record in entry.records:
-            out = data.copy()
-            out.tag = record.tag
-            out.span_id = record.nonce
-            self.send(record.in_face, out)
 
     def on_nack(self, nack: Nack, in_face: Face) -> None:
         """Default: NACKs terminate here (clients override)."""
@@ -377,8 +379,11 @@ class AccessPoint(Node):  # simlint: disable=SL014 (Node subclass; same patching
             self._pending[name] = remaining
         else:
             self._pending.pop(name, None)
-        for record in matched:
-            out = data.copy()
+        # The AP caches nothing and keeps no reference to the packet, so
+        # the last record gets the received packet itself.
+        last = len(matched) - 1
+        for index, record in enumerate(matched):
+            out = data if index == last else data.copy()
             out.span_id = record.nonce
             self.send(record.face, out)
 

@@ -19,6 +19,7 @@ same-time entries dispatch in scheduling order whatever their shape.
 
 from __future__ import annotations
 
+import gc
 import os
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
@@ -177,11 +178,21 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
             If given, stop once the next event would fire strictly after
             this time; the clock is then advanced to ``until`` so that a
             subsequent ``run`` resumes cleanly.
+
+        The cyclic garbage collector is paused while the loop runs and
+        left as it was found on return, also when a callback raises.
         """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
+        # The loop makes no reference cycles (refcounting frees every
+        # packet, heap entry and PIT record), so the cyclic collector
+        # would only re-walk a heap that grows with virtual time.
+        # tests/test_gc_pause.py guards the no-cycles premise.
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
         try:
             if self.sanitizer is not None:
                 # step() carries the sanitizer hook, so run and
@@ -199,6 +210,8 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
                 self._now = until
         finally:
             self._running = False
+            if paused:
+                gc.enable()
 
     def _drain(self, until: Optional[float]) -> None:
         """The plain (uninstrumented) dispatch loop — the hot path.

@@ -147,6 +147,31 @@ class TestContentStore:
         clean = cs.lookup("/a/1")
         assert clean.flag_f == 0.0 and clean.tag is None and clean.nack is None
 
+    def test_insert_takes_ownership(self):
+        # The store keeps the inserted packet itself, stripped in place;
+        # readers still get their own copy.
+        cs = ContentStore(capacity=10)
+        data = self.make_data("/a/1", flag_f=0.5, tag=object())
+        cs.insert(data)
+        assert data.tag is None and data.flag_f == 0.0
+        hit = cs.lookup("/a/1")
+        assert hit is not data and hit.payload == data.payload
+
+    def test_frequencies_kept_only_for_lfu(self):
+        for policy in ("lru", "fifo"):
+            cs = ContentStore(capacity=2, policy=policy)
+            for i in range(4):
+                cs.insert(self.make_data(f"/a/{i}"))
+                cs.lookup(f"/a/{i}")
+            assert cs._frequency == {}
+        cs = ContentStore(capacity=2, policy="lfu")
+        cs.insert(self.make_data("/a/1"))
+        cs.lookup("/a/1")
+        cs.insert(self.make_data("/a/2"))
+        assert cs._frequency == {Name("/a/1"): 1, Name("/a/2"): 0}
+        cs.insert(self.make_data("/a/3"))  # evicts the colder /a/2
+        assert cs._frequency == {Name("/a/1"): 1, Name("/a/3"): 0}
+
     def test_reinsert_moves_to_front(self):
         cs = ContentStore(capacity=2)
         cs.insert(self.make_data("/a/1"))

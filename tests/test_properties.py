@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +58,50 @@ class TestNameProperties:
     @given(name_components)
     def test_hash_consistent_with_equality(self, components):
         assert hash(Name(components)) == hash(Name(list(components)))
+
+
+# Child components for Name.append: plain text (empty allowed), numbers,
+# which the generic constructor converts, and text holding "/", which
+# it rejects.
+append_parts = st.lists(
+    st.one_of(
+        st.text(alphabet="abc-0", max_size=4),
+        st.integers(min_value=0, max_value=99),
+        st.text(alphabet="ab/", max_size=4),
+    ),
+    max_size=4,
+)
+
+
+class TestNameAppend:
+    @given(name_components, append_parts)
+    def test_append_matches_the_generic_constructor(self, parent, parts):
+        parent = Name(parent)
+        parts = tuple(parts)
+        try:
+            expected = Name(parent.components + parts)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parent.append(*parts)
+            return
+        child = parent.append(*parts)
+        assert child.components == expected.components
+        assert child.to_uri() == expected.to_uri()
+        assert child.encoded_size() == expected.encoded_size()
+        assert hash(child) == hash(expected)
+        assert child == expected
+
+    def test_edge_cases(self):
+        root = Name()
+        assert root.append("a").to_uri() == "/a"
+        assert root.append("").to_uri() == Name(("",)).to_uri() == "/"
+        assert Name("/a").append("", "b").components == ("a", "", "b")
+        assert Name("/a").append(7) == Name("/a/7")
+        assert Name("/a").append() == Name("/a")
+        with pytest.raises(ValueError):
+            Name("/a").append("b/c")
+        with pytest.raises(ValueError):
+            root.append("ok", "/")
 
 
 class TestBloomProperties:
