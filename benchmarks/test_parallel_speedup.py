@@ -6,14 +6,9 @@ default; override with ``REPRO_BENCH_JOBS``), and replayed from a
 content-addressed run cache.  The benchmark asserts the tentpole's
 correctness bar unconditionally — every execution mode produces
 bit-identical figure values and event digests — and publishes
-``BENCH_parallel.json`` with the wall-clock numbers.
-
-Both timed legs run with the fleet scheduling observatory on
-(:mod:`repro.obs.fleetperf`), so the document carries a ``fleetperf``
-speedup-attribution block decomposing the parallel wall into compute /
-startup / serialization / imbalance / straggler / residual, with the
-phase-coverage invariant (>= 0.9 of the wall attributed) asserted here.
-Read it with ``python -m repro.obs.fleetperf report BENCH_parallel.json``.
+``BENCH_parallel.json`` with the wall-clock numbers.  Where the pool's
+time goes is perfbench's ``table5_grid`` ``exec.*`` ledger
+(docs/PERFORMANCE.md, "Where parallel time goes").
 
 The >=2x speedup assertion is gated on the host actually having >=4
 cores: a single-core CI runner pays the spawn overhead without any
@@ -34,7 +29,6 @@ from benchmarks.conftest import RESULTS_DIR, publish
 from repro.exec import ExperimentEngine
 from repro.experiments.fig5_latency import enumerate_fig5
 from repro.experiments.report import render_table
-from repro.obs.fleetperf import attribute_speedup
 from repro.obs.metrics import MetricsRegistry
 
 #: Scaled so the whole tri-modal comparison stays CI-sized; see each
@@ -44,9 +38,6 @@ SEEDS = (1, 2)
 DURATION = float(os.environ.get("REPRO_BENCH_DURATION", "6.0"))
 SCALE = 0.2
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "4"))
-
-#: The attribution coverage bar (ISSUE 9 acceptance criterion).
-MIN_COVERAGE = 0.9
 
 
 def _sweep_specs():
@@ -67,20 +58,16 @@ def _timed_run(specs, **kwargs):
     engine = ExperimentEngine(registry=MetricsRegistry(), **kwargs)
     began = time.perf_counter()
     summaries = engine.run_specs(specs)
-    return time.perf_counter() - began, summaries, engine
+    return time.perf_counter() - began, summaries
 
 
 def test_parallel_matches_serial_and_speeds_up(tmp_path):
     specs = _sweep_specs()
 
-    serial_wall, serial, _ = _timed_run(
-        specs, jobs=1, use_cache=False, obs=("fleetperf",)
-    )
-    parallel_wall, parallel, fleet_engine = _timed_run(
-        specs, jobs=JOBS, use_cache=False, obs=("fleetperf",)
-    )
-    prime_wall, primed, _ = _timed_run(specs, jobs=1, cache_dir=tmp_path)
-    cached_wall, cached, _ = _timed_run(specs, jobs=1, cache_dir=tmp_path)
+    serial_wall, serial = _timed_run(specs, jobs=1, use_cache=False)
+    parallel_wall, parallel = _timed_run(specs, jobs=JOBS, use_cache=False)
+    prime_wall, primed = _timed_run(specs, jobs=1, cache_dir=tmp_path)
+    cached_wall, cached = _timed_run(specs, jobs=1, cache_dir=tmp_path)
 
     # The correctness bar: bit-identical values in every mode.
     baseline = [s.metrics_dict() for s in serial]
@@ -96,19 +83,6 @@ def test_parallel_matches_serial_and_speeds_up(tmp_path):
     cores = os.cpu_count() or 1
     speedup = serial_wall / parallel_wall if parallel_wall else float("inf")
     cache_speedup = serial_wall / cached_wall if cached_wall else float("inf")
-
-    # Where the parallel wall went (docs/PERFORMANCE.md, "Where
-    # parallel time goes").  The coverage invariant is the acceptance
-    # bar: the observatory must account for >= 90% of the measured
-    # wall, or its attribution cannot be trusted to gate the multicore
-    # overhaul.
-    attribution = attribute_speedup(
-        fleet_engine.fleet["fleetperf"]["pool"], serial_wall=serial_wall
-    )
-    assert attribution["coverage"] >= MIN_COVERAGE, (
-        f"fleetperf attributed only {attribution['coverage']:.1%} of the "
-        f"parallel wall (bar: {MIN_COVERAGE:.0%})"
-    )
 
     from repro.obs.history import host_metadata
 
@@ -133,7 +107,6 @@ def test_parallel_matches_serial_and_speeds_up(tmp_path):
         "cache_replay_wall_seconds": round(cached_wall, 4),
         "parallel_speedup": round(speedup, 3),
         "cache_speedup": round(cache_speedup, 3),
-        "fleetperf": attribution,
         "bit_identical": True,
         "event_digests": digests,
         "speedup_asserted": cores >= 4 and JOBS >= 4,

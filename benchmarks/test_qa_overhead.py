@@ -170,44 +170,6 @@ def test_fleet_telemetry_off_is_zero_cost():
     assert fleet_off <= fleet_on * NOISE_BOUND
 
 
-def _fleetperf_workload(on: bool) -> float:
-    from repro.exec.engine import ExperimentEngine
-    from repro.experiments.fig6_tag_rates import enumerate_fig6
-
-    specs = enumerate_fig6(duration=2.0, scale=0.1)[:1]
-
-    def run() -> None:
-        engine = ExperimentEngine(
-            jobs=1, use_cache=False, obs=("fleetperf",) if on else ()
-        )
-        engine.run_specs(specs, figure="bench")
-
-    return _best_of(run)
-
-
-def test_fleetperf_off_is_zero_cost():
-    """The fleet scheduling observatory holds the engine-layer zero-cost
-    contract: with ``fleetperf`` off (the default) ``run_specs`` builds
-    no collector and every instrumentation site is one ``x is not
-    None`` check, so the off state may never cost more than the
-    observed state beyond timer noise — and the observed state (a
-    handful of clock reads plus one envelope pickle per run) must stay
-    within the same noise bound of the off state."""
-    fleetperf_off = _fleetperf_workload(on=False)
-    fleetperf_on = _fleetperf_workload(on=True)
-
-    publish(
-        "fleetperf_overhead",
-        "Fleetperf overhead (best-of-%d wall times)\n" % REPEATS
-        + f"  run_specs     off={fleetperf_off * 1e3:8.2f} ms   "
-        + f"on={fleetperf_on * 1e3:8.2f} ms   "
-        + f"on/off={fleetperf_on / fleetperf_off:5.2f}x",
-    )
-
-    assert fleetperf_off <= fleetperf_on * NOISE_BOUND
-    assert fleetperf_on <= fleetperf_off * NOISE_BOUND
-
-
 def _audit_workload(mode: str, tmp_path=None) -> float:
     """One scenario run with auditing/flight-recording off or on.
 

@@ -35,7 +35,7 @@ __all__ = ["CACHE_FORMAT", "RunCache", "cache_key", "code_fingerprint"]
 
 #: Bump to invalidate every existing cache entry on format changes.
 #: 2: RunSummary grew the ``telemetry`` envelope (worker round-trip).
-#: 3: RunSummary grew the ``fleetperf`` worker-lifecycle record.
+#: 3: RunSummary grew a worker-lifecycle record (since removed).
 #: 4: RunSummary grew the ``statescope`` state-accounting record.
 #: 5: the four instrument fields became one ``instruments`` dict.
 CACHE_FORMAT = 5

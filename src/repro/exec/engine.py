@@ -64,13 +64,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 PROGRESS_ENV = "REPRO_PROGRESS"
 ENGINE_EVENTS_ENV = "REPRO_ENGINE_EVENTS"
 
-#: Worker-birth stamp for the fleet observatory.  A spawn-context
-#: worker imports this module while the pool boots, so in a worker this
-#: is "interpreter up, engine imported" on the shared monotonic clock;
-#: the parent derives spawn + import cost as this stamp minus its
-#: pool-open stamp (see :mod:`repro.obs.fleetperf`).
-_MODULE_IMPORTED_AT = time.perf_counter()
-
 #: Histogram buckets for per-run wall clock (seconds); runs range from
 #: sub-second CI points to minutes-long paper-scale sweeps.
 WALL_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0)
@@ -107,55 +100,25 @@ def _execute_spec(spec: ScenarioSpec, obs: Optional[Obs] = None) -> RunSummary:
     the simulator once it actually runs something.
 
     ``obs`` selects the run's instruments; their records travel home in
-    ``summary.instruments``.  With ``fleetperf`` selected a
-    :class:`~repro.obs.fleetperf.WorkerLifecycle` charges the
-    simulator-stack import, scenario build, sim run, envelope build and
-    envelope pickle to fleet phases.
+    ``summary.instruments``.
     """
-    names = obs.names if obs is not None else ()
-    lifecycle = None
-    if "fleetperf" in names:
-        from repro.obs.fleetperf import WorkerLifecycle
-
-        lifecycle = WorkerLifecycle(_MODULE_IMPORTED_AT)
-
-    mark = time.perf_counter()
     from repro.experiments.runner import run_scenario
-
-    if lifecycle is not None:
-        lifecycle.charge("fleet.import", time.perf_counter() - mark)
 
     began = time.perf_counter()
     scenario = spec.build()
-    if lifecycle is not None:
-        lifecycle.charge("fleet.build", time.perf_counter() - began)
     sanitizer = None
     if spec.hash_events:
         from repro.qa.simsan import SimSan
 
         sanitizer = SimSan(mode="collect", hash_events=True)
-    live = [
-        INSTRUMENTS[name].make(obs)
-        for name in names
-        if INSTRUMENTS[name].make is not None
-    ]
-
-    mark = time.perf_counter()
+    live = [INSTRUMENTS[name].make(obs) for name in (obs.names if obs is not None else ())]
     result = run_scenario(scenario, instruments=live, sanitizer=sanitizer)
-    if lifecycle is not None:
-        lifecycle.charge("fleet.sim", time.perf_counter() - mark)
-    mark = time.perf_counter()
     digest = sanitizer.stream_digest() if sanitizer is not None else None
     summary = summarize(
         result, latency_bucket=spec.latency_bucket, event_digest=digest
     )
     summary.wall_seconds = time.perf_counter() - began
     summary.worker_pid = os.getpid()
-    if lifecycle is not None:
-        lifecycle.charge("fleet.envelope", time.perf_counter() - mark)
-        # Finalize before the record joins ``summary.instruments`` so the
-        # byte count describes what the pool pipe actually carries.
-        summary.instruments["fleetperf"] = lifecycle.finalize(summary)
     return summary
 
 
@@ -241,8 +204,7 @@ class ExperimentEngine:
         #: order (cache hits included) — bit-identical between serial
         #: and parallel execution.  The telemetry view starts from this
         #: engine's exec counters, so its report is the whole-fleet
-        #: snapshot; the fleetperf view also holds the latest pool
-        #: timeline under ``"pool"``.
+        #: snapshot.
         self.fleet: Dict[str, Dict[str, Any]] = {name: {} for name in self.obs.names}
         if "telemetry" in self.fleet:
             self.fleet["telemetry"]["exec"] = self.registry
@@ -309,13 +271,6 @@ class ExperimentEngine:
             )
             progress.run_started(figure)
 
-        fleet = None
-        if "fleetperf" in obs.names:
-            from repro.obs.fleetperf import FleetPerf
-
-            fleet = FleetPerf(jobs=self.jobs, total=len(ordered))
-
-        probe_began = time.perf_counter()
         for index, spec in enumerate(ordered):
             key: Optional[str] = None
             if self.cache is not None:
@@ -333,22 +288,16 @@ class ExperimentEngine:
                     results[index] = hit
                     self.stats.cache_hits += 1
                     self._cache_events.labels(result="hit").inc()
-                    if fleet is not None:
-                        fleet.spec_cached(hit.label)
                     if progress is not None:
                         progress.spec_cached(hit.label)
                     continue
                 self.stats.cache_misses += 1
                 self._cache_events.labels(result="miss").inc()
             pending.append((index, spec, key))
-        if fleet is not None and self.cache is not None:
-            fleet.charge("fleet.cache", time.perf_counter() - probe_began)
 
-        def submit(slot: int, label: str) -> None:
+        def submit(label: str) -> None:
             if progress is not None:
                 progress.spec_started(label)
-            if fleet is not None:
-                fleet.spec_submitted(slot, label)
 
         payloads = [(slot, spec, obs) for slot, (_, spec, _) in enumerate(pending)]
         workers = min(self.jobs, len(pending))
@@ -356,12 +305,10 @@ class ExperimentEngine:
         folded = self._fold(results, 0, figure)
         with contextlib.ExitStack() as stack:
             if workers > 1:
-                if fleet is not None:
-                    fleet.pool_opening()
                 context = multiprocessing.get_context("spawn")
                 pool = stack.enter_context(context.Pool(processes=workers))
-                for slot, (_, spec, _) in enumerate(pending):
-                    submit(slot, spec.label)
+                for _, spec, _ in pending:
+                    submit(spec.label)
                 # Completion queue: results arrive as workers finish
                 # (live progress), then land back in their submission
                 # slot so downstream order never depends on timing.
@@ -370,15 +317,13 @@ class ExperimentEngine:
 
                 def serial() -> Iterator[Tuple[int, RunSummary]]:
                     for payload in payloads:
-                        submit(payload[0], payload[1].label)
+                        submit(payload[1].label)
                         yield _execute_indexed(payload)
 
                 completions = serial()
             for slot, summary in completions:
                 index, _, key = pending[slot]
                 results[index] = summary
-                if fleet is not None:
-                    fleet.spec_received(slot, summary)
                 if progress is not None:
                     progress.spec_finished(summary.label, summary.wall_seconds, mode)
                 self._note_run(mode, summary)
@@ -388,8 +333,6 @@ class ExperimentEngine:
 
         final = [summary for summary in results if summary is not None]
         wall = time.perf_counter() - began
-        if fleet is not None:
-            self.fleet["fleetperf"]["pool"] = fleet.report(wall)
         if progress is not None:
             progress.run_finished()
         if self.history_dir is not None:
@@ -402,11 +345,10 @@ class ExperimentEngine:
                 specs=ordered,
                 summaries=final,
             )
-        if obs.out:
-            # Every fold has rewritten the reports already; the pool
-            # timeline is complete only now (and an empty call folds
-            # nothing).
-            self._write_reports(figure, ("fleetperf",) if ordered else obs.names)
+        if obs.out and not ordered:
+            # An empty call folds nothing; every other call's folds have
+            # rewritten the reports already.
+            self._write_reports(figure, obs.names)
         return final
 
     def _fold(

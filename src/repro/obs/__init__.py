@@ -47,13 +47,6 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.obs.audit import DECISION_KINDS, DecisionAudit, DecisionRecord
-    from repro.obs.fleetperf import (
-        FLEETPERF_PHASES,
-        FleetPerf,
-        WorkerLifecycle,
-        attribute_speedup,
-        merge_fleetperf,
-    )
     from repro.obs.flightrec import FlightRecorder
     from repro.obs.layers import ENTRY_POINTS, LayerTracer
     from repro.obs.metrics import MetricsRegistry
@@ -71,17 +64,12 @@ if TYPE_CHECKING:
 
 #: Re-export -> defining module.  Every submodule is imported on first
 #: access (PEP 562): a run that attaches one instrument loads only that
-#: one, and the ``python -m`` CLIs of fleetperf / statescope run
-#: without runpy's already-in-sys.modules warning.
+#: one, and ``python -m repro.obs.statescope`` runs without runpy's
+#: already-in-sys.modules warning.
 _EXPORTS = {
     "DECISION_KINDS": "audit",
     "DecisionAudit": "audit",
     "DecisionRecord": "audit",
-    "FLEETPERF_PHASES": "fleetperf",
-    "FleetPerf": "fleetperf",
-    "WorkerLifecycle": "fleetperf",
-    "attribute_speedup": "fleetperf",
-    "merge_fleetperf": "fleetperf",
     "FlightRecorder": "flightrec",
     "ENTRY_POINTS": "layers",
     "LayerTracer": "layers",

@@ -38,7 +38,6 @@ from repro.sim.tracing import TraceRecord
 
 __all__ = [
     "chrome_trace_events",
-    "fleet_trace_events",
     "merge_trace",
     "state_counter_events",
     "trace_report",
@@ -230,116 +229,6 @@ def state_counter_events(timeline: Sequence, pid: int = 1) -> List[dict]:
                 "tid": 0,
                 "ts": time_s * _MICROS,
                 "args": unit_args,
-            }
-        )
-    return events
-
-
-#: The worker phases rendered as sequential child slices inside each
-#: spec slice, in lifecycle order (dispatch/ship live between slices).
-_FLEET_CHILD_PHASES = (
-    "fleet.import",
-    "fleet.build",
-    "fleet.sim",
-    "fleet.envelope",
-    "fleet.pickle",
-)
-
-
-def fleet_trace_events(report: dict, pid: int = 1) -> List[dict]:
-    """Render a fleet pool-timeline report as Chrome trace-event dicts.
-
-    ``report`` is :meth:`repro.obs.fleetperf.FleetPerf.report` output.
-    One *thread lane per worker pid* carries a complete ("X") slice per
-    spec (``started → finished`` on the pool clock, ``args`` holding the
-    slot, envelope bytes, and submit/receive stamps) with the worker's
-    lifecycle phases synthesized as sequential child slices inside it —
-    the viewer shows import/build/sim/envelope/pickle nested under the
-    spec.  A ``fleet.occupancy`` counter ("C") track plots busy workers
-    and queue depth from the report's occupancy samples.  Timestamps
-    are pool-relative seconds scaled to microseconds.
-    """
-    events: List[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": f"fleet pool (jobs={report.get('jobs', 1)})"},
-        }
-    ]
-    timeline = report.get("timeline") or []
-    lanes = sorted({entry.get("worker_pid", 0) for entry in timeline})
-    tids = {worker: index + 1 for index, worker in enumerate(lanes)}
-    for worker, tid in tids.items():
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": f"worker {worker}"},
-            }
-        )
-    for entry in timeline:
-        started = entry.get("started")
-        finished = entry.get("finished")
-        if started is None or finished is None:
-            continue
-        tid = tids.get(entry.get("worker_pid", 0), 0)
-        events.append(
-            {
-                "name": entry.get("label") or f"slot-{entry.get('slot')}",
-                "cat": "fleet.spec",
-                "ph": "X",
-                "pid": pid,
-                "tid": tid,
-                "ts": started * _MICROS,
-                "dur": (finished - started) * _MICROS,
-                "args": {
-                    "slot": entry.get("slot"),
-                    "worker_pid": entry.get("worker_pid"),
-                    "submitted": entry.get("submitted"),
-                    "received": entry.get("received"),
-                    "envelope_bytes": entry.get("envelope_bytes", 0),
-                },
-            }
-        )
-        # The worker record carries phase totals, not stamps; lay the
-        # phases out back to back from the slice start (their lifecycle
-        # order), clipped to the parent so containment holds.
-        cursor = started
-        phases = entry.get("phases") or {}
-        for name in _FLEET_CHILD_PHASES:
-            seconds = (phases.get(name) or {}).get("seconds", 0.0)
-            if seconds <= 0.0:
-                continue
-            end = min(cursor + seconds, finished)
-            if end <= cursor:
-                break
-            events.append(
-                {
-                    "name": name,
-                    "cat": "fleet.phase",
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": cursor * _MICROS,
-                    "dur": (end - cursor) * _MICROS,
-                    "args": {"slot": entry.get("slot")},
-                }
-            )
-            cursor = end
-    for sample in report.get("occupancy") or []:
-        when, busy, queued = sample[0], sample[1], sample[2]
-        events.append(
-            {
-                "name": "fleet.occupancy",
-                "ph": "C",
-                "pid": pid,
-                "tid": 0,
-                "ts": when * _MICROS,
-                "args": {"busy": busy, "queued": queued},
             }
         )
     return events

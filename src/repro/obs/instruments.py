@@ -2,8 +2,8 @@
 
 :data:`INSTRUMENTS` has a row each for the decision audit, the flight
 recorder, telemetry, the packet trace, periodic samples, the statescope,
-the layer profile, stack samples, the heartbeat and the fleet
-observatory, and the whole stack reads it.  ``--obs NAME[,NAME...]``/
+the layer profile, stack samples and the heartbeat, and the whole
+stack reads it.  ``--obs NAME[,NAME...]``/
 ``--obs-out DIR`` (or ``REPRO_OBS``/``REPRO_OBS_OUT``) select rows
 through :func:`resolve`; the engine ships the resulting :class:`Obs` to
 every run, ``make(obs)`` builds the live object that
@@ -24,10 +24,7 @@ feeds: the audit feeds the flight recorder's ring, the statescope
 reads the audit's shadow sets, samples back gauges in the telemetry
 registry, the trace carries the statescope timeline, and telemetry
 bridges the audit and gathers its peers' records.  Installs follow
-table order and finalizes run in reverse.  The fleet observatory has
-no runner-side object: its
-:class:`~repro.obs.fleetperf.WorkerLifecycle` wraps the whole run in
-:func:`repro.exec.engine._execute_spec`.
+table order and finalizes run in reverse.
 """
 
 from __future__ import annotations
@@ -67,8 +64,8 @@ class Obs:
 class Instrument:
     """One layer's round-trip: build, fold, report."""
 
-    #: ``make(obs)`` -> live object (``None``: no runner-side object).
-    make: Optional[Callable[[Obs], Any]]
+    #: ``make(obs)`` -> the live object the runner installs.
+    make: Callable[[Obs], Any]
     #: ``merge(into, record)`` folds one run's record into the fleet view.
     merge: Callable[[Dict[str, Any], Dict[str, Any]], Any]
     #: ``report(merged, figure, jobs)`` -> the ``<obs-out>/<name>.json``
@@ -174,11 +171,6 @@ INSTRUMENTS: Dict[str, Instrument] = {
         replayable=False,
     ),
     "heartbeat": Instrument(_new("profiler", "Heartbeat"), _count_runs),
-    "fleetperf": Instrument(
-        None,
-        _lazy("fleetperf", "merge_fleetperf"),
-        _lazy("fleetperf", "fleetperf_report"),
-    ),
 }
 
 #: Rows that write files into ``--obs-out`` during the run.

@@ -80,7 +80,6 @@ _REGISTRIES: Dict[str, Tuple[Tuple[str, ...], Optional[str]]] = {
     "events": (("KNOWN_EVENTS", "SPAN_EVENTS"), "_EVENTS"),
     "metrics": (("METRIC_NAMES",), "_METRICS"),
     "decisions": (("DECISION_KINDS",), None),  # repro.obs.audit
-    "fleet_phases": (("FLEETPERF_PHASES",), None),  # repro.obs.fleetperf
     "statescope": (("STATESCOPE_SERIES",), None),  # repro.obs.statescope
 }
 
@@ -534,11 +533,10 @@ class RegistryRow:
 #: Every registry check, one row per call family.  A typo'd name at any
 #: of these call sites doesn't error: it silently forks a namespace that
 #: downstream consumers key on (trace subscribers, metric families, the
-#: fleet event log, the audit report, BENCH_parallel.json's attribution
-#: block, the state-series regression metrics), so each is checked
-#: against its declared registry.  A check stays quiet when the scan saw
-#: no declaration of its registry, so linting a lone snippet without its
-#: registries stays clean.
+#: fleet event log, the audit report, the state-series regression
+#: metrics), so each is checked against its declared registry.  A check
+#: stays quiet when the scan saw no declaration of its registry, so
+#: linting a lone snippet without its registries stays clean.
 REGISTRY_ROWS: Tuple[RegistryRow, ...] = (
     RegistryRow(
         "SL003",
@@ -572,16 +570,6 @@ REGISTRY_ROWS: Tuple[RegistryRow, ...] = (
         "(repro.obs.audit)",
         "record_decision kind must be a string literal so the decision "
         "namespace stays statically checkable",
-    ),
-    RegistryRow(
-        "SL015",
-        frozenset({"charge"}),
-        ("obs/", "exec/"),
-        "fleet_phases",
-        "fleet phase {name!r} is not declared in FLEETPERF_PHASES "
-        "(repro.obs.fleetperf)",
-        "fleet charge() phase name must be a string literal so the fleet "
-        "phase taxonomy stays statically checkable",
     ),
     RegistryRow(
         "SL016",
@@ -752,11 +740,6 @@ ALL_RULES: Sequence[Rule] = (
         "SL008: audit decision kinds must be declared in DECISION_KINDS.",
     ),
     SlotsRule(),
-    RegistryRule(
-        "SL015",
-        "fleet phase names must be declared in FLEETPERF_PHASES",
-        "SL015: fleet phase names must be declared in FLEETPERF_PHASES.",
-    ),
     RegistryRule(
         "SL016",
         "statescope series names must be declared in STATESCOPE_SERIES",

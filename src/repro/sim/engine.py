@@ -20,7 +20,6 @@ same-time entries dispatch in scheduling order whatever their shape.
 from __future__ import annotations
 
 import gc
-import os
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -34,24 +33,12 @@ from repro.sim.tracing import TraceHub
 #: heap through every push/pop sift.
 _COMPACT_MIN_DEAD = 64
 
-#: Optional compiled drain loop (``SIM_KERNEL=c``).  Loaded once at
-#: import; any failure (no compiler, no headers) falls back silently to
-#: the Python loop, which is digest-identical by construction.
-_C_KERNEL = None
-if os.environ.get("SIM_KERNEL", "").strip().lower() == "c":
-    try:
-        from repro.sim._ckernel import load_kernel as _load_kernel
-
-        _C_KERNEL = _load_kernel()
-    except Exception:  # pragma: no cover - depends on host toolchain
-        _C_KERNEL = None
-
 
 class SimulationError(RuntimeError):
     """Raised for invalid scheduler operations (e.g. scheduling in the past)."""
 
 
-class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/post_at; C kernel reads __dict__)
+class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/post_at)
     """A deterministic discrete-event scheduler.
 
     Parameters
@@ -202,8 +189,6 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
                     if time is None or (until is not None and time > until):
                         break
                     self.step()
-            elif _C_KERNEL is not None:
-                _C_KERNEL(self, until)
             else:
                 self._drain(until)
             if until is not None and self._now < until and not self._stopped:

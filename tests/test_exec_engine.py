@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 
@@ -156,6 +157,24 @@ class TestSerialParallelEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# Pool teardown: no worker outlives run_specs, on any exit path
+# ---------------------------------------------------------------------------
+class TestPoolTeardown:
+    def test_no_worker_left_after_a_run(self):
+        engine = ExperimentEngine(jobs=2, use_cache=False, registry=MetricsRegistry())
+        assert len(engine.run_specs([fast_spec(seed=seed) for seed in (1, 2)])) == 2
+        assert engine.stats.parallel_runs == 2
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_left_after_a_worker_build_raises(self):
+        broken = fast_spec(seed=2, overrides=dict(no_such_field=1))
+        engine = ExperimentEngine(jobs=2, use_cache=False, registry=MetricsRegistry())
+        with pytest.raises(TypeError, match="no_such_field"):
+            engine.run_specs([fast_spec(seed=1), broken])
+        assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
 # Run cache
 # ---------------------------------------------------------------------------
 class TestRunCache:
@@ -225,11 +244,8 @@ class TestRunCache:
 # ---------------------------------------------------------------------------
 def _stable(name, merged):
     """The part of a fleet view that must not depend on execution mode:
-    fleetperf measures wall time, so only its shape is stable; the
-    telemetry view's exec counters are labelled by mode; profile and
+    the telemetry view's exec counters are labelled by mode; profile and
     flame views are wall-clock measurements."""
-    if name == "fleetperf":
-        return merged["runs"], sorted(merged["phases"])
     if name == "telemetry":
         return merged["registry"].to_json()
     if name == "profile":
@@ -306,7 +322,6 @@ _FLEET_CHECKS = {
     and len(json.loads((out / "profile.json").read_text())["runs"]) == 2,
     "flame": lambda m, out: (out / "flame.txt").read_text().strip() != "",
     "heartbeat": lambda m, out: m["runs"] == 2,
-    "fleetperf": lambda m, out: m["runs"] == 2,
 }
 
 
@@ -327,9 +342,8 @@ def _serial_and_parallel_merges_bit_for_bit(name, tmp_path):
     first = serial.run_specs(specs)
     second = parallel.run_specs(specs)
     assert all(name in s.instruments for s in first + second)
-    if name != "fleetperf":  # wall-clock phases
-        assert [_per_run(name, s.instruments[name]) for s in first] == \
-            [_per_run(name, p.instruments[name]) for p in second]
+    assert [_per_run(name, s.instruments[name]) for s in first] == \
+        [_per_run(name, p.instruments[name]) for p in second]
     assert _stable(name, serial.fleet[name]) == _stable(name, parallel.fleet[name])
     assert _FLEET_CHECKS[name](serial.fleet[name], tmp_path / "serial" / "obs")
     assert _FLEET_CHECKS[name](parallel.fleet[name], tmp_path / "parallel" / "obs")
@@ -555,7 +569,7 @@ class TestFleetStateScope:
 
 #: The rows without a class of their own above.
 @pytest.mark.parametrize(
-    "name", ["flightrec", "fleetperf", "trace", "profile", "flame", "samples", "heartbeat"]
+    "name", ["flightrec", "trace", "profile", "flame", "samples", "heartbeat"]
 )
 class TestInstrumentRoundTrip:
     def test_serial_and_parallel_merges_bit_for_bit(self, name, tmp_path, capsys):

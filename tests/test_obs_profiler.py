@@ -98,7 +98,7 @@ class TestSimProfiler:
         class Failing:
             """A peer that finalizes before the heartbeat and raises."""
 
-            name = "fleetperf"  # the last row: finalized first
+            name = "heartbeat"  # the last row: finalized first
 
             def install(self, run):
                 return self

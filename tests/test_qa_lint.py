@@ -525,89 +525,6 @@ class TestDecisionKinds:
 
 
 # ---------------------------------------------------------------------------
-# SL015: fleet phase names
-# ---------------------------------------------------------------------------
-class TestFleetPhases:
-    REGISTRY = 'FLEETPERF_PHASES = ("fleet.sim", "fleet.pickle", "fleet.cache")\n'
-
-    def test_declared_phase_clean(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            self.REGISTRY
-            + "def run(self, spec):\n"
-            + '    self.lifecycle.charge("fleet.sim", 1.0)\n',
-        )
-        assert findings == []
-
-    def test_undeclared_phase_flagged(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            self.REGISTRY
-            + "def run(self, spec):\n"
-            + '    self.lifecycle.charge("fleet.simm", 1.0)\n',
-            select={"SL015"},
-        )
-        assert codes(findings) == ["SL015"]
-        assert "fleet.simm" in findings[0].message
-
-    def test_non_literal_phase_flagged(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            self.REGISTRY
-            + "def run(self, spec, which):\n"
-            + "    self.lifecycle.charge(which, 1.0)\n",
-            select={"SL015"},
-        )
-        assert codes(findings) == ["SL015"]
-        assert "string literal" in findings[0].message
-
-    def test_registry_in_sibling_module_counts(self, tmp_path):
-        # FLEETPERF_PHASES lives in repro/obs/fleetperf.py; charge()
-        # call sites in the engine are checked against it cross-file.
-        (tmp_path / "fleetperf.py").write_text(self.REGISTRY)
-        (tmp_path / "engine.py").write_text(
-            'def run(self, spec):\n    fleet.charge("fleet.bogus", 0.1)\n'
-        )
-        findings = lint_paths(
-            [str(tmp_path / "fleetperf.py"), str(tmp_path / "engine.py")],
-            select={"SL015"},
-        )
-        assert codes(findings) == ["SL015"]
-
-    def test_quiet_without_any_registry(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            'def run(self, spec):\n    fleet.charge("fleet.bogus", 0.1)\n',
-            select={"SL015"},
-        )
-        assert findings == []
-
-    def test_registry_does_not_leak_into_perf_phases(self, tmp_path):
-        # Only FLEETPERF_PHASES declares fleet phases: a name listed in
-        # some other *_PHASES tuple is still an undeclared SL015 phase.
-        findings = run_lint(
-            tmp_path,
-            self.REGISTRY
-            + 'PERF_PHASES = ("fleet.bogus",)\n'
-            + "def run(self, spec):\n"
-            + '    fleet.charge("fleet.bogus", 0.1)\n',
-            select={"SL015"},
-        )
-        assert codes(findings) == ["SL015"]
-        assert "fleet.bogus" in findings[0].message
-
-    def test_suppression_honoured(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            self.REGISTRY
-            + "def run(self, spec):\n"
-            + '    self.lifecycle.charge("fleet.legacy", 0.1)'
-            + "  # simlint: disable=SL015\n",
-        )
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # SL016: statescope series names
 # ---------------------------------------------------------------------------
 class TestStateScopeSeries:
@@ -781,7 +698,7 @@ class TestReporting:
         assert run["tool"]["driver"]["name"] == "simlint"
         assert [r["ruleId"] for r in run["results"]] == ["SL002"]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"SL000", "SL002", "SL008", "SL015"} <= rule_ids
+        assert {"SL000", "SL002", "SL008", "SL016"} <= rule_ids
 
     def test_parallel_matches_serial(self, tmp_path):
         # Registry in one file, a bad emit in another: the judge phase

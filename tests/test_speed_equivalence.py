@@ -2,9 +2,8 @@
 
 The hot-path rewrite (precomputed TLV sizes, packed PIT/CS entries,
 the bounded FIB walk, the restructured ``_drain`` dispatch loop with
-its two heap entry shapes, and the optional ``SIM_KERNEL=c`` compiled
-loop) is only admissible if it
-is *behavior-preserving*.  These tests pin that down property-style:
+its two heap entry shapes) is only admissible if it is
+*behavior-preserving*.  These tests pin that down property-style:
 each optimized structure is driven with randomized workloads next to a
 straightforward reference implementation of the seed semantics, and
 every observable — sizes, occupancy traces, hit/miss sequences,
@@ -381,7 +380,7 @@ def test_fib_memo_matches_unmemoized_walk():
 
 
 # ----------------------------------------------------------------------
-# Dispatch: restructured _drain (and the C kernel) vs the seed loop
+# Dispatch: restructured _drain vs the seed loop
 # ----------------------------------------------------------------------
 
 
@@ -460,32 +459,6 @@ def test_observed_loop_matches_seed_loop():
 
     got = _dispatch_digest(observed, None)
     expected = _dispatch_digest(_drain_seed_loop, None)
-    assert got == expected
-
-
-def _load_ckernel():
-    """The compiled drain loop; skips only when the host cannot compile
-    it.  A kernel that builds but fails its self-check is a failure."""
-    from repro.sim._ckernel import KernelBuildError, load_kernel
-
-    try:
-        return load_kernel()
-    except KernelBuildError as exc:  # no compiler / headers on this host
-        pytest.skip(f"compiled kernel unavailable: {exc}")
-
-
-def test_c_kernel_matches_seed_loop():
-    kernel = _load_ckernel()
-    for until in (None, 0.6):
-        got = _dispatch_digest(lambda sim, u: kernel(sim, u), until)
-        expected = _dispatch_digest(_drain_seed_loop, until)
-        assert got == expected
-
-
-def test_c_kernel_matches_python_drain_on_larger_workload():
-    kernel = _load_ckernel()
-    got = _dispatch_digest(lambda sim, u: kernel(sim, u), None, n=800, seed=11)
-    expected = _dispatch_digest(lambda sim, u: sim._drain(u), None, n=800, seed=11)
     assert got == expected
 
 
@@ -625,8 +598,3 @@ def test_mixed_entry_shapes_dispatch_in_reference_order(until):
     assert _mixed_dispatch(sanitized, until) == expected
     assert sanitizers[0].stream_digest() == digest
 
-
-@pytest.mark.parametrize("until", [None, 0.17])
-def test_c_kernel_dispatches_mixed_entry_shapes_in_reference_order(until):
-    kernel = _load_ckernel()
-    assert _mixed_dispatch(kernel, until) == _mixed_reference(until)[:4]
