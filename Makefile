@@ -4,24 +4,21 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test qa lint flow sanitize determinism bench perf perf-gate regress
+.PHONY: test qa lint sanitize determinism bench perf perf-gate regress
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-# The full QA gate: simlint + simflow + SimSan smoke + determinism
+# The full QA gate: simlint + SimSan smoke + determinism
 # (+ mypy/ruff when installed).  docs/STATIC_ANALYSIS.md documents
 # every step.
 qa:
 	$(PYTHON) -m repro.qa
 
+# simlint: the file rules, then the whole-program SL010/SL011
+# (enforcement-path dominance, determinism taint).
 lint:
 	$(PYTHON) -m repro.qa.lint src/repro
-
-# Whole-program flow analysis (enforcement-path dominance, determinism
-# taint, worker-boundary safety), gated on the checked-in baseline.
-flow:
-	$(PYTHON) -m repro.qa.flow --baseline
 
 # Tier-1 substrate tests with the runtime sanitizer armed.
 sanitize:

@@ -69,7 +69,7 @@ class IntermediateRouterMixin:
                     # the upstream content router already enforced (and
                     # any denial rides along as the attached NACK), so
                     # this is the one designed send with no local decision.
-                    self.send(record.in_face, out)  # simflow: disable=SL010
+                    self.send(record.in_face, out)  # simlint: disable=SL010
                     primary_served = True
                     continue
 
@@ -104,7 +104,7 @@ class IntermediateRouterMixin:
             # Join of the ALD inspection above: public data flows
             # clean, private data now carries the NO_TAG denial — both
             # arms of the access-level decision are enforcement.
-            self.send(record.in_face, out)  # simflow: disable=SL010
+            self.send(record.in_face, out)  # simlint: disable=SL010
             return
 
         if data.access_level is not None:
@@ -132,7 +132,7 @@ class IntermediateRouterMixin:
                 # draw above *is* the protocol's enforcement here, and
                 # the audit oracle records it as an f_recheck.
                 out.flag_f = flag
-                self.send(record.in_face, out, delay)  # simflow: disable=SL010
+                self.send(record.in_face, out, delay)  # simlint: disable=SL010
                 return
 
         # Lines 14-24: F == 0, or the probabilistic re-validation fired.

@@ -8,7 +8,8 @@ bounded occupancy, Bloom-filter fill monotonicity) must hold on every
 path.  This package makes both machine-checked:
 
 - :mod:`repro.qa.lint` — an AST-based linter with simulator-specific
-  rules (``python -m repro.qa.lint src/repro``),
+  rules, including the whole-program SL010/SL011 of
+  :mod:`repro.qa.flow` (``python -m repro.qa.lint src/repro``),
 - :mod:`repro.qa.simsan` — an opt-in runtime sanitizer
   (``REPRO_SIMSAN=1``) that installs invariant hooks into the
   simulator, nodes, and tables,

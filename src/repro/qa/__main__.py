@@ -2,18 +2,17 @@
 
 Runs, in order:
 
-1. **simlint** over the source tree (always),
-2. **simflow** — the whole-program analyzer, gated on the checked-in
-   baseline (always),
-3. a **SimSan smoke run** — one small scenario with every runtime
+1. **simlint** over the source tree — the file rules and the
+   whole-program SL010/SL011 (always),
+2. a **SimSan smoke run** — one small scenario with every runtime
    invariant armed (always),
-4. the **double-run determinism check** (always),
-5. **mypy** and **ruff** per the pyproject config — *only when the
-   tools are importable*; environments without them (the pinned repro
-   container installs nothing) report SKIPPED rather than failing.
+3. the **double-run determinism check** (always),
+4. **mypy** and **ruff** per the pyproject config — *only when the
+   tools are importable*; environments without them report SKIPPED
+   rather than failing.
 
 Exit status is non-zero iff any executed step fails; skipped steps
-never fail the gate.  ``make qa`` and the CI ``lint`` job both land
+never fail the gate.  ``make qa`` and the CI ``sanitize`` job both land
 here.
 """
 
@@ -34,34 +33,6 @@ def _step_lint(paths: List[str]) -> Tuple[bool, str]:
     if findings:
         return False, render_text(findings)
     return True, "clean"
-
-
-def _step_flow(paths: List[str]) -> Tuple[bool, str]:
-    from repro.qa.findings import render_text
-    from repro.qa.flow.baseline import (
-        DEFAULT_BASELINE,
-        load_baseline,
-        new_findings,
-    )
-    from repro.qa.flow.cachedb import SummaryCache, resolve_cache_dir
-    from repro.qa.flow.cli import analyze_paths
-
-    report = analyze_paths(paths, cache=SummaryCache(resolve_cache_dir(None)))
-    baseline_path = Path(DEFAULT_BASELINE)
-    if not baseline_path.exists():
-        # Fall back to the repo checkout's baseline when run from
-        # another working directory.
-        candidate = Path(__file__).resolve().parents[3] / DEFAULT_BASELINE
-        if candidate.exists():
-            baseline_path = candidate
-    fresh = new_findings(report.findings, load_baseline(str(baseline_path)))
-    if fresh:
-        return False, render_text(fresh)
-    return True, (
-        f"clean ({report.modules_parsed} parsed, "
-        f"{report.modules_cached} cached of {report.modules_total} "
-        f"modules, {report.wall_seconds:.2f}s)"
-    )
 
 
 def _step_simsan_smoke(paths: List[str]) -> Tuple[bool, str]:
@@ -121,7 +92,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     steps: List[Tuple[str, Callable]] = [
         ("simlint", _step_lint),
-        ("simflow", _step_flow),
         ("simsan-smoke", _step_simsan_smoke),
         ("determinism", _step_determinism),
         ("mypy", _step_mypy),

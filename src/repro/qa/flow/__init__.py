@@ -1,11 +1,11 @@
-"""simflow: whole-program flow analysis over the simulator sources.
+"""simlint's whole-program rules: SL010 and SL011.
 
-Where simlint (:mod:`repro.qa.lint`) is lexical and per-file, simflow
-is *interprocedural*: it builds a per-function control-flow graph for
-every function in the tree (:mod:`repro.qa.flow.cfg`), summarises each
-module into plain data (:mod:`repro.qa.flow.extract`), links the
-summaries into a project-wide symbol table and call graph
-(:mod:`repro.qa.flow.callgraph`), and then runs three flow analyses:
+Where simlint's file rules (:mod:`repro.qa.rules`) read one file at a
+time, these two are *interprocedural*: a per-function control-flow
+graph for every function in the tree (:mod:`repro.qa.flow.cfg`), a
+summary of each module as plain data (:mod:`repro.qa.flow.extract`),
+and a project-wide symbol table and call graph linking the summaries
+(:mod:`repro.qa.flow.callgraph`).  Over that program:
 
 - **SL010** (:mod:`repro.qa.flow.dominance`) — every Data/NACK
   transmission site in the TACTIC router modules must be dominated by
@@ -15,40 +15,33 @@ summaries into a project-wide symbol table and call graph
   determinism taint from wall-clock/entropy sources into sim-scheduled
   code, catching laundering through helpers, aliases, default
   arguments, and lambdas that lexical SL001/SL002 miss.
-- **SL012/SL013** (:mod:`repro.qa.flow.picklability`) — everything
-  crossing the ``repro.exec`` process-pool boundary must be statically
-  picklable, and worker-reachable code must not mutate module globals.
 
-Per-module summaries are cached under a BLAKE2-over-source fingerprint
-(:mod:`repro.qa.flow.cachedb`) — the same content-address discipline
-as the run cache — so a no-change re-run skips parsing entirely.
-Findings are reported as text, JSON, or SARIF
-(:mod:`repro.qa.flow.reporters`), filtered against a checked-in
-baseline with inline ``# simflow: disable=`` suppressions
-(:mod:`repro.qa.flow.baseline`).
-
-Entry point: ``python -m repro.qa.flow`` (see
-:mod:`repro.qa.flow.cli`); docs in docs/STATIC_ANALYSIS.md.
+``python -m repro.qa.lint`` runs both after its file rules, over the
+same parsed trees, with the same ``--select``, report formats and
+``# simlint: disable=`` suppressions; docs in docs/STATIC_ANALYSIS.md.
 """
 
 from __future__ import annotations
 
-from repro.qa.flow.callgraph import Program
-from repro.qa.flow.cli import analyze_paths, build_parser, main
-from repro.qa.flow.model import (
-    ANALYZER_VERSION,
-    FLOW_RULES,
-    FlowReport,
-    ModuleSummary,
-)
+from typing import Iterable, List
 
-__all__ = [
-    "ANALYZER_VERSION",
-    "FLOW_RULES",
-    "FlowReport",
-    "ModuleSummary",
-    "Program",
-    "analyze_paths",
-    "build_parser",
-    "main",
-]
+from repro.qa.findings import Finding
+from repro.qa.flow.callgraph import Program
+from repro.qa.flow.dominance import DominanceRule
+from repro.qa.flow.extract import extract_module
+from repro.qa.flow.taint import TaintRule
+from repro.qa.rules import Module, ProgramRule
+
+#: The whole-program rules, in code order.
+PROGRAM_RULES = (DominanceRule(), TaintRule())
+
+
+def check_program(
+    modules: Iterable[Module], rules: Iterable[ProgramRule] = PROGRAM_RULES
+) -> List[Finding]:
+    """Link ``modules`` into one program and run ``rules`` over it."""
+    program = Program(extract_module(module) for module in modules)
+    return [finding for rule in rules for finding in rule.check_program(program)]
+
+
+__all__ = ["PROGRAM_RULES", "check_program"]

@@ -27,11 +27,12 @@ optimistically (the obligation re-enters the cycle's entry edge).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.qa.findings import Finding
 from repro.qa.flow.callgraph import FuncKey, Program
-from repro.qa.flow.model import FunctionInfo, SendSite
+from repro.qa.flow.model import SendSite
+from repro.qa.rules import ProgramRule
 
 #: Modules whose transmission sites carry the SL010 obligation.  Bare
 #: filenames (test fixtures outside any package) are always in scope.
@@ -86,26 +87,37 @@ def _site_guarded(
     return any(name in enforcing_names for name in calls)
 
 
-def check_sl010(program: Program) -> List[Finding]:
-    findings: List[Finding] = []
-    enforcing = _enforcing_functions(program)
-    enforcing_names = {program.functions[key].name for key in enforcing}
+class DominanceRule(ProgramRule):
+    """SL010: router Data/NACK sends must be dominated by enforcement.
 
-    for key, func in sorted(program.functions.items()):
-        relpath, _ = key
-        if not _in_scope(relpath):
-            continue
-        for site in func.send_sites:
-            if site.packet not in _GUARDED_PACKETS:
+    Every transmission site in the TACTIC router modules needs an
+    enforcement check on every CFG path into it, through call-graph
+    summaries (see the module docstring).
+    """
+
+    code = "SL010"
+    title = "enforcement-path dominance"
+
+    def check_program(self, program: Program) -> List[Finding]:
+        findings: List[Finding] = []
+        enforcing = _enforcing_functions(program)
+        enforcing_names = {program.functions[key].name for key in enforcing}
+
+        for key, func in sorted(program.functions.items()):
+            relpath, _ = key
+            if not _in_scope(relpath):
                 continue
-            if _site_guarded(
-                site.dom_prims, site.dom_guards, site.dom_calls, enforcing_names
-            ):
-                continue
-            finding = _propagate(program, key, site, enforcing_names)
-            if finding is not None:
-                findings.append(finding)
-    return findings
+            for site in func.send_sites:
+                if site.packet not in _GUARDED_PACKETS:
+                    continue
+                if _site_guarded(
+                    site.dom_prims, site.dom_guards, site.dom_calls, enforcing_names
+                ):
+                    continue
+                finding = _propagate(program, key, site, enforcing_names)
+                if finding is not None:
+                    findings.append(finding)
+        return findings
 
 
 def _propagate(

@@ -1,9 +1,9 @@
 """The per-module front-end: one file -> one :class:`ModuleSummary`.
 
-This is the only module that touches source text or ASTs; everything
-downstream (call graph, the three analyses) consumes plain summaries,
-which is what makes them cacheable.  Per function the extractor
-records:
+This is the only module that reads an AST; everything downstream (call
+graph, both analyses) consumes plain summaries.  It works on the tree
+simlint already parsed (:class:`repro.qa.rules.Module`), so each file
+is parsed once per run.  Per function the extractor records:
 
 - every call expression (dotted name as written),
 - direct determinism-source uses — plain calls, ``clock = time.time``
@@ -33,25 +33,21 @@ variable-name conventions ``data``/``nack``/``interest``.
 from __future__ import annotations
 
 import ast
-import hashlib
-import re
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.qa.flow.cfg import Assume, build_cfg, strict_dominators
 from repro.qa.flow.model import (
     CallSite,
     ClassInfo,
-    FieldDecl,
     FunctionInfo,
     ModuleSummary,
-    PoolSubmit,
     SendSite,
     SourceUse,
 )
 from repro.qa.rules import (
     _WALL_CLOCK_CALLS,
     _WALL_CLOCK_FROM_TIME,
-    package_relpath,
+    Module,
 )
 
 #: Determinism sources beyond the wall clock (dotted call names).
@@ -89,23 +85,6 @@ GUARD_CALLS = {"is_tag_response", "is_registration"}
 #: Transmission calls: ``<recv>.send(face, packet, ...)``.
 SEND_ATTRS = {"send"}
 
-#: Process-pool fan-out methods whose first argument crosses the
-#: pickling boundary (SL012).
-POOL_METHODS = {
-    "imap",
-    "imap_unordered",
-    "map",
-    "map_async",
-    "starmap",
-    "starmap_async",
-    "apply_async",
-    "submit",
-}
-
-_SUPPRESS_RE = re.compile(
-    r"#\s*simflow:\s*disable(?:=(?P<codes>[A-Za-z0-9_,\s]+))?"
-)
-
 _DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -136,31 +115,8 @@ def _own_exprs(node: ast.AST) -> List[ast.AST]:
     return [node]
 
 
-def source_fingerprint(source: str) -> str:
-    """BLAKE2 over the raw source — the cachedb key component."""
-    return hashlib.blake2b(source.encode("utf-8"), digest_size=16).hexdigest()
-
-
-def parse_suppressions(source: str) -> Dict[int, Tuple[str, ...]]:
-    """Map line -> disabled simflow codes (``*`` = every rule)."""
-    out: Dict[int, Tuple[str, ...]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _SUPPRESS_RE.search(line)
-        if not match:
-            continue
-        codes = match.group("codes")
-        if codes is None:
-            out[lineno] = ("*",)
-        else:
-            out[lineno] = tuple(
-                code.strip().upper() for code in codes.split(",") if code.strip()
-            )
-    return out
-
-
-def module_dotted_name(path: str) -> str:
-    """``src/repro/core/edge_router.py`` -> ``repro.core.edge_router``."""
-    relpath = package_relpath(path)
+def module_dotted_name(relpath: str) -> str:
+    """``core/edge_router.py`` -> ``repro.core.edge_router``."""
     if "/" not in relpath:
         return ""  # bare filename: not importable as a repro module
     stem = relpath[:-3] if relpath.endswith(".py") else relpath
@@ -331,17 +287,13 @@ class _FunctionExtractor:
         calls: List[CallSite] = []
         sources: List[SourceUse] = []
         sends: List[SendSite] = []
-        submits: List[PoolSubmit] = []
-        globals_written: List[str] = []
 
         for nid in range(2, len(cfg.nodes)):
             stmt = cfg.nodes[nid]
             if stmt is None or isinstance(stmt, Assume):
                 continue
             doms = self._classify_dominators(cfg, site_doms.get(nid, set()))
-            self._scan_node(stmt, doms, calls, sources, sends, submits)
-            if isinstance(stmt, ast.Global):
-                globals_written.extend(stmt.names)
+            self._scan_node(stmt, doms, calls, sources, sends)
 
         self._scan_defaults(sources)
         exit_prims, exit_guards, exit_calls = self._classify_dominators(
@@ -360,8 +312,6 @@ class _FunctionExtractor:
             exit_prims=exit_prims,
             exit_guards=exit_guards,
             exit_calls=exit_calls,
-            global_writes=tuple(dict.fromkeys(globals_written)),
-            pool_submits=tuple(submits),
         )
 
     def _scan_node(
@@ -371,7 +321,6 @@ class _FunctionExtractor:
         calls: List[CallSite],
         sources: List[SourceUse],
         sends: List[SendSite],
-        submits: List[PoolSubmit],
     ) -> None:
         dom_prims, dom_guards, dom_calls = doms
         for root in _own_exprs(stmt):
@@ -432,8 +381,6 @@ class _FunctionExtractor:
                             dom_calls=dom_calls,
                         )
                     )
-                if terminal in POOL_METHODS and node.args:
-                    submits.append(self._pool_submit(node, terminal))
 
     def _scan_lambda(self, node: ast.Lambda, sources: List[SourceUse]) -> None:
         for sub in ast.walk(node.body):
@@ -448,24 +395,6 @@ class _FunctionExtractor:
                             via="lambda",
                         )
                     )
-
-    def _pool_submit(self, node: ast.Call, method: str) -> PoolSubmit:
-        target = node.args[0]
-        if isinstance(target, ast.Name):
-            target_kind, target_name = "name", target.id
-        elif isinstance(target, ast.Lambda):
-            target_kind, target_name = "lambda", "<lambda>"
-        elif isinstance(target, ast.Attribute):
-            target_kind, target_name = "attr", _dotted(target)
-        else:
-            target_kind, target_name = "other", ast.unparse(target)
-        return PoolSubmit(
-            method=method,
-            target_kind=target_kind,
-            target=target_name,
-            line=node.lineno,
-            col=node.col_offset + 1,
-        )
 
     def _scan_defaults(self, sources: List[SourceUse]) -> None:
         # Default arguments evaluate once, at definition time — a
@@ -569,21 +498,9 @@ class _FunctionExtractor:
         return ""
 
 
-def extract_module(path: str, source: str) -> ModuleSummary:
-    """Summarise one file (never raises on bad syntax)."""
-    relpath = package_relpath(path)
-    fingerprint = source_fingerprint(source)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return ModuleSummary(
-            path=path,
-            relpath=relpath,
-            module=module_dotted_name(path),
-            fingerprint=fingerprint,
-            syntax_error=f"line {exc.lineno}: {exc.msg}",
-        )
-
+def extract_module(module: Module) -> ModuleSummary:
+    """Summarise one parsed file."""
+    tree = module.tree
     imports = _ImportTable(tree)
     from_time_names: Set[str] = set()
     for node in ast.walk(tree):
@@ -606,47 +523,19 @@ def extract_module(path: str, source: str) -> ModuleSummary:
         if isinstance(node, _DEF_NODES):
             _extract_function(node, "")
         elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, _DEF_NODES):
+                    _extract_function(member, node.name)
             bases = tuple(
                 filter(None, (_dotted(base).split(".")[-1] for base in node.bases))
             )
-            methods: List[str] = []
-            fields: List[FieldDecl] = []
-            for member in node.body:
-                if isinstance(member, _DEF_NODES):
-                    methods.append(member.name)
-                    _extract_function(member, node.name)
-                elif isinstance(member, ast.AnnAssign) and isinstance(
-                    member.target, ast.Name
-                ):
-                    fields.append(
-                        FieldDecl(
-                            name=member.target.id,
-                            annotation=ast.unparse(member.annotation),
-                        )
-                    )
-            decorators = {
-                _dotted(d.func if isinstance(d, ast.Call) else d).split(".")[-1]
-                for d in node.decorator_list
-            }
-            classes.append(
-                ClassInfo(
-                    name=node.name,
-                    line=node.lineno,
-                    bases=bases,
-                    methods=tuple(methods),
-                    fields=tuple(fields),
-                    is_dataclass="dataclass" in decorators,
-                    is_enum=any("Enum" in base for base in bases),
-                )
-            )
+            classes.append(ClassInfo(name=node.name, bases=bases))
 
     return ModuleSummary(
-        path=path,
-        relpath=relpath,
-        module=module_dotted_name(path),
-        fingerprint=fingerprint,
+        path=module.path,
+        relpath=module.relpath,
+        module=module_dotted_name(module.relpath),
         imports=dict(imports.bindings),
         functions=tuple(functions),
         classes=tuple(classes),
-        suppressions=parse_suppressions(source),
     )

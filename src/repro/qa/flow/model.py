@@ -1,54 +1,17 @@
-"""simflow's data model: per-module summaries and the report envelope.
+"""The whole-program rules' data model: per-module summaries.
 
 A :class:`ModuleSummary` is everything the whole-program phase needs
-to know about one file, as plain JSON-representable data — which is
-what makes the incremental cache (:mod:`repro.qa.flow.cachedb`)
-possible: summaries round-trip through JSON exactly, keyed by a BLAKE2
-fingerprint of the source, so an unchanged file is never re-parsed.
-
-The rule catalogue lives here too (:data:`FLOW_RULES`); findings reuse
-:class:`repro.qa.findings.Finding` so all three reporters (text, JSON,
-SARIF) are shared with simlint.
+to know about one file, as plain frozen data: the extractor
+(:mod:`repro.qa.flow.extract`) is the only code that reads an AST, and
+the call graph and both analyses consume summaries only.  Findings
+reuse :class:`repro.qa.findings.Finding`, so SL010/SL011 report
+through simlint's renderers and suppressions.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
-
-from repro.qa.findings import Finding
-
-#: Bump to invalidate every cached per-module summary on schema or
-#: extraction-logic changes (the cachedb folds it into the lookup key).
-ANALYZER_VERSION = 1
-
-#: The simflow rule catalogue: code -> (title, one-line description).
-FLOW_RULES: Dict[str, Tuple[str, str]] = {
-    "SL010": (
-        "enforcement-path dominance",
-        "every Data/NACK transmission site in the TACTIC router modules "
-        "must be dominated by an enforcement check on every CFG path, "
-        "through call-graph summaries",
-    ),
-    "SL011": (
-        "determinism taint",
-        "no interprocedural flow from wall-clock/entropy/stdlib-random "
-        "sources into sim-scheduled code (helpers, aliases, default "
-        "arguments, and lambdas included)",
-    ),
-    "SL012": (
-        "worker-boundary picklability",
-        "everything crossing the repro.exec process-pool boundary must "
-        "be statically picklable (module-level callables, whitelisted "
-        "field types on the boundary dataclasses)",
-    ),
-    "SL013": (
-        "worker-global mutation",
-        "worker-reachable code must not write module globals — worker "
-        "state leaking across runs breaks the serial/parallel/cached "
-        "bit-identical guarantee",
-    ),
-}
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -89,17 +52,6 @@ class SendSite:
 
 
 @dataclass(frozen=True)
-class PoolSubmit:
-    """One callable handed to a process-pool method."""
-
-    method: str  #: e.g. ``imap_unordered``
-    target_kind: str  #: ``name`` | ``attr`` | ``lambda`` | ``other``
-    target: str  #: the callable expression (dotted name or excerpt)
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
 class FunctionInfo:
     """The flow-relevant facts about one function or method."""
 
@@ -116,27 +68,12 @@ class FunctionInfo:
     exit_prims: Tuple[str, ...] = ()
     exit_guards: Tuple[str, ...] = ()
     exit_calls: Tuple[str, ...] = ()
-    global_writes: Tuple[str, ...] = ()
-    pool_submits: Tuple[PoolSubmit, ...] = ()
-
-
-@dataclass(frozen=True)
-class FieldDecl:
-    """One annotated field of a class body (for picklability checks)."""
-
-    name: str
-    annotation: str  #: the annotation as source text
 
 
 @dataclass(frozen=True)
 class ClassInfo:
     name: str
-    line: int
     bases: Tuple[str, ...] = ()  #: terminal names of base expressions
-    methods: Tuple[str, ...] = ()
-    fields: Tuple[FieldDecl, ...] = ()
-    is_dataclass: bool = False
-    is_enum: bool = False
 
 
 @dataclass(frozen=True)
@@ -146,95 +83,6 @@ class ModuleSummary:
     path: str
     relpath: str  #: package-relative (``core/edge_router.py``)
     module: str  #: dotted module name (``repro.core.edge_router``)
-    fingerprint: str  #: BLAKE2 over the source
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Tuple[FunctionInfo, ...] = ()
     classes: Tuple[ClassInfo, ...] = ()
-    #: line -> disabled rule codes ("*" = all), from ``# simflow:``.
-    suppressions: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
-    syntax_error: str = ""  #: non-empty when the file failed to parse
-
-    # ------------------------------------------------------------------
-    # JSON round-trip (the cachedb contract)
-    # ------------------------------------------------------------------
-    def to_json_dict(self) -> Dict[str, Any]:
-        payload = asdict(self)
-        payload["suppressions"] = {
-            str(line): list(codes) for line, codes in self.suppressions.items()
-        }
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Dict[str, Any]) -> "ModuleSummary":
-        def _strs(item: Dict[str, Any], *keys: str) -> Dict[str, Any]:
-            out = dict(item)
-            for key in keys:
-                out[key] = tuple(out.get(key, ()))
-            return out
-
-        def _function(item: Dict[str, Any]) -> FunctionInfo:
-            out = _strs(
-                item, "exit_prims", "exit_guards", "exit_calls", "global_writes"
-            )
-            out["calls"] = tuple(
-                CallSite(**_strs(c, "dom_prims", "dom_guards", "dom_calls"))
-                for c in item.get("calls", ())
-            )
-            out["sources"] = tuple(
-                SourceUse(**s) for s in item.get("sources", ())
-            )
-            out["send_sites"] = tuple(
-                SendSite(**_strs(s, "dom_prims", "dom_guards", "dom_calls"))
-                for s in item.get("send_sites", ())
-            )
-            out["pool_submits"] = tuple(
-                PoolSubmit(**p) for p in item.get("pool_submits", ())
-            )
-            return FunctionInfo(**out)
-
-        def _klass(item: Dict[str, Any]) -> ClassInfo:
-            out = _strs(item, "bases", "methods")
-            out["fields"] = tuple(FieldDecl(**f) for f in item.get("fields", ()))
-            return ClassInfo(**out)
-
-        return cls(
-            path=payload["path"],
-            relpath=payload["relpath"],
-            module=payload["module"],
-            fingerprint=payload["fingerprint"],
-            imports=dict(payload.get("imports", {})),
-            functions=tuple(_function(f) for f in payload.get("functions", ())),
-            classes=tuple(_klass(k) for k in payload.get("classes", ())),
-            suppressions={
-                int(line): tuple(codes)
-                for line, codes in payload.get("suppressions", {}).items()
-            },
-            syntax_error=payload.get("syntax_error", ""),
-        )
-
-
-@dataclass
-class FlowReport:
-    """The analysis result: findings plus provenance/cost statistics."""
-
-    findings: List[Finding] = field(default_factory=list)
-    #: new findings after baseline filtering (``None`` = no baseline)
-    new_findings: Optional[List[Finding]] = None
-    modules_total: int = 0
-    modules_parsed: int = 0
-    modules_cached: int = 0
-    wall_seconds: float = 0.0
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "modules_total": self.modules_total,
-            "modules_parsed": self.modules_parsed,
-            "modules_cached": self.modules_cached,
-            "wall_seconds": self.wall_seconds,
-            "phase_seconds": dict(self.phase_seconds),
-            "findings": len(self.findings),
-            "new_findings": (
-                len(self.new_findings) if self.new_findings is not None else None
-            ),
-        }

@@ -29,7 +29,7 @@ from typing import Dict, List, Set, Tuple
 
 from repro.qa.findings import Finding
 from repro.qa.flow.callgraph import FuncKey, Program
-from repro.qa.rules import SIM_AFFECTING_PREFIXES
+from repro.qa.rules import SIM_AFFECTING_PREFIXES, ProgramRule
 
 #: Modules allowed to touch wall clocks / OS entropy.
 SANCTIONED_EXACT = frozenset({"sim/rng.py"})
@@ -86,59 +86,70 @@ def _taint_chains(program: Program) -> Dict[FuncKey, Tuple[str, ...]]:
     return chains
 
 
-def check_sl011(program: Program) -> List[Finding]:
-    findings: List[Finding] = []
-    chains = _taint_chains(program)
+class TaintRule(ProgramRule):
+    """SL011: no determinism source may reach sim code through helpers.
 
-    for key, func in sorted(program.functions.items()):
-        relpath, _ = key
-        if not _sim_scope(relpath) or _sanctioned(relpath):
-            continue
-        mod = program.modules[relpath]
+    Wall-clock, entropy and stdlib-random sources must not flow into
+    sim-scheduled code interprocedurally, nor through aliases, default
+    arguments or lambdas (see the module docstring).
+    """
 
-        # Direct uses lexical rules cannot see.
-        for src in func.sources:
-            if src.via in _LEXICALLY_VISIBLE:
+    code = "SL011"
+    title = "determinism taint"
+
+    def check_program(self, program: Program) -> List[Finding]:
+        findings: List[Finding] = []
+        chains = _taint_chains(program)
+
+        for key, func in sorted(program.functions.items()):
+            relpath, _ = key
+            if not _sim_scope(relpath) or _sanctioned(relpath):
                 continue
-            findings.append(
-                Finding(
-                    path=mod.path,
-                    line=src.line,
-                    col=src.col,
-                    rule="SL011",
-                    message=(
-                        f"determinism source {src.source} reaches "
-                        f"sim-scheduled code in {func.qualname} via "
-                        f"{src.via} — route it through the seeded RNG "
-                        f"registry (sim/rng.py) or the sim clock"
-                    ),
-                )
-            )
+            mod = program.modules[relpath]
 
-        # Boundary crossings: sim scope -> tainted non-sim callee.
-        seen_targets: Set[FuncKey] = set()
-        for call in func.calls:
-            for target in program.resolve_precise(key, call.name):
-                if target in seen_targets:
-                    continue
-                seen_targets.add(target)
-                target_relpath, _ = target
-                if _sim_scope(target_relpath):
-                    continue  # inner boundary reports it instead
-                chain = chains.get(target)
-                if chain is None:
+            # Direct uses lexical rules cannot see.
+            for src in func.sources:
+                if src.via in _LEXICALLY_VISIBLE:
                     continue
                 findings.append(
                     Finding(
                         path=mod.path,
-                        line=call.line,
-                        col=call.col,
+                        line=src.line,
+                        col=src.col,
                         rule="SL011",
                         message=(
-                            f"{func.qualname} launders a determinism "
-                            f"source through {call.name}: "
-                            + " -> ".join(chain)
+                            f"determinism source {src.source} reaches "
+                            f"sim-scheduled code in {func.qualname} via "
+                            f"{src.via} — route it through the seeded RNG "
+                            f"registry (sim/rng.py) or the sim clock"
                         ),
                     )
                 )
-    return findings
+
+            # Boundary crossings: sim scope -> tainted non-sim callee.
+            seen_targets: Set[FuncKey] = set()
+            for call in func.calls:
+                for target in program.resolve_precise(key, call.name):
+                    if target in seen_targets:
+                        continue
+                    seen_targets.add(target)
+                    target_relpath, _ = target
+                    if _sim_scope(target_relpath):
+                        continue  # inner boundary reports it instead
+                    chain = chains.get(target)
+                    if chain is None:
+                        continue
+                    findings.append(
+                        Finding(
+                            path=mod.path,
+                            line=call.line,
+                            col=call.col,
+                            rule="SL011",
+                            message=(
+                                f"{func.qualname} launders a determinism "
+                                f"source through {call.name}: "
+                                + " -> ".join(chain)
+                            ),
+                        )
+                    )
+        return findings

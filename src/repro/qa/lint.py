@@ -4,8 +4,6 @@ Usage::
 
     python -m repro.qa.lint src/repro              # text report, exit 1 on findings
     python -m repro.qa.lint src/repro --format json
-    python -m repro.qa.lint src/repro --format sarif > simlint.sarif
-    python -m repro.qa.lint src/repro --jobs 4
     python -m repro.qa.lint --list-rules
     python -m repro.qa.lint src/repro --select SL002,SL004
 
@@ -14,14 +12,12 @@ several codes, omit ``=...`` to disable every rule) to the flagged
 line.  Suppressions are expected to carry a justifying comment — the
 reviewer's contract, not the tool's.
 
-Each file is parsed exactly once; rules iterate a shared
-:class:`~repro.qa.rules.NodeIndex` built in one walk of that tree.
-Registry-dependent rules (:class:`~repro.qa.rules.ContextRule`) split
-into a per-file *collect* phase and a cross-file *judge* phase, so
-``--jobs N`` can fan the per-file work out to worker processes and
-judge the returned candidates against the merged registries in the
-parent — serial and parallel runs share one implementation of every
-rule.
+Each file is parsed exactly once.  A first pass parses every file and
+merges the names its registries declare, so the registry rules judge
+call sites against declarations in any scanned file; the file rules
+then iterate a shared :class:`~repro.qa.rules.NodeIndex` per file, and
+the whole-program rules (:mod:`repro.qa.flow`: SL010, SL011) run last
+over the same parsed trees.
 """
 
 from __future__ import annotations
@@ -29,26 +25,23 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import multiprocessing
-import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.qa.findings import Finding, render_text, sort_findings
-from repro.qa.rules import (
-    ALL_RULES,
-    Candidate,
-    ContextRule,
-    LintContext,
-    Module,
-    Rule,
-    RULES_BY_CODE,
+from repro.qa.flow import PROGRAM_RULES, check_program
+from repro.qa.rules import FILE_RULES, LintContext, Module, ProgramRule, Rule
+
+#: Every rule, in code order: the file rules with the whole-program
+#: SL010/SL011 slotted in.
+ALL_RULES: Sequence[Union[Rule, ProgramRule]] = tuple(
+    sorted((*FILE_RULES, *PROGRAM_RULES), key=lambda rule: rule.code)
 )
-from repro.qa.sarif import render_sarif
+RULES_BY_CODE = {rule.code: rule for rule in ALL_RULES}
 
 _SUPPRESS_RE = re.compile(
     r"#\s*simlint:\s*disable(?:=(?P<codes>[A-Za-z0-9_,\s]+))?"
@@ -87,122 +80,54 @@ def parse_suppressions(source: str) -> Dict[int, frozenset]:
     return out
 
 
-def load_module(path: Path) -> Tuple[Optional[Module], Optional[Finding]]:
+def load_module(path: Path) -> Union[Module, Finding]:
     """Parse one file; a syntax error becomes a synthetic finding."""
     source = path.read_text(encoding="utf-8")
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
-        return None, Finding(
+        return Finding(
             path=str(path),
             line=exc.lineno or 1,
             col=(exc.offset or 0) + 1,
             rule="SL000",
             message=f"syntax error: {exc.msg}",
         )
-    return Module(path=str(path), source=source, tree=tree), None
-
-
-@dataclass
-class FileScan:
-    """Everything one worker learns about one file.
-
-    Context-free findings are final; candidates await judgement against
-    the merged registries.  The payload is picklable, so the same shape
-    crosses the ``--jobs`` process boundary and feeds the serial path.
-    """
-
-    path: str
-    findings: List[Finding] = field(default_factory=list)
-    candidates: List[Candidate] = field(default_factory=list)
-    suppressions: Dict[int, frozenset] = field(default_factory=dict)
-    #: Registry kind -> names this file declares.
-    declared: Dict[str, Set[str]] = field(default_factory=dict)
-
-
-def scan_file(
-    path: Path,
-    select: Optional[FrozenSet[str]],
-    rules: Sequence[Rule] = ALL_RULES,
-) -> FileScan:
-    """Parse + index one file; run context-free rules, collect the rest."""
-    scan = FileScan(path=str(path))
-    module, error = load_module(path)
-    if error is not None:
-        scan.findings.append(error)
-    if module is None:
-        return scan
-    scan.suppressions = parse_suppressions(module.source)
-    registries = LintContext()
-    registries.merge_registries(module)
-    scan.declared = registries.declared
-    empty_ctx = LintContext()
-    for rule in rules:
-        if select is not None and rule.code not in select:
-            continue
-        if not rule.applies_to(module):
-            continue
-        if isinstance(rule, ContextRule):
-            scan.candidates.extend(rule.collect(module))
-        else:
-            scan.findings.extend(rule.check(module, empty_ctx))
-    return scan
-
-
-def _scan_worker(item: Tuple[str, Optional[FrozenSet[str]]]) -> FileScan:
-    path_str, select = item
-    return scan_file(Path(path_str), select)
-
-
-def _judge_and_filter(
-    scans: Sequence[FileScan], select: Optional[FrozenSet[str]]
-) -> List[Finding]:
-    """Merge registries, judge candidates, apply suppressions, sort."""
-    ctx = LintContext()
-    for scan in scans:
-        for kind, names in scan.declared.items():
-            ctx.declared[kind] |= names
-
-    findings: List[Finding] = []
-    for scan in scans:
-        findings.extend(scan.findings)
-        for cand in scan.candidates:
-            rule = RULES_BY_CODE.get(cand.rule)
-            if rule is None or not isinstance(rule, ContextRule):
-                continue
-            if select is not None and rule.code not in select:
-                continue
-            finding = rule.judge(cand, ctx)
-            if finding is not None:
-                findings.append(finding)
-
-    by_path = {scan.path: scan.suppressions for scan in scans}
-    return sort_findings(
-        f for f in findings if not _suppressed(f, by_path.get(f.path, {}))
-    )
+    return Module(path=str(path), source=source, tree=tree)
 
 
 def lint_paths(
-    paths: Iterable[str],
-    select: Optional[Sequence[str]] = None,
-    rules: Sequence[Rule] = ALL_RULES,
-    jobs: int = 1,
+    paths: Iterable[str], select: Optional[Iterable[str]] = None
 ) -> List[Finding]:
-    """Run the rule set over ``paths`` and return surviving findings.
-
-    ``jobs > 1`` fans per-file scans out to worker processes; custom
-    ``rules`` sequences force a serial run (workers only know the
-    registered rule set).
-    """
+    """Run the rule set over ``paths`` and return surviving findings."""
     selected = frozenset(select) if select is not None else None
-    files = iter_python_files(paths)
-    if jobs > 1 and rules is ALL_RULES and len(files) > 1:
-        items = [(str(path), selected) for path in files]
-        with multiprocessing.Pool(processes=jobs) as pool:
-            scans = pool.map(_scan_worker, items)
-    else:
-        scans = [scan_file(path, selected, rules) for path in files]
-    return _judge_and_filter(scans, selected)
+
+    def wanted(rule: Union[Rule, ProgramRule]) -> bool:
+        return selected is None or rule.code in selected
+
+    findings: List[Finding] = []
+    modules: List[Module] = []
+    ctx = LintContext()
+    for path in iter_python_files(paths):
+        loaded = load_module(path)
+        if isinstance(loaded, Finding):
+            findings.append(loaded)
+            continue
+        modules.append(loaded)
+        ctx.merge_registries(loaded)
+
+    for module in modules:
+        for rule in FILE_RULES:
+            if wanted(rule) and rule.applies_to(module):
+                findings.extend(rule.check(module, ctx))
+    program_rules = [rule for rule in PROGRAM_RULES if wanted(rule)]
+    if program_rules:
+        findings.extend(check_program(modules, program_rules))
+
+    by_path = {module.path: parse_suppressions(module.source) for module in modules}
+    return sort_findings(
+        f for f in findings if not _suppressed(f, by_path.get(f.path, {}))
+    )
 
 
 def _suppressed(finding: Finding, by_line: Dict[int, frozenset]) -> bool:
@@ -210,17 +135,6 @@ def _suppressed(finding: Finding, by_line: Dict[int, frozenset]) -> bool:
     if codes is None:
         return False
     return codes is _ALL_CODES or "*" in codes or finding.rule in codes
-
-
-def rule_catalogue() -> Dict[str, Tuple[str, str]]:
-    """Rule code -> (title, first doc line), for the SARIF driver."""
-    catalogue: Dict[str, Tuple[str, str]] = {
-        "SL000": ("syntax error", "the file failed to parse")
-    }
-    for rule in ALL_RULES:
-        doc = (rule.__doc__ or rule.title).strip().splitlines()[0]
-        catalogue[rule.code] = (rule.title, doc)
-    return catalogue
 
 
 def list_rules() -> str:
@@ -241,16 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", nargs="*", default=[], help="files or directories to lint"
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
     )
     parser.add_argument(
         "--select", default=None, metavar="CODES",
         help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the per-file scan (0 = cpu count)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
@@ -274,19 +184,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         if unknown:
             print(f"unknown rule codes: {sorted(unknown)}", file=sys.stderr)
             return 2
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     started = time.perf_counter()
-    findings = lint_paths(args.paths, select=select, jobs=jobs)
+    findings = lint_paths(args.paths, select=select)
     wall = time.perf_counter() - started
-    if args.format == "sarif":
-        print(render_sarif(findings, tool_name="simlint", rules=rule_catalogue()))
-    elif args.format == "json":
+    if args.format == "json":
         payload = {
             "findings": [asdict(f) for f in findings],
             "stats": {
                 "findings": len(findings),
                 "files": len(iter_python_files(args.paths)),
-                "jobs": jobs,
                 "wall_seconds": round(wall, 4),
             },
         }

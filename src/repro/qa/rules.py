@@ -1,12 +1,14 @@
 """The simlint rule catalogue.
 
-Each rule is an AST visitor over one module; the scanner in
+Each file rule is an AST visitor over one module; the scanner in
 :mod:`repro.qa.lint` drives every rule over every file and applies
-per-line ``# simlint: disable=SLxxx`` suppressions afterwards.  Rules
-are *simulator-specific*: they encode invariants a generic linter
-cannot know — that virtual time must never read the wall clock, that
-randomness must thread :mod:`repro.sim.rng` streams, that telemetry
-names must be declared before use.
+per-line ``# simlint: disable=SLxxx`` suppressions afterwards.  The two
+whole-program rules (SL010, SL011) live in :mod:`repro.qa.flow` and
+subclass :class:`ProgramRule`.  Rules are *simulator-specific*: they
+encode invariants a generic linter cannot know — that virtual time
+must never read the wall clock, that randomness must thread
+:mod:`repro.sim.rng` streams, that telemetry names must be declared
+before use.
 
 Path scoping: rules that only apply to simulation-affecting code
 compute a package-relative path (the part after the last ``repro``
@@ -20,7 +22,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import PurePath
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.qa.findings import Finding
 
@@ -235,9 +237,6 @@ class Rule:
 
     code = "SL000"
     title = "abstract"
-    #: True for rules that judge against cross-file registries and so
-    #: cannot complete inside a single-file worker (``--jobs``).
-    needs_context = False
 
     def applies_to(self, module: Module) -> bool:
         return True
@@ -255,65 +254,16 @@ class Rule:
         )
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A possible finding from a registry-dependent rule.
+class ProgramRule:
+    """Base class: yield findings for the whole scanned program, given
+    the linked flow summaries (a :class:`repro.qa.flow.callgraph.Program`)
+    of every file."""
 
-    In ``--jobs`` mode workers cannot judge these (the registries live
-    in *other* files), so they ship candidates back to the parent,
-    which judges them against the merged :class:`LintContext`.  Serial
-    mode uses the same collect-then-judge path so there is exactly one
-    implementation of each rule's logic.
-    """
+    code = "SL000"
+    title = "abstract"
 
-    rule: str
-    path: str
-    line: int
-    col: int
-    attr: str  #: the call attribute (``emit``, ``record_decision``, ...)
-    name: str  #: the literal first argument ('' when non-literal)
-    literal: bool
-
-
-class ContextRule(Rule):
-    """A rule split into per-file collection + registry judgement."""
-
-    needs_context = True
-
-    def collect(self, module: Module) -> Iterator[Candidate]:
+    def check_program(self, program) -> Iterable[Finding]:
         raise NotImplementedError
-
-    def judge(self, cand: Candidate, ctx: LintContext) -> Optional[Finding]:
-        raise NotImplementedError
-
-    def check(self, module: Module, ctx: LintContext) -> Iterator[Finding]:
-        for cand in self.collect(module):
-            finding = self.judge(cand, ctx)
-            if finding is not None:
-                yield finding
-
-    def _candidate(self, module: Module, node: ast.Call) -> Candidate:
-        func = node.func
-        attr = func.attr if isinstance(func, ast.Attribute) else ""
-        name, literal = _first_str_arg(node)
-        return Candidate(
-            rule=self.code,
-            path=module.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            attr=attr,
-            name=name,
-            literal=literal,
-        )
-
-    def _cand_finding(self, cand: Candidate, message: str) -> Finding:
-        return Finding(
-            path=cand.path,
-            line=cand.line,
-            col=cand.col,
-            rule=self.code,
-            message=message,
-        )
 
 
 def _in_sim_scope(relpath: str) -> bool:
@@ -584,7 +534,7 @@ REGISTRY_ROWS: Tuple[RegistryRow, ...] = (
 )
 
 
-class RegistryRule(ContextRule):
+class RegistryRule(Rule):
     """Names passed to a registered call family must be declared in
     that family's registry (the :data:`REGISTRY_ROWS` of one code)."""
 
@@ -602,24 +552,21 @@ class RegistryRule(ContextRule):
             return True
         return module.relpath.startswith(self.prefixes)
 
-    def collect(self, module: Module) -> Iterator[Candidate]:
+    def check(self, module: Module, ctx: LintContext) -> Iterator[Finding]:
         for node in module.index.calls:
             func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in self.rows:
-                yield self._candidate(module, node)
-
-    def judge(self, cand: Candidate, ctx: LintContext) -> Optional[Finding]:
-        row = self.rows[cand.attr]
-        declared = ctx.declared[row.registry]
-        if not declared:
-            return None
-        if not cand.literal:
-            if row.nonliteral is None:
-                return None
-            return self._cand_finding(cand, row.nonliteral)
-        if cand.name in declared or (row.registry == "events" and cand.name == "*"):
-            return None
-        return self._cand_finding(cand, row.message.format(name=cand.name))
+            if not (isinstance(func, ast.Attribute) and func.attr in self.rows):
+                continue
+            row = self.rows[func.attr]
+            declared = ctx.declared[row.registry]
+            if not declared:
+                continue
+            name, literal = _first_str_arg(node)
+            if not literal:
+                if row.nonliteral is not None:
+                    yield self._finding(module, node, row.nonliteral)
+            elif not (name in declared or (row.registry == "events" and name == "*")):
+                yield self._finding(module, node, row.message.format(name=name))
 
 
 #: Modules whose classes are instantiated per event / per packet, so an
@@ -717,8 +664,8 @@ class SlotsRule(Rule):
         return False
 
 
-#: The active rule set, in code order.
-ALL_RULES: Sequence[Rule] = (
+#: The per-file rules, in code order.
+FILE_RULES: Sequence[Rule] = (
     WallClockRule(),
     StdlibRandomRule(),
     RegistryRule(
@@ -747,5 +694,3 @@ ALL_RULES: Sequence[Rule] = (
         "STATESCOPE_SERIES.",
     ),
 )
-
-RULES_BY_CODE: Dict[str, Rule] = {rule.code: rule for rule in ALL_RULES}

@@ -1,4 +1,5 @@
-"""Tests for simflow (repro.qa.flow): the whole-program analyzer.
+"""Tests for simlint's whole-program rules (repro.qa.flow): SL010 and
+SL011, run through ``repro.qa.lint`` like every other rule.
 
 Fixture trees that should resolve like project packages live under a
 directory *containing a ``repro`` path component* (``tmp/repro/...``)
@@ -15,22 +16,32 @@ from pathlib import Path
 
 import pytest
 
-from repro.qa.flow import analyze_paths, main
-from repro.qa.flow.baseline import new_findings, write_baseline, load_baseline
-from repro.qa.flow.cachedb import NullCache, SummaryCache
-from repro.qa.flow.extract import extract_module
-from repro.qa.flow.model import ModuleSummary
-from repro.qa.lint import lint_paths
+from repro.qa.lint import lint_paths, main
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
-def flow(paths, select=None):
-    return analyze_paths([str(p) for p in paths], select=select, cache=NullCache())
+def flow(paths, select=("SL010", "SL011")):
+    return lint_paths([str(p) for p in paths], select=select)
 
 
-def codes(report):
-    return [f.rule for f in report.findings]
+def codes(findings):
+    return [f.rule for f in findings]
+
+
+@pytest.fixture()
+def repo_tree(tmp_path):
+    """A copy of the package; keeps the ``repro`` anchor so relpaths
+    resolve as in the repo."""
+    dest = tmp_path / "repro"
+    shutil.copytree(REPO_SRC, dest, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def mutate(path: Path, old: str, new: str) -> None:
+    source = path.read_text()
+    assert old in source, f"mutation anchor vanished from {path.name}"
+    path.write_text(source.replace(old, new))
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +59,9 @@ class TestSL010:
     def test_unguarded_send_is_flagged(self, tmp_path):
         router = tmp_path / "scratch_router.py"
         router.write_text(self.UNGUARDED)
-        report = flow([router], select={"SL010"})
-        assert codes(report) == ["SL010"]
-        [finding] = report.findings
+        findings = flow([router], select={"SL010"})
+        assert codes(findings) == ["SL010"]
+        [finding] = findings
         assert finding.line == 5
         assert "ScratchRouter.on_interest" in finding.message
         assert "entry point" in finding.message
@@ -66,8 +77,8 @@ class TestSL010:
             "        self.bf_lookup(interest.tag)\n"
             "        self.send(face, data)\n"
         )
-        report = flow([router], select={"SL010"})
-        assert codes(report) == []
+        findings = flow([router], select={"SL010"})
+        assert codes(findings) == []
 
     def test_guard_must_have_matching_polarity(self, tmp_path):
         # Mentioning .nack in a branch test does NOT discharge the
@@ -81,8 +92,8 @@ class TestSL010:
             "            pass\n"
             "        self.send(face, data)\n"
         )
-        report = flow([router], select={"SL010"})
-        assert codes(report) == ["SL010"]
+        findings = flow([router], select={"SL010"})
+        assert codes(findings) == ["SL010"]
 
     def test_nack_clearance_guard_discharges(self, tmp_path):
         router = tmp_path / "scratch_router.py"
@@ -92,8 +103,8 @@ class TestSL010:
             "        if data.nack is None:\n"
             "            self.send(face, data)\n"
         )
-        report = flow([router], select={"SL010"})
-        assert codes(report) == []
+        findings = flow([router], select={"SL010"})
+        assert codes(findings) == []
 
     def test_enforcing_helper_discharges_via_summary(self, tmp_path):
         # The call-graph summary: `vet` is enforcing (its exit is
@@ -110,8 +121,8 @@ class TestSL010:
             "        self.vet(interest.tag)\n"
             "        self.send(face, data)\n"
         )
-        report = flow([router], select={"SL010"})
-        assert codes(report) == []
+        findings = flow([router], select={"SL010"})
+        assert codes(findings) == []
 
     def test_obligation_propagates_to_callers(self, tmp_path):
         # The raw send in `_push` is fine when every caller dominates
@@ -125,9 +136,9 @@ class TestSL010:
             "        data = self.cs.lookup(interest.name)\n"
             "        self._push(face, data)\n"
         )
-        report = flow([router], select={"SL010"})
-        assert codes(report) == ["SL010"]
-        [finding] = report.findings
+        findings = flow([router], select={"SL010"})
+        assert codes(findings) == ["SL010"]
+        [finding] = findings
         assert "via ScratchRouter.on_interest" in finding.message
 
     def test_suppression_comment_silences(self, tmp_path):
@@ -135,38 +146,24 @@ class TestSL010:
         router.write_text(
             self.UNGUARDED.replace(
                 "self.send(face, data)",
-                "self.send(face, data)  # simflow: disable=SL010",
+                "self.send(face, data)  # simlint: disable=SL010",
             )
         )
-        report = flow([router], select={"SL010"})
-        assert codes(report) == []
+        findings = flow([router], select={"SL010"})
+        assert codes(findings) == []
 
 
 # ---------------------------------------------------------------------------
 # SL010 against the real routers: unguarding a real enforcement site
 # ---------------------------------------------------------------------------
 class TestRouterMutations:
-    @pytest.fixture()
-    def tree(self, tmp_path):
-        # Keep the `repro` anchor so relpaths resolve as in the repo.
-        dest = tmp_path / "repro"
-        shutil.copytree(
-            REPO_SRC, dest, ignore=shutil.ignore_patterns("__pycache__")
-        )
-        return dest
+    def test_clean_tree_has_no_findings(self, repo_tree):
+        findings = flow([repo_tree])
+        assert codes(findings) == []
 
-    def _mutate(self, path: Path, old: str, new: str) -> None:
-        source = path.read_text()
-        assert old in source, f"mutation anchor vanished from {path.name}"
-        path.write_text(source.replace(old, new))
-
-    def test_clean_tree_has_no_findings(self, tree):
-        report = flow([tree])
-        assert codes(report) == []
-
-    def test_unguarding_edge_router_aggregate_validation(self, tree):
-        self._mutate(
-            tree / "core" / "edge_router.py",
+    def test_unguarding_edge_router_aggregate_validation(self, repo_tree):
+        mutate(
+            repo_tree / "core" / "edge_router.py",
             "            found, lookup_delay = self.bf_lookup(record.tag)\n"
             "            delay += lookup_delay\n"
             "            if found:\n"
@@ -179,16 +176,16 @@ class TestRouterMutations:
             "                self._deliver(data, record, flag=0.0, delay=delay)\n",
             "            self._deliver(data, record, flag=0.0, delay=delay)\n",
         )
-        report = flow([tree], select={"SL010"})
-        assert codes(report) == ["SL010"]
-        [finding] = report.findings
+        findings = flow([repo_tree], select={"SL010"})
+        assert codes(findings) == ["SL010"]
+        [finding] = findings
         assert finding.path.endswith("core/edge_router.py")
         assert "_deliver" in finding.message
         assert "on_data" in finding.message
 
-    def test_unguarding_content_router_precheck(self, tree):
-        self._mutate(
-            tree / "core" / "content_router.py",
+    def test_unguarding_content_router_precheck(self, repo_tree):
+        mutate(
+            repo_tree / "core" / "content_router.py",
             "        reason = content_precheck(tag, data)\n"
             "        if reason is not None:\n"
             "            self.counters.precheck_drops += 1\n"
@@ -196,9 +193,9 @@ class TestRouterMutations:
             "            return\n",
             "",
         )
-        report = flow([tree], select={"SL010"})
-        assert codes(report) == ["SL010"]
-        [finding] = report.findings
+        findings = flow([repo_tree], select={"SL010"})
+        assert codes(findings) == ["SL010"]
+        [finding] = findings
         assert finding.path.endswith("core/content_router.py")
         assert "serve_content" in finding.message
 
@@ -234,9 +231,9 @@ class TestSL011:
         return root
 
     def test_laundered_wall_clock_is_caught(self, tree):
-        report = flow([tree], select={"SL011"})
-        assert codes(report) == ["SL011", "SL011"]
-        messages = sorted(f.message for f in report.findings)
+        findings = flow([tree], select={"SL011"})
+        assert codes(findings) == ["SL011", "SL011"]
+        messages = sorted(f.message for f in findings)
         # 2-level: on_interest -> jitter_for -> _stamp -> time.time
         assert any(
             "Patch.on_interest launders" in m and "jitter_for" in m
@@ -247,7 +244,7 @@ class TestSL011:
         assert any(
             "direct launders" in m and "_stamp" in m for m in messages
         )
-        for finding in report.findings:
+        for finding in findings:
             assert finding.path.endswith("core/patch.py")
 
     def test_lexical_sl001_misses_the_same_leak(self, tree):
@@ -265,9 +262,40 @@ class TestSL011:
             "    clock = time.time\n"
             "    return clock()\n"
         )
-        report = flow([mod], select={"SL011"})
-        assert codes(report) == ["SL011"]
-        assert "alias" in report.findings[0].message
+        findings = flow([mod], select={"SL011"})
+        assert codes(findings) == ["SL011"]
+        assert "alias" in findings[0].message
+
+    def test_laundered_into_mobility_on_the_real_tree(self, repo_tree):
+        # A wall-clock read in an analysis/ helper, added to the
+        # handover delay of extensions/mobility.py.  The file rules see
+        # no clock call in the sim-scope module, so of the whole rule
+        # set only SL011 reports it.
+        mutate(
+            repo_tree / "analysis" / "bloom_math.py",
+            "import math\n",
+            "import math\nimport time\n\n\n"
+            "def host_jitter() -> float:\n"
+            "    return time.perf_counter() % 1e-3\n",
+        )
+        mobility = repo_tree / "extensions" / "mobility.py"
+        mutate(
+            mobility,
+            "from repro.core.client import Client\n",
+            "from repro.analysis.bloom_math import host_jitter\n"
+            "from repro.core.client import Client\n",
+        )
+        mutate(
+            mobility,
+            "        self.sim.schedule(next_in, self._move, client)\n",
+            "        self.sim.schedule(next_in + host_jitter(), self._move, client)\n",
+        )
+        findings = lint_paths([str(repo_tree)])
+        assert codes(findings) == ["SL011"]
+        [finding] = findings
+        assert finding.path.endswith("extensions/mobility.py")
+        assert "MobilityManager._move launders" in finding.message
+        assert "time.perf_counter" in finding.message
 
     def test_sanctioned_rng_module_is_exempt(self, tmp_path):
         root = tmp_path / "repro"
@@ -278,183 +306,26 @@ class TestSL011:
             "def seed_material():\n"
             "    return os.urandom(16)\n"
         )
-        report = flow([root], select={"SL011"})
-        assert codes(report) == []
+        findings = flow([root], select={"SL011"})
+        assert codes(findings) == []
 
 
 # ---------------------------------------------------------------------------
-# SL012/SL013: worker-boundary safety
-# ---------------------------------------------------------------------------
-class TestWorkerBoundary:
-    def test_lambda_pool_submit(self, tmp_path):
-        mod = tmp_path / "fanout.py"
-        mod.write_text(
-            "def run(pool, items):\n"
-            "    return pool.map(lambda x: x + 1, items)\n"
-        )
-        report = flow([mod], select={"SL012"})
-        assert codes(report) == ["SL012"]
-        assert "lambda" in report.findings[0].message
-
-    def test_method_pool_submit(self, tmp_path):
-        mod = tmp_path / "fanout.py"
-        mod.write_text(
-            "class Driver:\n"
-            "    def work(self, x):\n"
-            "        return x\n"
-            "    def run(self, pool, items):\n"
-            "        return pool.map(self.work, items)\n"
-        )
-        report = flow([mod], select={"SL012"})
-        assert codes(report) == ["SL012"]
-        assert "method" in report.findings[0].message
-
-    def test_module_level_function_is_fine(self, tmp_path):
-        mod = tmp_path / "fanout.py"
-        mod.write_text(
-            "def work(x):\n"
-            "    return x\n"
-            "\n"
-            "def run(pool, items):\n"
-            "    return pool.map(work, items)\n"
-        )
-        report = flow([mod], select={"SL012", "SL013"})
-        assert codes(report) == []
-
-    def test_global_write_in_worker_reachable_code(self, tmp_path):
-        mod = tmp_path / "fanout.py"
-        mod.write_text(
-            "COUNT = 0\n"
-            "\n"
-            "def bump():\n"
-            "    global COUNT\n"
-            "    COUNT += 1\n"
-            "\n"
-            "def work(x):\n"
-            "    bump()\n"
-            "    return x\n"
-            "\n"
-            "def run(pool, items):\n"
-            "    return pool.map(work, items)\n"
-        )
-        report = flow([mod], select={"SL013"})
-        assert codes(report) == ["SL013"]
-        assert "global COUNT" in report.findings[0].message
-        # The same global write NOT reachable from a pool submit is
-        # none of SL013's business.
-        mod.write_text(
-            "COUNT = 0\n"
-            "\n"
-            "def bump():\n"
-            "    global COUNT\n"
-            "    COUNT += 1\n"
-        )
-        report = flow([mod], select={"SL013"})
-        assert codes(report) == []
-
-
-# ---------------------------------------------------------------------------
-# Incremental cache
-# ---------------------------------------------------------------------------
-class TestCache:
-    def test_warm_run_skips_parsing_and_is_fast(self, tmp_path):
-        cache = SummaryCache(tmp_path / "cache")
-        cold = analyze_paths([str(REPO_SRC)], cache=cache)
-        assert cold.modules_parsed == cold.modules_total
-        assert cold.modules_cached == 0
-        warm = analyze_paths([str(REPO_SRC)], cache=cache)
-        assert warm.modules_parsed == 0
-        assert warm.modules_cached == warm.modules_total
-        assert warm.findings == cold.findings
-        assert warm.wall_seconds < 0.25 * cold.wall_seconds, (
-            f"warm {warm.wall_seconds:.3f}s vs cold {cold.wall_seconds:.3f}s"
-        )
-
-    def test_edited_file_reparses(self, tmp_path):
-        mod = tmp_path / "thing.py"
-        mod.write_text("x = 1\n")
-        cache = SummaryCache(tmp_path / "cache")
-        analyze_paths([str(mod)], cache=cache)
-        mod.write_text("x = 2\n")
-        report = analyze_paths([str(mod)], cache=cache)
-        assert report.modules_parsed == 1
-        assert report.modules_cached == 0
-
-
-# ---------------------------------------------------------------------------
-# Baseline workflow and CLI
+# CLI
 # ---------------------------------------------------------------------------
 class TestBaselineAndCli:
-    def test_baseline_roundtrip(self, tmp_path):
-        router = tmp_path / "scratch_router.py"
-        router.write_text(TestSL010.UNGUARDED)
-        report = flow([router], select={"SL010"})
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(str(baseline_path), report.findings)
-        baseline = load_baseline(str(baseline_path))
-        assert new_findings(report.findings, baseline) == []
-        # A second, different finding is new against that baseline.
-        router.write_text(
-            TestSL010.UNGUARDED
-            + "    def on_data(self, data, face):\n"
-            "        self.send(face, data)\n"
-        )
-        fresh = flow([router], select={"SL010"})
-        assert len(new_findings(fresh.findings, baseline)) == 1
-
-    def test_cli_baseline_gates_only_new(self, tmp_path, capsys):
-        router = tmp_path / "scratch_router.py"
-        router.write_text(TestSL010.UNGUARDED)
-        baseline_path = tmp_path / "baseline.json"
-        assert main(
-            [str(router), "--no-cache", "--write-baseline", str(baseline_path)]
-        ) == 0
-        assert main(
-            [str(router), "--no-cache", "--baseline", str(baseline_path)]
-        ) == 0
-        capsys.readouterr()
-
     def test_cli_exit_codes_and_sarif(self, tmp_path, capsys):
+        # SL010/SL011 are simlint rules: listed, selectable and reported
+        # by its CLI.
         router = tmp_path / "scratch_router.py"
         router.write_text(TestSL010.UNGUARDED)
         assert main(["--list-rules"]) == 0
+        listing = capsys.readouterr().out
+        assert "SL010" in listing and "SL011" in listing
         assert main([str(router), "--select", "SL999"]) == 2
         capsys.readouterr()
-        assert main([str(router), "--no-cache", "--format", "sarif"]) == 1
-        sarif = json.loads(capsys.readouterr().out)
-        assert sarif["version"] == "2.1.0"
-        run = sarif["runs"][0]
-        assert run["tool"]["driver"]["name"] == "simflow"
-        assert [r["ruleId"] for r in run["results"]] == ["SL010"]
-
-
-# ---------------------------------------------------------------------------
-# Summary serialisation
-# ---------------------------------------------------------------------------
-class TestModuleSummary:
-    def test_json_roundtrip(self, tmp_path):
-        source = (
-            "import time\n"
-            "from dataclasses import dataclass\n"
-            "\n"
-            "@dataclass\n"
-            "class Spec:\n"
-            "    name: str\n"
-            "    payload: bytes\n"
-            "\n"
-            "class Router:\n"
-            "    def on_data(self, data, face):\n"
-            "        if data.nack is None:\n"
-            "            self.send(face, data)\n"
-            "\n"
-            "def helper(pool, items):\n"
-            "    return pool.imap_unordered(work, items)\n"
-            "\n"
-            "def work(x):\n"
-            "    global STATE\n"
-            "    return time.time()\n"
-        )
-        summary = extract_module(str(tmp_path / "sample.py"), source)
-        blob = json.dumps(summary.to_json_dict())
-        restored = ModuleSummary.from_json_dict(json.loads(blob))
-        assert restored == summary
+        assert main([str(router), "--select", "SL011"]) == 0
+        capsys.readouterr()
+        assert main([str(router), "--select", "SL010", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [f["rule"] for f in payload["findings"]] == ["SL010"]

@@ -610,6 +610,79 @@ class TestStateScopeSeries:
 
 
 # ---------------------------------------------------------------------------
+# SL014: __slots__ in hot modules
+# ---------------------------------------------------------------------------
+class TestSlots:
+    def _lint_ndn(self, tmp_path, source):
+        pkg = tmp_path / "repro" / "ndn"
+        pkg.mkdir(parents=True)
+        path = pkg / "record.py"
+        path.write_text(textwrap.dedent(source))
+        return lint_paths([str(path)], select={"SL014"})
+
+    def test_class_without_slots_flagged(self, tmp_path):
+        findings = self._lint_ndn(
+            tmp_path,
+            """
+            class PitRecord:
+                def __init__(self, face):
+                    self.face = face
+            """,
+        )
+        assert codes(findings) == ["SL014"]
+        assert "PitRecord" in findings[0].message
+
+    def test_slots_dataclass_and_exception_clean(self, tmp_path):
+        findings = self._lint_ndn(
+            tmp_path,
+            """
+            from dataclasses import dataclass
+
+            @dataclass(slots=True)
+            class PitRecord:
+                face: int
+
+            class TableFull(Exception):
+                pass
+
+            class Entry:
+                __slots__ = ("name",)
+            """,
+        )
+        assert findings == []
+
+    def test_plain_dataclass_flagged(self, tmp_path):
+        findings = self._lint_ndn(
+            tmp_path,
+            """
+            from dataclasses import dataclass
+
+            @dataclass
+            class PitRecord:
+                face: int
+            """,
+        )
+        assert codes(findings) == ["SL014"]
+
+    def test_suppression_with_reason_silences(self, tmp_path):
+        findings = self._lint_ndn(
+            tmp_path,
+            """
+            class Node:  # monkey-patched by the tracer  # simlint: disable=SL014
+                pass
+            """,
+        )
+        assert findings == []
+
+    def test_cold_module_exempt(self, tmp_path):
+        pkg = tmp_path / "repro" / "experiments"
+        pkg.mkdir(parents=True)
+        path = pkg / "sweep.py"
+        path.write_text("class Sweep:\n    pass\n")
+        assert lint_paths([str(path)], select={"SL014"}) == []
+
+
+# ---------------------------------------------------------------------------
 # Suppressions
 # ---------------------------------------------------------------------------
 class TestSuppression:
@@ -687,34 +760,6 @@ class TestReporting:
         assert payload["findings"][0]["rule"] == "SL002"
         assert payload["stats"]["findings"] == 1
         assert payload["stats"]["wall_seconds"] >= 0.0
-
-    def test_cli_sarif_output(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\n")
-        assert main([str(dirty), "--format", "sarif"]) == 1
-        sarif = json.loads(capsys.readouterr().out)
-        assert sarif["version"] == "2.1.0"
-        run = sarif["runs"][0]
-        assert run["tool"]["driver"]["name"] == "simlint"
-        assert [r["ruleId"] for r in run["results"]] == ["SL002"]
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"SL000", "SL002", "SL008", "SL016"} <= rule_ids
-
-    def test_parallel_matches_serial(self, tmp_path):
-        # Registry in one file, a bad emit in another: the judge phase
-        # must see the *merged* registries whichever path produced the
-        # candidates.
-        (tmp_path / "registry.py").write_text(
-            'KNOWN_EVENTS = ("node.rx",)\n'
-        )
-        (tmp_path / "emitter.py").write_text(
-            'def go(trace):\n    trace.emit("node.rxx", 1)\n'
-        )
-        (tmp_path / "dirty.py").write_text("import random\n")
-        serial = lint_paths([str(tmp_path)], jobs=1)
-        parallel = lint_paths([str(tmp_path)], jobs=2)
-        assert serial == parallel
-        assert codes(serial) == ["SL002", "SL003"]
 
 
 class TestPackageRelpath:
