@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test qa lint sanitize determinism bench perf perf-gate regress
+.PHONY: test qa lint sanitize determinism bench perf perf-gate
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -48,26 +48,3 @@ perf:
 # docs/PERFORMANCE.md, "The CI throughput gate".
 perf-gate:
 	$(PYTHON) benchmarks/perf_gate.py HEAD^
-
-# Regression gate: run a tiny two-spec fig6 fleet twice into a fresh
-# history (the first pass traced; the second replays every run from the
-# run cache, telemetry included, which a selected trace would prevent),
-# then diff the two entries — non-zero exit on any metric drift or
-# wall-clock growth beyond the budget.  The CI job of the same name
-# uploads the engine events, merged fleet metrics (telemetry.json), and
-# the traces (trace.json, trace/) this leaves in $(REGRESS_DIR).
-# docs/OBSERVABILITY.md, "Fleet observability".
-REGRESS_DIR ?= .repro-regress
-
-regress:
-	rm -rf $(REGRESS_DIR)
-	for obs in telemetry,trace telemetry; do \
-		$(PYTHON) -m repro fig6 --duration 2 --scale 0.1 --jobs 1 \
-			--cache-dir $(REGRESS_DIR)/cache \
-			--history-dir $(REGRESS_DIR) \
-			--obs $$obs --obs-out $(REGRESS_DIR) \
-			--engine-events $(REGRESS_DIR)/engine.events.jsonl \
-			> /dev/null || exit 1; \
-	done
-	$(PYTHON) -m repro.obs.history diff --history-dir $(REGRESS_DIR) \
-		--figure fig6 --wall-tolerance 200

@@ -18,6 +18,7 @@ import os
 import sys
 from typing import Callable, Dict, List
 
+from repro.exec.engine import resolve_jobs
 from repro.experiments.fig5_latency import render_fig5, reproduce_fig5
 from repro.experiments.fig6_tag_rates import render_fig6, reproduce_fig6
 from repro.experiments.fig7_operations import render_fig7, reproduce_fig7
@@ -180,26 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="arm the SimSan runtime invariant checks on every run "
         "(equivalent to REPRO_SIMSAN=1; see docs/STATIC_ANALYSIS.md)",
     )
-    fleet = parser.add_argument_group(
-        "fleet observability", "engine-level progress, merged metrics, and "
-        "run history (docs/OBSERVABILITY.md, \"Fleet observability\")"
-    )
-    fleet.add_argument(
-        "--progress", action="store_true",
-        help="live fleet status line on stderr while specs execute "
-        "(equivalent to REPRO_PROGRESS=1)",
-    )
-    fleet.add_argument(
-        "--engine-events", metavar="PATH", default=None,
-        help="append fleet.* engine events as JSON lines (equivalent to "
-        "REPRO_ENGINE_EVENTS)",
-    )
-    fleet.add_argument(
-        "--history-dir", metavar="DIR", default=None,
-        help="append per-figure run-history entries for "
-        "'python -m repro.obs.history diff' (equivalent to "
-        "REPRO_HISTORY_DIR)",
-    )
     obs = parser.add_argument_group(
         "instruments", "per-run observability layers with fleet-merged "
         "reports (docs/OBSERVABILITY.md, \"Turning it on\")"
@@ -228,21 +209,18 @@ def main(argv: List[str] = None) -> int:
         # arms every run this process makes without threading a
         # parameter through each artifact function.
         os.environ["REPRO_SIMSAN"] = "1"
-    # The engine knobs ride the same env-forwarding pattern: the engine
-    # reads these at construction, so every ExperimentEngine any driver
-    # builds this process picks them up without new parameters.
-    if args.progress:
-        os.environ["REPRO_PROGRESS"] = "1"
-    if args.engine_events:
-        os.environ["REPRO_ENGINE_EVENTS"] = args.engine_events
-    if args.history_dir:
-        os.environ["REPRO_HISTORY_DIR"] = args.history_dir
+    # The instrument selection rides the same env-forwarding pattern:
+    # the engine reads it at construction, so every ExperimentEngine a
+    # reproduction builds in this process picks it up without new
+    # parameters.
     if args.obs is not None:
         os.environ[OBS_ENV] = args.obs
     if args.obs_out is not None:
         os.environ[OBS_OUT_ENV] = args.obs_out
     try:
-        resolve()  # fail fast, before any run, on a bad selection
+        # Fail fast, before any run, on a bad selection or REPRO_JOBS.
+        resolve()
+        resolve_jobs(args.jobs)
     except ValueError as exc:
         parser.error(str(exc))
     if args.artifact == "list":

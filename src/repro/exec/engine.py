@@ -18,10 +18,14 @@ rows.  The engine owns everything in between:
   cache hit/miss counters land in a
   :class:`~repro.obs.metrics.MetricsRegistry` (the module-default one,
   or any registry passed in).
+- **Status line** — when its stream (stderr by default) is a TTY, the
+  engine redraws one :class:`~repro.obs.fleet.FleetProgress` line per
+  probe, dispatch and completion; on a pipe or file it writes nothing.
 
 Job-count resolution: an explicit ``jobs`` argument wins, then the
-``REPRO_JOBS`` environment variable, then 1 (serial).  Serial runs
-execute in-process over the same completion loop a pool feeds.
+``REPRO_JOBS`` environment variable (an integer, or a ``ValueError``),
+then 1 (serial).  Serial runs execute in-process over the same
+completion loop a pool feeds.
 
 **Instrument round-trip** (docs/OBSERVABILITY.md, "Turning it on"):
 the engine resolves one :class:`~repro.obs.instruments.Obs` selection
@@ -46,6 +50,7 @@ import contextlib
 import json
 import multiprocessing
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -61,8 +66,6 @@ __all__ = ["ExecStats", "ExperimentEngine", "resolve_jobs", "run_specs"]
 #: Environment knobs (documented in docs/PERFORMANCE.md).
 JOBS_ENV = "REPRO_JOBS"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-PROGRESS_ENV = "REPRO_PROGRESS"
-ENGINE_EVENTS_ENV = "REPRO_ENGINE_EVENTS"
 
 #: Histogram buckets for per-run wall clock (seconds); runs range from
 #: sub-second CI points to minutes-long paper-scale sweeps.
@@ -80,16 +83,20 @@ def default_registry() -> MetricsRegistry:
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Explicit argument > ``REPRO_JOBS`` env > 1 (serial)."""
+    """Explicit argument > ``REPRO_JOBS`` env > 1 (serial).
+
+    A ``REPRO_JOBS`` that is not an integer raises ``ValueError``
+    rather than quietly running serial.
+    """
     if jobs is not None:
         return max(1, int(jobs))
     raw = os.environ.get(JOBS_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
+    if not raw:
+        return 1
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"{JOBS_ENV}={raw!r} is not an integer") from None
 
 
 def _execute_spec(spec: ScenarioSpec, obs: Optional[Obs] = None) -> RunSummary:
@@ -165,17 +172,9 @@ class ExperimentEngine:
     obs_out:
         Directory for the per-instrument fleet reports (``None`` =
         ``REPRO_OBS_OUT`` env when ``obs`` is ``None``, else none).
-    progress:
-        Live status line on stderr (``None`` = ``REPRO_PROGRESS`` env,
-        else off).
-    events_path:
-        Append ``fleet.*`` events here as JSON lines (``None`` =
-        ``REPRO_ENGINE_EVENTS`` env, else off).
-    history_dir:
-        Append a run-history entry per :meth:`run_specs` call (``None``
-        = ``REPRO_HISTORY_DIR`` env, else off).
     stream:
-        Progress stream (``None`` = stderr; tests pass a StringIO).
+        Where the live fleet status line goes (``None`` = stderr); it
+        is drawn only when the stream is a TTY.
     """
 
     def __init__(
@@ -186,9 +185,6 @@ class ExperimentEngine:
         registry: Optional[MetricsRegistry] = None,
         obs: Optional[Iterable[str]] = None,
         obs_out: Optional[str] = None,
-        progress: Optional[bool] = None,
-        events_path: Optional[str] = None,
-        history_dir: Optional[Any] = None,
         stream: Optional[object] = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
@@ -208,21 +204,7 @@ class ExperimentEngine:
         self.fleet: Dict[str, Dict[str, Any]] = {name: {} for name in self.obs.names}
         if "telemetry" in self.fleet:
             self.fleet["telemetry"]["exec"] = self.registry
-        if progress is None:
-            raw = os.environ.get(PROGRESS_ENV, "").strip().lower()
-            progress = raw not in ("", "0", "false", "no", "off")
-        self.progress = progress
-        self.events_path = (
-            events_path
-            if events_path is not None
-            else os.environ.get(ENGINE_EVENTS_ENV, "").strip() or None
-        )
-        if history_dir is None:
-            from repro.obs.history import HISTORY_DIR_ENV
-
-            history_dir = os.environ.get(HISTORY_DIR_ENV, "").strip() or None
-        self.history_dir = history_dir
-        self.stream = stream
+        self.stream = stream if stream is not None else sys.stderr
         self.stats = ExecStats()
         self._runs_total = self.registry.counter(
             "exec_runs_total",
@@ -249,27 +231,21 @@ class ExperimentEngine:
     ) -> List[RunSummary]:
         """Execute every spec and return summaries in submission order.
 
-        ``figure`` labels the run in the history store and the fleet
-        progress events (e.g. ``"fig6"``); it does not affect results.
+        ``figure`` labels the run in the instrument reports (e.g.
+        ``"fig6"``); it does not affect results.
         """
-        began = time.perf_counter()
         ordered = list(specs)
         results: List[Optional[RunSummary]] = [None] * len(ordered)
         pending: List[Tuple[int, ScenarioSpec, Optional[str]]] = []
         obs = self.obs
 
         progress = None
-        if self.progress or self.events_path:
+        if getattr(self.stream, "isatty", lambda: False)():
             from repro.obs.fleet import FleetProgress
 
             progress = FleetProgress(
-                total=len(ordered),
-                jobs=self.jobs,
-                stream=self.stream,
-                events_path=self.events_path,
-                show=self.progress,
+                total=len(ordered), jobs=self.jobs, stream=self.stream
             )
-            progress.run_started(figure)
 
         for index, spec in enumerate(ordered):
             key: Optional[str] = None
@@ -289,15 +265,15 @@ class ExperimentEngine:
                     self.stats.cache_hits += 1
                     self._cache_events.labels(result="hit").inc()
                     if progress is not None:
-                        progress.spec_cached(hit.label)
+                        progress.spec_cached()
                     continue
                 self.stats.cache_misses += 1
                 self._cache_events.labels(result="miss").inc()
             pending.append((index, spec, key))
 
-        def submit(label: str) -> None:
+        def submit() -> None:
             if progress is not None:
-                progress.spec_started(label)
+                progress.spec_started()
 
         payloads = [(slot, spec, obs) for slot, (_, spec, _) in enumerate(pending)]
         workers = min(self.jobs, len(pending))
@@ -307,8 +283,8 @@ class ExperimentEngine:
             if workers > 1:
                 context = multiprocessing.get_context("spawn")
                 pool = stack.enter_context(context.Pool(processes=workers))
-                for _, spec, _ in pending:
-                    submit(spec.label)
+                for _ in pending:
+                    submit()
                 # Completion queue: results arrive as workers finish
                 # (live progress), then land back in their submission
                 # slot so downstream order never depends on timing.
@@ -317,7 +293,7 @@ class ExperimentEngine:
 
                 def serial() -> Iterator[Tuple[int, RunSummary]]:
                     for payload in payloads:
-                        submit(payload[1].label)
+                        submit()
                         yield _execute_indexed(payload)
 
                 completions = serial()
@@ -325,31 +301,19 @@ class ExperimentEngine:
                 index, _, key = pending[slot]
                 results[index] = summary
                 if progress is not None:
-                    progress.spec_finished(summary.label, summary.wall_seconds, mode)
+                    progress.spec_finished(summary.wall_seconds)
                 self._note_run(mode, summary)
                 if self.cache is not None and key is not None:
                     self.cache.put(key, summary)
                 folded = self._fold(results, folded, figure)
 
-        final = [summary for summary in results if summary is not None]
-        wall = time.perf_counter() - began
         if progress is not None:
             progress.run_finished()
-        if self.history_dir is not None:
-            from repro.obs.history import RunHistory
-
-            RunHistory(self.history_dir).append(
-                figure=figure,
-                jobs=self.jobs,
-                wall_seconds=wall,
-                specs=ordered,
-                summaries=final,
-            )
         if obs.out and not ordered:
             # An empty call folds nothing; every other call's folds have
             # rewritten the reports already.
             self._write_reports(figure, obs.names)
-        return final
+        return [summary for summary in results if summary is not None]
 
     def _fold(
         self, results: List[Optional[RunSummary]], folded: int, figure: str

@@ -46,7 +46,6 @@ __all__ = [
     "DECISION_KINDS",
     "DecisionAudit",
     "DecisionRecord",
-    "audit_metrics",
     "audit_report",
     "fp_confidence",
     "merge_audit_summaries",
@@ -497,30 +496,6 @@ def _ci_entry(
         "ci_halfwidth": halfwidth,
         "within_ci": abs(observed - expected) <= halfwidth,
     }
-
-
-def audit_metrics(summary: Dict[str, Any]) -> Dict[str, Any]:
-    """Flatten a summary into ``audit.*`` metrics for the run history.
-
-    These ride the history entry's per-spec metrics dict, so the
-    regression gate (``python -m repro.obs.history diff``) also fails
-    on misauthorization-rate drift.
-    """
-    totals = summary.get("totals", {})
-    out: Dict[str, Any] = {
-        "audit.decisions_total": totals.get("decisions", 0),
-        "audit.false_positives": totals.get(LABEL_FALSE_POSITIVE, 0),
-        "audit.false_negatives": totals.get(LABEL_FALSE_NEGATIVE, 0),
-        "audit.bf_negative_lookups": totals.get("bf_negative_lookups", 0),
-        "audit.bf_false_positives": totals.get("bf_false_positives", 0),
-    }
-    for node_id in sorted(summary.get("nodes", {})):
-        node = summary["nodes"][node_id]
-        n = node["bf_negative_lookups"]
-        out[f"audit.{node_id}.bf_misauth_rate"] = (
-            node["bf_false_positives"] / n if n else 0.0
-        )
-    return out
 
 
 def render_audit_report(summary: Dict[str, Any]) -> List[str]:

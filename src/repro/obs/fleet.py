@@ -1,44 +1,28 @@
-"""Live fleet progress for the parallel experiment engine.
+"""Live fleet status line for the parallel experiment engine.
 
 :class:`FleetProgress` is the engine's completion-side observer: the
 engine calls it as specs are cache-probed, dispatched, and completed,
-and it renders an opt-in status line to stderr (a carriage-return
-heartbeat on a TTY, plain lines otherwise) and/or appends structured
-events to ``engine.events.jsonl`` for offline inspection.
+and it redraws one carriage-return status line on a terminal.  The
+engine builds one only when its stream is a TTY, so a pipe or a file
+never receives it.
 
 Everything is derived from completion timestamps — ETA is the mean
 completed-run wall time extrapolated over the remaining specs divided
 by the worker count, and utilization is busy worker-seconds over
 elapsed wall-seconds times the worker count — so the display needs no
 cooperation from the workers themselves.
-
-Event names are declared in :data:`FLEET_EVENTS`; simlint rule SL007
-checks every emission site against this registry (a typo'd event name
-fails lint instead of silently forking the schema).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import sys
 import time
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
-__all__ = ["FLEET_EVENTS", "FleetProgress"]
-
-#: Every event ``engine.events.jsonl`` can contain.
-FLEET_EVENTS = (
-    "fleet.run.start",
-    "fleet.spec.cached",
-    "fleet.spec.start",
-    "fleet.spec.done",
-    "fleet.run.done",
-)
+__all__ = ["FleetProgress"]
 
 
 class FleetProgress:
-    """Completion-queue observer: status line + engine.events.jsonl.
+    """Completion-queue observer drawing one refreshed status line.
 
     Parameters
     ----------
@@ -47,13 +31,7 @@ class FleetProgress:
     jobs:
         Worker process count (the ETA/utilization denominator).
     stream:
-        Where the status line goes (``None`` = stderr).  A TTY gets a
-        single ``\\r``-refreshed line; anything else gets one plain
-        line per completion.
-    events_path:
-        Append structured events here as JSON lines (``None`` = off).
-    show:
-        Render the status line at all (the events file is independent).
+        The terminal the line is drawn on.
     clock:
         Injectable wall clock for tests (defaults to
         ``time.perf_counter``).
@@ -62,21 +40,13 @@ class FleetProgress:
     def __init__(
         self,
         total: int,
+        stream: Any,
         jobs: int = 1,
-        stream: Optional[object] = None,
-        events_path: Optional[str] = None,
-        show: bool = True,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         self.total = total
         self.jobs = max(1, jobs)
-        self.stream = stream if stream is not None else sys.stderr
-        self.events_path = events_path
-        if events_path:
-            parent = os.path.dirname(events_path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-        self.show = show
+        self.stream = stream
         self.clock = clock
         self.done = 0
         self.cached = 0
@@ -88,44 +58,22 @@ class FleetProgress:
     # ------------------------------------------------------------------
     # Engine hooks
     # ------------------------------------------------------------------
-    def run_started(self, figure: str = "") -> None:
-        self._event(
-            "fleet.run.start",
-            {"figure": figure, "total": self.total, "jobs": self.jobs},
-        )
-
-    def spec_cached(self, label: str) -> None:
+    def spec_cached(self) -> None:
         self.done += 1
         self.cached += 1
-        self._event("fleet.spec.cached", {"label": label})
         self._render()
 
-    def spec_started(self, label: str) -> None:
+    def spec_started(self) -> None:
         self.running += 1
-        self._event("fleet.spec.start", {"label": label})
         self._render()
 
-    def spec_finished(self, label: str, wall_seconds: float, mode: str) -> None:
+    def spec_finished(self, wall_seconds: float) -> None:
         self.running = max(0, self.running - 1)
         self.done += 1
         self.completed_walls.append(wall_seconds)
-        self._event(
-            "fleet.spec.done",
-            {"label": label, "wall_seconds": wall_seconds, "mode": mode},
-        )
         self._render()
 
     def run_finished(self) -> None:
-        elapsed = self.clock() - self.started_at
-        self._event(
-            "fleet.run.done",
-            {
-                "done": self.done,
-                "cached": self.cached,
-                "wall_seconds": elapsed,
-                "utilization": self.utilization(),
-            },
-        )
         if self._line_open:
             self.stream.write("\n")
             self._line_open = False
@@ -151,14 +99,6 @@ class FleetProgress:
     # ------------------------------------------------------------------
     # Output
     # ------------------------------------------------------------------
-    def _event(self, name: str, payload: dict) -> None:
-        if not self.events_path:
-            return
-        record = {"event": name, "t": self.clock() - self.started_at, **payload}
-        with open(self.events_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record))
-            fh.write("\n")
-
     def _status_line(self) -> str:
         parts = [f"fleet {self.done}/{self.total}"]
         if self.cached:
@@ -173,12 +113,6 @@ class FleetProgress:
         return " · ".join(parts)
 
     def _render(self) -> None:
-        if not self.show:
-            return
-        line = self._status_line()
-        if getattr(self.stream, "isatty", lambda: False)():
-            self.stream.write("\r\x1b[2K" + line)
-            self.stream.flush()
-            self._line_open = True
-        else:
-            self.stream.write(line + "\n")
+        self.stream.write("\r\x1b[2K" + self._status_line())
+        self.stream.flush()
+        self._line_open = True

@@ -21,8 +21,8 @@ exhaustively; this module measures state.  Three pieces:
    and a peak-RSS stamp.  Wall-clock/allocator numbers are
    host-dependent, so they ride in the record's ``tracemalloc``
    section only: :func:`statescope_metrics` and
-   :func:`merge_statescope` drop them, keeping history metrics and the
-   serial ≡ parallel merge parity deterministic.
+   :func:`merge_statescope` drop them, keeping the flattened metrics and
+   the serial ≡ parallel merge parity deterministic.
 
 3. **Conformance** — at finalize the scope walks the live structures
    and compares empirical BF fill ratio, saturation-reset cadence, CS
@@ -810,8 +810,9 @@ def merge_statescope(into: Dict[str, Any], record: Dict[str, Any]) -> Dict[str, 
 
 def statescope_metrics(record: Dict[str, Any]) -> Dict[str, float]:
     """Flatten a record into deterministic ``state.*``/``model.*``/
-    ``mem.*`` history metrics (tracemalloc values are excluded — they
-    vary by host and would make ``history diff`` noisy)."""
+    ``mem.*`` metrics; the memory-footprint benchmark
+    (``benchmarks/test_memory_footprint.py``) reads its peaks from
+    them.  tracemalloc values are excluded: they vary by host."""
     out: Dict[str, float] = {}
     for name in sorted(record.get("series", {})):
         row = record["series"][name]

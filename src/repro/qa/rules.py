@@ -483,10 +483,10 @@ class RegistryRow:
 #: Every registry check, one row per call family.  A typo'd name at any
 #: of these call sites doesn't error: it silently forks a namespace that
 #: downstream consumers key on (trace subscribers, metric families, the
-#: fleet event log, the audit report, the state-series regression
-#: metrics), so each is checked against its declared registry.  A check
-#: stays quiet when the scan saw no declaration of its registry, so
-#: linting a lone snippet without its registries stays clean.
+#: audit report, the statescope series), so each is checked against its
+#: declared registry.  A check stays quiet when the scan saw no
+#: declaration of its registry, so linting a lone snippet without its
+#: registries stays clean.
 REGISTRY_ROWS: Tuple[RegistryRow, ...] = (
     RegistryRow(
         "SL003",
@@ -502,14 +502,6 @@ REGISTRY_ROWS: Tuple[RegistryRow, ...] = (
         None,
         "metrics",
         "metric name {name!r} is not declared in METRIC_NAMES",
-    ),
-    RegistryRow(
-        "SL007",
-        frozenset({"_event", "emit_event", "record_event"}),
-        ("obs/", "exec/"),
-        "events",
-        "fleet event name {name!r} is not declared in any event registry "
-        "(FLEET_EVENTS / *_EVENTS)",
     ),
     RegistryRow(
         "SL008",
@@ -676,11 +668,6 @@ FILE_RULES: Sequence[Rule] = (
     MutableDefaultRule(),
     ScheduleMisuseRule(),
     DirectRunScenarioRule(),
-    RegistryRule(
-        "SL007",
-        "fleet event names must be declared in FLEET_EVENTS",
-        "SL007: fleet/engine event emissions must be declared.",
-    ),
     RegistryRule(
         "SL008",
         "audit decision kinds must be declared in DECISION_KINDS",

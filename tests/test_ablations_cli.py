@@ -209,3 +209,12 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    def test_malformed_repro_jobs_exits_two(self, monkeypatch, capsys):
+        from repro.__main__ import main
+
+        monkeypatch.setenv("REPRO_JOBS", "four")
+        with pytest.raises(SystemExit) as exc:
+            main(["fig7", "--duration", "1", "--scale", "0.1"])
+        assert exc.value.code == 2
+        assert "REPRO_JOBS='four'" in capsys.readouterr().err

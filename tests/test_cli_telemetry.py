@@ -32,6 +32,9 @@ REMOVED_FLAGS = (
     ("--heartbeat", "1"),
     ("--flame-out", "f.txt"),
     ("--flame-interval", "0.01"),
+    ("--progress",),
+    ("--engine-events", "e.jsonl"),
+    ("--history-dir", "h"),
 )
 
 

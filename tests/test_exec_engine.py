@@ -655,7 +655,9 @@ class TestEngineKnobs:
         assert resolve_jobs(None) == 5
         assert resolve_jobs(2) == 2
         monkeypatch.setenv("REPRO_JOBS", "garbage")
-        assert resolve_jobs(None) == 1
+        with pytest.raises(ValueError, match=r"REPRO_JOBS='garbage'"):
+            resolve_jobs(None)
+        assert resolve_jobs(2) == 2  # an explicit count never reads it
 
     def test_cache_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -5,7 +5,8 @@ Neither may pull in the routing library the topology code once used,
 the experiment engine, the sweep driver or the observability stack;
 the packages' re-exports resolve lazily instead.  Executing a plain run
 (no instruments, no sanitizer) loads no observability or QA module,
-and an engine with no instrument selected loads no telemetry module.
+and an engine with no instrument selected, writing to a pipe, loads no
+telemetry module.
 """
 
 import importlib
@@ -61,12 +62,19 @@ def test_plain_run_loads_no_obs_or_qa_module():
 
 
 def test_plain_engine_loads_no_telemetry_module():
+    # The subprocess's stderr is a pipe, not a TTY, so the engine draws
+    # no status line and must not load the module that draws it.
     loaded = _loaded_after(
         "from repro.exec.engine import ExperimentEngine\n"
-        "ExperimentEngine(obs=())"
+        "ExperimentEngine(obs=()).run_specs([])"
     )
     assert "repro.exec.engine" in loaded
-    telemetry = ("repro.obs.session", "repro.obs.samplers", "repro.obs.spans")
+    telemetry = (
+        "repro.obs.session",
+        "repro.obs.samplers",
+        "repro.obs.spans",
+        "repro.obs.fleet",
+    )
     assert [m for m in telemetry if m in loaded] == []
 
 

@@ -18,7 +18,6 @@ from repro.obs.audit import (
     LABEL_CORRECT,
     LABEL_FALSE_NEGATIVE,
     LABEL_FALSE_POSITIVE,
-    audit_metrics,
     fp_confidence,
     merge_audit_summaries,
     render_audit_report,
@@ -317,14 +316,6 @@ class TestSummary:
         summary["nodes"]["edge-0"]["bf_false_positives"] = 1000
         confidence = fp_confidence(summary)
         assert not confidence["nodes"]["edge-0"]["within_ci"]
-
-    def test_audit_metrics_flattens_for_history(self):
-        summary = _run_summary()
-        metrics = audit_metrics(summary)
-        assert metrics["audit.decisions_total"] == summary["totals"]["decisions"]
-        assert metrics["audit.false_positives"] == 0
-        assert metrics["audit.edge-0.bf_misauth_rate"] == 0.0
-        assert json.loads(json.dumps(metrics)) == metrics
 
     def test_render_report_covers_nodes_and_fleet(self):
         lines = render_audit_report(_run_summary())

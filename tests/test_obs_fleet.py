@@ -1,13 +1,12 @@
-"""Fleet progress: status line, engine events, ETA/utilization math."""
+"""Fleet status line: TTY-only rendering, ETA/utilization math."""
 
 from __future__ import annotations
 
 import io
-import json
 
 from repro.exec.engine import ExperimentEngine
 from repro.experiments.fig6_tag_rates import enumerate_fig6
-from repro.obs.fleet import FLEET_EVENTS, FleetProgress
+from repro.obs.fleet import FleetProgress
 
 
 class FakeClock:
@@ -23,20 +22,24 @@ class FakeClock:
         self.now += seconds
 
 
-def _progress(tmp_path=None, **kwargs):
+class Tty(io.StringIO):
+    """A captured stream that reports itself as a terminal."""
+
+    def isatty(self):
+        return True
+
+
+def _progress(**kwargs):
     clock = FakeClock()
-    stream = io.StringIO()
-    events = str(tmp_path / "engine.events.jsonl") if tmp_path else None
+    stream = Tty()
     kwargs.setdefault("jobs", 2)
-    progress = FleetProgress(
-        total=4, stream=stream, events_path=events, clock=clock, **kwargs
-    )
+    progress = FleetProgress(total=4, stream=stream, clock=clock, **kwargs)
     return progress, clock, stream
 
 
-def _read_events(tmp_path):
-    path = tmp_path / "engine.events.jsonl"
-    return [json.loads(line) for line in path.read_text().splitlines()]
+def _lines(stream):
+    """The successive status lines drawn on ``stream``."""
+    return [line for line in stream.getvalue().split("\r\x1b[2K") if line]
 
 
 class TestDerivedQuantities:
@@ -46,19 +49,19 @@ class TestDerivedQuantities:
 
     def test_eta_extrapolates_mean_wall_over_workers(self):
         progress, clock, _ = _progress()
-        progress.spec_started("a")
+        progress.spec_started()
         clock.advance(2.0)
-        progress.spec_finished("a", wall_seconds=2.0, mode="parallel")
+        progress.spec_finished(wall_seconds=2.0)
         # 3 remaining × mean 2.0s ÷ 2 workers
         assert progress.eta_seconds() == 3.0
-        progress.spec_finished("b", wall_seconds=4.0, mode="parallel")
+        progress.spec_finished(wall_seconds=4.0)
         # 2 remaining × mean 3.0s ÷ 2 workers
         assert progress.eta_seconds() == 3.0
 
     def test_utilization_is_busy_over_capacity(self):
         progress, clock, _ = _progress()
         clock.advance(4.0)
-        progress.spec_finished("a", wall_seconds=6.0, mode="parallel")
+        progress.spec_finished(wall_seconds=6.0)
         # 6 busy worker-seconds over 4s elapsed × 2 workers
         assert progress.utilization() == 0.75
 
@@ -68,114 +71,41 @@ class TestDerivedQuantities:
 
 
 class TestStatusLine:
-    def test_non_tty_stream_gets_plain_lines(self):
+    def test_status_line_counts_running_and_done(self):
         progress, _, stream = _progress()
-        progress.spec_started("a")
-        progress.spec_finished("a", wall_seconds=1.0, mode="serial")
-        lines = stream.getvalue().splitlines()
+        progress.spec_started()
+        progress.spec_finished(wall_seconds=1.0)
+        lines = _lines(stream)
         assert lines[0] == "fleet 0/4 · 1 running"
         assert lines[1].startswith("fleet 1/4 · ")
         assert "util" in lines[1]
 
     def test_cached_specs_reported(self):
         progress, _, stream = _progress()
-        progress.spec_cached("a")
-        assert stream.getvalue().splitlines()[0] == "fleet 1/4 · 1 cached"
+        progress.spec_cached()
+        assert _lines(stream) == ["fleet 1/4 · 1 cached"]
 
     def test_tty_stream_refreshes_one_line(self):
-        class Tty(io.StringIO):
-            def isatty(self):
-                return True
-
-        clock = FakeClock()
-        stream = Tty()
-        progress = FleetProgress(total=2, jobs=1, stream=stream, clock=clock)
-        progress.spec_started("a")
-        progress.spec_finished("a", wall_seconds=1.0, mode="serial")
+        progress, _, stream = _progress(jobs=1)
+        progress.spec_started()
+        progress.spec_finished(wall_seconds=1.0)
         progress.run_finished()
         value = stream.getvalue()
         assert value.count("\r\x1b[2K") == 2
+        assert value.count("\n") == 1
         assert value.endswith("\n")  # run_finished closes the open line
-
-    def test_show_false_suppresses_rendering_but_not_events(self, tmp_path):
-        progress, _, stream = _progress(tmp_path, show=False)
-        progress.spec_started("a")
-        progress.spec_finished("a", wall_seconds=1.0, mode="serial")
-        assert stream.getvalue() == ""
-        assert len(_read_events(tmp_path)) == 2
-
-
-class TestEventsFile:
-    def test_full_lifecycle_sequence_and_payloads(self, tmp_path):
-        progress, clock, _ = _progress(tmp_path, show=False)
-        progress.run_started(figure="fig6")
-        progress.spec_cached("c0")
-        progress.spec_started("s1")
-        clock.advance(1.5)
-        progress.spec_finished("s1", wall_seconds=1.5, mode="parallel")
-        progress.run_finished()
-        events = _read_events(tmp_path)
-        assert [e["event"] for e in events] == [
-            "fleet.run.start",
-            "fleet.spec.cached",
-            "fleet.spec.start",
-            "fleet.spec.done",
-            "fleet.run.done",
-        ]
-        assert all(e["event"] in FLEET_EVENTS for e in events)
-        start, cached, _, done, finished = events
-        assert start["figure"] == "fig6" and start["jobs"] == 2
-        assert cached["label"] == "c0"
-        assert done["wall_seconds"] == 1.5 and done["mode"] == "parallel"
-        assert finished["done"] == 2 and finished["cached"] == 1
-        assert finished["wall_seconds"] == 1.5
-        # Event timestamps are relative to run start and monotone.
-        times = [e["t"] for e in events]
-        assert times == sorted(times) and times[0] == 0.0
-
-    def test_events_append_across_runs(self, tmp_path):
-        for _ in range(2):
-            progress, _, _ = _progress(tmp_path, show=False)
-            progress.run_started()
-            progress.run_finished()
-        assert len(_read_events(tmp_path)) == 4
 
 
 class TestEngineIntegration:
-    def test_engine_writes_events_and_status(self, tmp_path):
-        events = tmp_path / "engine.events.jsonl"
-        stream = io.StringIO()
-        engine = ExperimentEngine(
-            jobs=1,
-            use_cache=False,
-            progress=True,
-            events_path=str(events),
-            stream=stream,
-        )
-        specs = enumerate_fig6(duration=2.0, scale=0.1)[:2]
-        engine.run_specs(specs, figure="fig6")
-        names = [json.loads(line)["event"] for line in
-                 events.read_text().splitlines()]
-        assert names == [
-            "fleet.run.start",
-            "fleet.spec.start",
-            "fleet.spec.done",
-            "fleet.spec.start",
-            "fleet.spec.done",
-            "fleet.run.done",
-        ]
+    def test_engine_draws_status_line_on_a_tty(self):
+        stream = Tty()
+        engine = ExperimentEngine(jobs=1, use_cache=False, obs=(), stream=stream)
+        engine.run_specs(enumerate_fig6(duration=2.0, scale=0.1)[:2], figure="fig6")
         assert "fleet 2/2" in stream.getvalue()
+        assert stream.getvalue().endswith("\n")
 
-    def test_engine_quiet_by_default(self, tmp_path):
+    def test_engine_quiet_by_default(self):
         stream = io.StringIO()
         engine = ExperimentEngine(jobs=1, use_cache=False, stream=stream)
         engine.run_specs(enumerate_fig6(duration=2.0, scale=0.1)[:1])
         assert stream.getvalue() == ""
-        assert not (tmp_path / "engine.events.jsonl").exists()
-
-    def test_progress_env_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_EVENTS",
-                           str(tmp_path / "engine.events.jsonl"))
-        engine = ExperimentEngine(jobs=1, use_cache=False)
-        engine.run_specs(enumerate_fig6(duration=2.0, scale=0.1)[:1])
-        assert (tmp_path / "engine.events.jsonl").exists()

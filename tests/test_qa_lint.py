@@ -194,6 +194,24 @@ class TestUndeclaredNames:
         )
         assert findings == []
 
+    def test_non_literal_and_non_emit_calls_ignored(self, tmp_path):
+        # SL003's rows carry no ``nonliteral`` message, so a computed
+        # name is not a finding (unlike SL008/SL016), and a call outside
+        # the row's call family is not checked at all.
+        findings = run_lint(
+            tmp_path,
+            self.REGISTRY
+            + textwrap.dedent(
+                """
+                def fire(trace, name, now):
+                    trace.emit(name, now)
+                    trace.note("node.rx.bogus")
+                """
+            ),
+            select={"SL003"},
+        )
+        assert findings == []
+
 
 # ---------------------------------------------------------------------------
 # SL004: mutable defaults
@@ -340,93 +358,6 @@ class TestDirectRunScenario:
 
 
 # ---------------------------------------------------------------------------
-# SL007: fleet event names
-# ---------------------------------------------------------------------------
-class TestFleetEvents:
-    REGISTRY = 'FLEET_EVENTS = ("fleet.run.start", "fleet.run.done")\n'
-
-    def test_declared_emission_clean(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            self.REGISTRY
-            + "def go(self):\n"
-            + '    self._event("fleet.run.start", {})\n',
-        )
-        assert findings == []
-
-    def test_undeclared_emission_flagged(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            self.REGISTRY
-            + "def go(self):\n"
-            + '    self._event("fleet.run.strat", {})\n',
-        )
-        assert codes(findings) == ["SL007"]
-        assert "fleet.run.strat" in findings[0].message
-
-    def test_registry_in_sibling_module_counts(self, tmp_path):
-        # FLEET_EVENTS lives in repro/obs/fleet.py; the emission site in
-        # repro/exec/engine.py is checked against it cross-file.
-        (tmp_path / "registry.py").write_text(self.REGISTRY)
-        (tmp_path / "engine.py").write_text(
-            'def go(self):\n    self._event("fleet.bogus", {})\n'
-        )
-        findings = lint_paths(
-            [str(tmp_path / "registry.py"), str(tmp_path / "engine.py")],
-            select={"SL007"},
-        )
-        assert codes(findings) == ["SL007"]
-
-    def test_quiet_without_any_registry(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            'def go(self):\n    self._event("fleet.bogus", {})\n',
-            select={"SL007"},
-        )
-        assert findings == []
-
-    def test_out_of_scope_package_exempt(self, tmp_path):
-        # Only obs/ and exec/ modules emit fleet events; an unrelated
-        # subpackage using a same-named helper is not checked.
-        pkg = tmp_path / "repro" / "ndn"
-        pkg.mkdir(parents=True)
-        (pkg / "router.py").write_text(
-            self.REGISTRY
-            + 'def go(self):\n    self._event("not.a.fleet.event", {})\n'
-        )
-        assert lint_paths([str(pkg / "router.py")], select={"SL007"}) == []
-
-    def test_obs_package_checked(self, tmp_path):
-        pkg = tmp_path / "repro" / "obs"
-        pkg.mkdir(parents=True)
-        (pkg / "fleet.py").write_text(
-            self.REGISTRY
-            + 'def go(self):\n    self._event("fleet.typo", {})\n'
-        )
-        assert codes(lint_paths([str(pkg / "fleet.py")])) == ["SL007"]
-
-    def test_non_literal_and_non_emit_calls_ignored(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            self.REGISTRY
-            + "def go(self, name):\n"
-            + "    self._event(name, {})\n"
-            + '    self.note("fleet.bogus")\n',
-            select={"SL007"},
-        )
-        assert findings == []
-
-    def test_suppression_honoured(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            self.REGISTRY
-            + "def go(self):\n"
-            + '    self._event("fleet.legacy", {})  # simlint: disable=SL007\n',
-        )
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # SL008: audit decision kinds
 # ---------------------------------------------------------------------------
 class TestDecisionKinds:
@@ -452,7 +383,7 @@ class TestDecisionKinds:
         assert "bf_hti" in findings[0].message
 
     def test_non_literal_kind_flagged(self, tmp_path):
-        # Unlike SL007, a dynamic first argument is itself a finding:
+        # Unlike SL003, a dynamic first argument is itself a finding:
         # the decision namespace must stay statically checkable.
         findings = run_lint(
             tmp_path,
