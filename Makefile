@@ -20,12 +20,13 @@ qa:
 lint:
 	$(PYTHON) -m repro.qa.lint src/repro
 
-# Tier-1 substrate tests with the runtime sanitizer armed.
+# The scenario-level tier-1 tests and a fig6 slice with the simsan row
+# selected on every run (docs/STATIC_ANALYSIS.md, "SimSan").
 sanitize:
-	REPRO_SIMSAN=1 $(PYTHON) -m pytest -x -q \
-		tests/test_sim_engine.py tests/test_ndn_tables.py \
-		tests/test_ndn_link_node.py tests/test_experiments.py \
-		tests/test_integration_scenarios.py tests/test_qa_simsan.py
+	REPRO_OBS=simsan $(PYTHON) -m pytest -x -q \
+		tests/test_experiments.py tests/test_integration_scenarios.py \
+		tests/test_qa_simsan.py
+	$(PYTHON) -m repro fig6 --duration 2 --scale 0.1 --obs simsan
 
 determinism:
 	$(PYTHON) -m repro.qa.determinism --duration 3 --scale 0.1

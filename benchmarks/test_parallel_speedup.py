@@ -3,9 +3,10 @@
 A fig5-style sweep (2 topologies x 2 seeds) runs three ways: serial
 in-process (``jobs=1``), fanned out over a spawn pool (``jobs=4`` by
 default; override with ``REPRO_BENCH_JOBS``), and replayed from a
-content-addressed run cache.  The benchmark asserts the tentpole's
-correctness bar unconditionally — every execution mode produces
-bit-identical figure values and event digests — and publishes
+content-addressed run cache, every run under the ``simsan`` row.  The
+benchmark asserts the engine's correctness bar unconditionally — every
+execution mode produces bit-identical figure values and SimSan event
+digests — and publishes
 ``BENCH_parallel.json`` with the wall-clock numbers.  Where the pool's
 time goes is perfbench's ``table5_grid`` ``exec.*`` ledger
 (docs/PERFORMANCE.md, "Where parallel time goes").
@@ -20,7 +21,6 @@ gate"), and perfbench's ``table5_grid`` reports the pool's efficiency.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
@@ -42,7 +42,7 @@ JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "4"))
 
 def _sweep_specs():
     return [
-        dataclasses.replace(spec, hash_events=True)
+        spec
         for seed in SEEDS
         for spec in enumerate_fig5(
             topologies=TOPOLOGIES,
@@ -55,7 +55,7 @@ def _sweep_specs():
 
 
 def _timed_run(specs, **kwargs):
-    engine = ExperimentEngine(registry=MetricsRegistry(), **kwargs)
+    engine = ExperimentEngine(registry=MetricsRegistry(), obs=("simsan",), **kwargs)
     began = time.perf_counter()
     summaries = engine.run_specs(specs)
     return time.perf_counter() - began, summaries
@@ -74,10 +74,11 @@ def test_parallel_matches_serial_and_speeds_up(tmp_path):
     assert [p.metrics_dict() for p in parallel] == baseline
     assert [p.metrics_dict() for p in primed] == baseline
     assert [c.metrics_dict() for c in cached] == baseline
-    digests = [s.event_digest for s in serial]
-    assert all(digests)
-    assert [p.event_digest for p in parallel] == digests
-    assert [c.event_digest for c in cached] == digests
+    def digests(summaries):
+        return [s.instruments["simsan"]["digest"] for s in summaries]
+
+    assert len(set(digests(serial))) == len(specs)
+    assert digests(parallel) == digests(primed) == digests(cached) == digests(serial)
     assert all(c.cached for c in cached) and not any(p.cached for p in primed)
 
     cores = os.cpu_count() or 1
@@ -108,7 +109,7 @@ def test_parallel_matches_serial_and_speeds_up(tmp_path):
         "parallel_speedup": round(speedup, 3),
         "cache_speedup": round(cache_speedup, 3),
         "bit_identical": True,
-        "event_digests": digests,
+        "simsan_digests": digests(serial),
         "speedup_asserted": cores >= 4 and JOBS >= 4,
     }
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -176,11 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore the run cache entirely, even if --cache-dir or "
         "REPRO_CACHE_DIR is set",
     )
-    parser.add_argument(
-        "--sanitize", action="store_true",
-        help="arm the SimSan runtime invariant checks on every run "
-        "(equivalent to REPRO_SIMSAN=1; see docs/STATIC_ANALYSIS.md)",
-    )
     obs = parser.add_argument_group(
         "instruments", "per-run observability layers with fleet-merged "
         "reports (docs/OBSERVABILITY.md, \"Turning it on\")"
@@ -204,15 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: List[str] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.sanitize:
-        # The runner's maybe_install() reads the env var, so the flag
-        # arms every run this process makes without threading a
-        # parameter through each artifact function.
-        os.environ["REPRO_SIMSAN"] = "1"
-    # The instrument selection rides the same env-forwarding pattern:
-    # the engine reads it at construction, so every ExperimentEngine a
-    # reproduction builds in this process picks it up without new
-    # parameters.
+    # The instrument selection rides the environment: the engine reads
+    # it at construction, so every ExperimentEngine a reproduction
+    # builds in this process picks it up without new parameters.
     if args.obs is not None:
         os.environ[OBS_ENV] = args.obs
     if args.obs_out is not None:

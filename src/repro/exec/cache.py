@@ -38,7 +38,8 @@ __all__ = ["CACHE_FORMAT", "RunCache", "cache_key", "code_fingerprint"]
 #: 3: RunSummary grew a worker-lifecycle record (since removed).
 #: 4: RunSummary grew the ``statescope`` state-accounting record.
 #: 5: the four instrument fields became one ``instruments`` dict.
-CACHE_FORMAT = 5
+#: 6: the event-stream digest moved into the ``simsan`` instrument record.
+CACHE_FORMAT = 6
 
 _fingerprint_memo: Optional[str] = None
 

@@ -58,7 +58,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from repro.exec.cache import RunCache, cache_key
 from repro.exec.spec import ScenarioSpec
 from repro.exec.summary import RunSummary, summarize
-from repro.obs.instruments import INSTRUMENTS, Obs, resolve
+from repro.obs.instruments import INSTRUMENTS, Obs, make_live, resolve
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ExecStats", "ExperimentEngine", "resolve_jobs", "run_specs"]
@@ -106,24 +106,16 @@ def _execute_spec(spec: ScenarioSpec, obs: Optional[Obs] = None) -> RunSummary:
     inside the function: a freshly spawned interpreter only pays for
     the simulator once it actually runs something.
 
-    ``obs`` selects the run's instruments; their records travel home in
-    ``summary.instruments``.
+    ``obs`` selects the run's instruments (``None``: none); their
+    records travel home in ``summary.instruments``.
     """
     from repro.experiments.runner import run_scenario
 
     began = time.perf_counter()
     scenario = spec.build()
-    sanitizer = None
-    if spec.hash_events:
-        from repro.qa.simsan import SimSan
-
-        sanitizer = SimSan(mode="collect", hash_events=True)
-    live = [INSTRUMENTS[name].make(obs) for name in (obs.names if obs is not None else ())]
-    result = run_scenario(scenario, instruments=live, sanitizer=sanitizer)
-    digest = sanitizer.stream_digest() if sanitizer is not None else None
-    summary = summarize(
-        result, latency_bucket=spec.latency_bucket, event_digest=digest
-    )
+    live = make_live(obs) if obs is not None else []
+    result = run_scenario(scenario, instruments=live)
+    summary = summarize(result, latency_bucket=spec.latency_bucket)
     summary.wall_seconds = time.perf_counter() - began
     summary.worker_pid = os.getpid()
     return summary

@@ -59,8 +59,7 @@ class ScenarioSpec:
     :meth:`make` to normalise a dict).  ``attacker_modes`` carries
     :class:`~repro.core.attacker.AttackerMode` *names* (``None`` keeps
     the paper's default mix).  ``latency_bucket`` fixes the bucket the
-    latency series is aggregated at; ``hash_events`` arms a collect-mode
-    SimSan so the resulting summary carries the determinism digest.
+    latency series is aggregated at.
     """
 
     topology: int = 1
@@ -72,7 +71,6 @@ class ScenarioSpec:
     attacker_modes: Optional[Tuple[str, ...]] = None
     label: str = ""
     latency_bucket: float = 1.0
-    hash_events: bool = False
 
     @classmethod
     def make(
@@ -86,7 +84,6 @@ class ScenarioSpec:
         attacker_modes: Optional[Sequence[Any]] = None,
         label: str = "",
         latency_bucket: float = 1.0,
-        hash_events: bool = False,
     ) -> "ScenarioSpec":
         """Build a spec, normalising overrides and attacker modes."""
         items = tuple(sorted((overrides or {}).items()))
@@ -106,7 +103,6 @@ class ScenarioSpec:
             attacker_modes=modes,
             label=label,
             latency_bucket=latency_bucket,
-            hash_events=hash_events,
         )
 
     def with_overrides(self, **extra: Any) -> "ScenarioSpec":
@@ -160,5 +156,4 @@ class ScenarioSpec:
             ),
             "label": self.label,
             "latency_bucket": self.latency_bucket,
-            "hash_events": self.hash_events,
         }

@@ -75,18 +75,15 @@ class RunSummary:
     total_network_bytes: int = 0
     total_network_drops: int = 0
     events_executed: int = 0
-    #: BLAKE2 event-stream digest (set when the spec asked for
-    #: ``hash_events``); the cross-process determinism check.
-    event_digest: Optional[str] = None
     # --- Provenance (excluded from equality) -----------------------------
     wall_seconds: float = field(default=0.0, compare=False)
     cached: bool = field(default=False, compare=False)
     worker_pid: int = field(default=0, compare=False)
     #: Each instrument's per-run record by name (``--obs``; see
-    #: :mod:`repro.obs.instruments`): the telemetry envelope, audit
-    #: summary, statescope record, flight-recorder bundle list, and
-    #: worker-lifecycle record.  Excluded from equality so observed and
-    #: unobserved runs of one spec still compare equal.
+    #: :mod:`repro.obs.instruments`): the SimSan event digest, the
+    #: telemetry envelope, audit summary, statescope record, flight-
+    #: recorder bundle list, and so on.  Excluded from equality so
+    #: observed and unobserved runs of one spec still compare equal.
     instruments: Dict[str, Dict[str, Any]] = field(default_factory=dict, compare=False)
 
     # ------------------------------------------------------------------
@@ -214,7 +211,6 @@ class RunSummary:
             "total_network_bytes": self.total_network_bytes,
             "total_network_drops": self.total_network_drops,
             "events_executed": self.events_executed,
-            "event_digest": self.event_digest,
             "wall_seconds": self.wall_seconds,
             "instruments": dict(self.instruments),
         }
@@ -256,10 +252,6 @@ class RunSummary:
             total_network_bytes=int(payload["total_network_bytes"]),
             total_network_drops=int(payload["total_network_drops"]),
             events_executed=int(payload["events_executed"]),
-            event_digest=(
-                None if payload["event_digest"] is None
-                else str(payload["event_digest"])
-            ),
             wall_seconds=float(payload.get("wall_seconds", 0.0)),
             instruments=dict(payload.get("instruments") or {}),
         )
@@ -269,11 +261,7 @@ def _op_dict(counters: OpCounters) -> Dict[str, int]:
     return {name: getattr(counters, name) for name in OP_FIELDS}
 
 
-def summarize(
-    result: Any,
-    latency_bucket: float = 1.0,
-    event_digest: Optional[str] = None,
-) -> RunSummary:
+def summarize(result: Any, latency_bucket: float = 1.0) -> RunSummary:
     """Extract a :class:`RunSummary` from a live ``RunResult``."""
     edge = result.metrics.merged_counters(edge=True)
     core = result.metrics.merged_counters(edge=False)
@@ -307,7 +295,6 @@ def summarize(
         total_network_bytes=result.network_bytes(),
         total_network_drops=result.network_drops(),
         events_executed=result.sim.events_executed,
-        event_digest=event_digest,
         wall_seconds=result.wall_seconds,
         instruments=dict(result.instruments),
     )

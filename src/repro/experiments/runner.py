@@ -155,7 +155,6 @@ class _Assembly:
     scenario: Optional[Scenario] = None
     label: str = ""
     horizon: float = 0.0
-    sanitizer: Optional[object] = None
     #: The run's live instruments by name (each finds its peers here).
     instruments: Dict[str, object] = field(default_factory=dict)
     wall_seconds: float = 0.0
@@ -358,29 +357,28 @@ def _seed_stale_tags(assembly: _Assembly) -> None:
 
 
 def run_scenario(
-    scenario: Scenario,
-    instruments: Sequence[object] = (),
-    sanitizer: Optional[object] = None,
+    scenario: Scenario, instruments: Optional[Sequence[object]] = None
 ) -> RunResult:
     """Assemble and execute one scenario end to end.
 
     ``instruments`` are live objects from :mod:`repro.obs.instruments`
-    (``DecisionAudit()``, ``TelemetrySession()``, …); each is
-    installed in table order before the first tag is issued and
-    finalized in reverse after the run, and its record lands in
-    ``RunResult.instruments``.  With none, the run loads no
-    observability module at all.  ``sanitizer`` installs an explicit
-    :class:`~repro.qa.simsan.SimSan`; when omitted one is installed iff
-    ``REPRO_SIMSAN`` is on in the environment.
+    (``SimSan()``, ``DecisionAudit()``, ``TelemetrySession()``, …);
+    each is installed in table order right after the build, before the
+    first tag is issued, and finalized in reverse after the run, and its
+    record lands in ``RunResult.instruments``.  ``None`` selects the
+    ``REPRO_OBS`` rows, as ``ExperimentEngine(obs=None)`` does; ``()``
+    selects none.  With ``REPRO_OBS`` unset, a run loads no
+    observability or QA module at all.
     """
-    assembly = build_assembly(scenario)
-    if sanitizer is not None:
-        sanitizer.install(assembly.sim, assembly.network)
-    elif "REPRO_SIMSAN" in os.environ:
-        from repro.qa.simsan import maybe_install
+    if instruments is None:
+        instruments = ()
+        # The literal, not ``OBS_ENV``: importing it would load the
+        # observability package on every plain run.
+        if os.environ.get("REPRO_OBS", "").strip():
+            from repro.obs.instruments import make_live, resolve
 
-        sanitizer = maybe_install(assembly.sim, assembly.network)
-    assembly.sanitizer = sanitizer
+            instruments = make_live(resolve())
+    assembly = build_assembly(scenario)
     config = assembly.config
     sim = assembly.sim
     start_rng = sim.rng.stream("start-offsets")
@@ -413,13 +411,9 @@ def run_scenario(
     try:
         sim.run(until=assembly.horizon)
         assembly.wall_seconds = time.perf_counter() - began
-        try:
-            if sanitizer is not None:
-                sanitizer.finish()
-        finally:
-            # A SimSan violation still gets the run's records written
-            # (and its bundle named in the flight recorder's record).
-            records = {item.name: item.finalize() for item in reversed(live)}
+        # Reverse table order: SimSan finalizes last, so an end-of-run
+        # violation raises only after every peer has finalized.
+        records = {item.name: item.finalize() for item in reversed(live)}
     finally:
         # Restore the layer shims and stop the side threads even when
         # the run raises (close is idempotent after finalize).

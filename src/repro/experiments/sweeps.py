@@ -129,7 +129,7 @@ class SweepPoint:
         return ", ".join(f"{k}={v}" for k, v in sorted(self.overrides.items()))
 
 
-def enumerate_sweep(spec: SweepSpec, hash_events: bool = False) -> List[ScenarioSpec]:
+def enumerate_sweep(spec: SweepSpec) -> List[ScenarioSpec]:
     """Flatten the sweep into (grid point x seed) scenario specs, in
     the same order ``run_sweep`` consumes them."""
     base = dict(spec.base)
@@ -145,7 +145,6 @@ def enumerate_sweep(spec: SweepSpec, hash_events: bool = False) -> List[Scenario
             scale=scale,
             scheme=scheme,
             overrides={**base, **overrides},
-            hash_events=hash_events,
         )
         for overrides in spec.points()
         for seed in spec.seeds
@@ -157,7 +156,6 @@ def run_sweep(
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
-    hash_events: bool = False,
 ) -> List[SweepPoint]:
     """Execute the full sweep: every grid point x every seed.
 
@@ -166,7 +164,7 @@ def run_sweep(
     prior results.  Metric extractors are applied in the parent process
     to the returned summaries, so they never cross a process boundary.
     """
-    scenario_specs = enumerate_sweep(spec, hash_events=hash_events)
+    scenario_specs = enumerate_sweep(spec)
     summaries = run_specs(
         scenario_specs, jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
         figure="sweep",

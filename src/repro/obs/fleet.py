@@ -50,7 +50,9 @@ class FleetProgress:
         self.clock = clock
         self.done = 0
         self.cached = 0
-        self.running = 0
+        #: Specs handed to the pool and not yet finished; a pool takes
+        #: them all up front, so at most ``jobs`` of them are running.
+        self.dispatched = 0
         self.completed_walls: List[float] = []
         self.started_at = clock()
         self._line_open = False
@@ -64,11 +66,11 @@ class FleetProgress:
         self._render()
 
     def spec_started(self) -> None:
-        self.running += 1
+        self.dispatched += 1
         self._render()
 
     def spec_finished(self, wall_seconds: float) -> None:
-        self.running = max(0, self.running - 1)
+        self.dispatched = max(0, self.dispatched - 1)
         self.done += 1
         self.completed_walls.append(wall_seconds)
         self._render()
@@ -103,8 +105,9 @@ class FleetProgress:
         parts = [f"fleet {self.done}/{self.total}"]
         if self.cached:
             parts.append(f"{self.cached} cached")
-        if self.running:
-            parts.append(f"{self.running} running")
+        running = min(self.dispatched, self.jobs)
+        if running:
+            parts.append(f"{running} running")
         eta = self.eta_seconds()
         if eta is not None and self.done < self.total:
             parts.append(f"eta {eta:.1f}s")

@@ -109,7 +109,7 @@ class FlightRecorder:
     def install(self, run: Any) -> "FlightRecorder":
         """Instrument protocol: subscribe to every trace event on
         ``run.sim`` (its network feeds the table snapshots) and tap the
-        audit and sanitizer peers (decision records ride the ring; the
+        audit and SimSan peers (decision records ride the ring; the
         first SimSan violation dumps a bundle)."""
         self.label = self.label or run.label
         if run.scenario is not None:
@@ -120,8 +120,9 @@ class FlightRecorder:
         audit = run.instruments.get("audit")
         if audit is not None:
             audit.sink = self.on_decision
-        if run.sanitizer is not None:
-            run.sanitizer.flightrec = self
+        simsan = run.instruments.get("simsan")
+        if simsan is not None:
+            simsan.flightrec = self
         return self
 
     def _on_trace(self, record: Any) -> None:

@@ -1,9 +1,9 @@
 """The instrument table: one row per opt-in observability layer.
 
-:data:`INSTRUMENTS` has a row each for the decision audit, the flight
-recorder, telemetry, the packet trace, periodic samples, the statescope,
-the layer profile, stack samples and the heartbeat, and the whole
-stack reads it.  ``--obs NAME[,NAME...]``/
+:data:`INSTRUMENTS` has a row each for the SimSan runtime sanitizer,
+the decision audit, the flight recorder, telemetry, the packet trace,
+periodic samples, the statescope, the layer profile, stack samples and
+the heartbeat, and the whole stack reads it.  ``--obs NAME[,NAME...]``/
 ``--obs-out DIR`` (or ``REPRO_OBS``/``REPRO_OBS_OUT``) select rows
 through :func:`resolve`; the engine ships the resulting :class:`Obs` to
 every run, ``make(obs)`` builds the live object that
@@ -20,7 +20,8 @@ A live object has a ``name``, ``install(run)``, ``finalize() -> dict``
 and, when it holds resources, an idempotent ``close()`` that the
 runner calls even when the run raises.  ``run`` is the assembled run;
 ``run.instruments`` maps names to its peers, so each finds the one it
-feeds: the audit feeds the flight recorder's ring, the statescope
+feeds: the audit feeds the flight recorder's ring and a SimSan
+violation triggers its dump, the statescope
 reads the audit's shadow sets, samples back gauges in the telemetry
 registry, the trace carries the statescope timeline, and telemetry
 bridges the audit and gathers its peers' records.  Installs follow
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
     "INSTRUMENTS",
@@ -40,6 +41,7 @@ __all__ = [
     "SAMPLE_INTERVAL",
     "Instrument",
     "Obs",
+    "make_live",
     "resolve",
 ]
 
@@ -76,6 +78,12 @@ class Instrument:
     #: measures the execution itself (profile, stack samples) is not: a
     #: cached summary is re-executed when it is selected.
     replayable: bool = True
+
+
+def _make_simsan(obs: Obs) -> Any:
+    from repro.qa.simsan import SimSan
+
+    return SimSan()
 
 
 def _make_flightrec(obs: Obs) -> Any:
@@ -124,11 +132,15 @@ def _count_runs(into: Dict[str, Any], record: Dict[str, Any]) -> Dict[str, Any]:
     return into
 
 
-#: Every instrument, in install order.  Telemetry installs before the
-#: peers whose records it gathers (so it finalizes after them), samples
-#: after telemetry (whose registry backs its gauges), and the trace
-#: before the statescope (whose final timeline it carries).
+#: Every instrument, in install order.  SimSan installs first, right
+#: after the build, so its hooks see every table before a peer touches
+#: it, and finalizes last, so an end-of-run violation raises only after
+#: every peer has finalized.  Telemetry installs before the peers whose
+#: records it gathers (so it finalizes after them), samples after
+#: telemetry (whose registry backs its gauges), and the trace before the
+#: statescope (whose final timeline it carries).
 INSTRUMENTS: Dict[str, Instrument] = {
+    "simsan": Instrument(_make_simsan, _append_run, _runs_report),
     "audit": Instrument(
         _new("audit", "DecisionAudit"),
         _lazy("audit", "merge_audit_summaries"),
@@ -213,3 +225,8 @@ def resolve(
         raise ValueError(f"{problem} (instruments: {', '.join(INSTRUMENTS)})")
     ordered = tuple(name for name in INSTRUMENTS if name in chosen)
     return Obs(names=ordered, out=out)
+
+
+def make_live(obs: Obs) -> List[Any]:
+    """The live objects of ``obs``'s rows, in install order."""
+    return [INSTRUMENTS[name].make(obs) for name in obs.names]

@@ -3,7 +3,7 @@
 TACTIC's value proposition rests on *bounded router state*: fixed-size
 Bloom filters with a predictable saturation/reset cadence instead of
 per-client ACLs.  The rest of the observability stack measures time
-exhaustively; this module measures state.  Three pieces:
+exhaustively; this module measures state.  Two pieces:
 
 1. **Accounting** — every stateful structure (PIT, ContentStore,
    BloomFilter, FIB, the audit shadow sets, pending spans, the event
@@ -16,15 +16,7 @@ exhaustively; this module measures state.  Three pieces:
    trend, flagging unbounded growth — a PIT-record or span leak — as a
    typed finding.
 
-2. **tracemalloc** (optional, zero-cost off) — snapshot diffs
-   attributed to ``repro.*`` modules with top-allocation-site reports
-   and a peak-RSS stamp.  Wall-clock/allocator numbers are
-   host-dependent, so they ride in the record's ``tracemalloc``
-   section only: :func:`statescope_metrics` and
-   :func:`merge_statescope` drop them, keeping the flattened metrics and
-   the serial ≡ parallel merge parity deterministic.
-
-3. **Conformance** — at finalize the scope walks the live structures
+2. **Conformance** — at finalize the scope walks the live structures
    and compares empirical BF fill ratio, saturation-reset cadence, CS
    hit ratio, and PIT occupancy against the
    :mod:`repro.analysis.bloom_math` / :mod:`repro.analysis.cache_math`
@@ -48,15 +40,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.obs.instruments import SAMPLE_INTERVAL
-
-#: Environment knob for the tracemalloc section.
-STATESCOPE_TRACEMALLOC_ENV = "REPRO_STATESCOPE_TRACEMALLOC"
 
 #: Registry of every state series a scope may emit (simlint SL016: a
 #: literal passed to ``StateScope.track`` must appear here, so a typo'd
@@ -283,16 +271,12 @@ class StateScope:
     def __init__(
         self,
         interval: float = SAMPLE_INTERVAL,
-        tracemalloc: Optional[bool] = None,
         z: float = 1.96,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"statescope interval must be positive, got {interval!r}")
-        if tracemalloc is None:
-            tracemalloc = _env_flag(STATESCOPE_TRACEMALLOC_ENV)
         self.interval = interval
         self.z = z
-        self.tracemalloc = tracemalloc
         self.label: Optional[str] = None
         self.timeline: List[Tuple[float, Dict[str, float]]] = []
         self.series: Dict[str, List[Tuple[float, float]]] = {
@@ -312,7 +296,6 @@ class StateScope:
         self._sampling: Optional[Dict[str, float]] = None
         self._stopped = False
         self._record: Optional[Dict[str, Any]] = None
-        self._tm_baseline: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -341,12 +324,6 @@ class StateScope:
                 fib = getattr(node, "fib", None)
                 if fib is not None and hasattr(fib, "state_cost"):
                     self._fibs.append((node_id, fib))
-        if self.tracemalloc:
-            import tracemalloc as _tm
-
-            if not _tm.is_tracing():
-                _tm.start()
-            self._tm_baseline = _tm.take_snapshot()
         self.start(horizon=run.horizon)
         return self
 
@@ -502,8 +479,6 @@ class StateScope:
             "findings": findings,
             "conformance": self._conformance(findings),
         }
-        if self.tracemalloc:
-            record["tracemalloc"] = self._tracemalloc_report()
         self._record = record
         return record
 
@@ -711,52 +686,6 @@ class StateScope:
             "within_ci": within,
         }
 
-    # ------------------------------------------------------------------
-    # tracemalloc
-    # ------------------------------------------------------------------
-    def _tracemalloc_report(self, top: int = 10) -> Dict[str, Any]:
-        import tracemalloc as _tm
-
-        snapshot = _tm.take_snapshot()
-        current, peak = _tm.get_traced_memory()
-        stats: List[Dict[str, Any]] = []
-        if self._tm_baseline is not None:
-            diffs = snapshot.compare_to(self._tm_baseline, "lineno")
-            repro_sep = os.sep + "repro" + os.sep
-            for diff in diffs:
-                frame = diff.traceback[0]
-                if repro_sep not in frame.filename:
-                    continue
-                stats.append(
-                    {
-                        "site": f"{frame.filename}:{frame.lineno}",
-                        "size_bytes": diff.size,
-                        "size_diff_bytes": diff.size_diff,
-                        "count": diff.count,
-                    }
-                )
-                if len(stats) >= top:
-                    break
-        report: Dict[str, Any] = {
-            "current_bytes": current,
-            "peak_bytes": peak,
-            "top_sites": stats,
-        }
-        try:
-            import resource
-
-            report["peak_rss_kb"] = resource.getrusage(
-                resource.RUSAGE_SELF
-            ).ru_maxrss
-        except ImportError:  # pragma: no cover - non-POSIX
-            pass
-        return report
-
-
-def _env_flag(name: str) -> bool:
-    raw = os.environ.get(name, "")
-    return bool(raw) and raw.lower() not in ("0", "false", "no", "off")
-
 
 # ---------------------------------------------------------------------------
 # Fleet merge + metrics (deterministic: serial == parallel, bit-for-bit)
@@ -768,7 +697,7 @@ def merge_statescope(into: Dict[str, Any], record: Dict[str, Any]) -> Dict[str, 
     so serial and ``--jobs N`` runs produce bit-identical merges.
     Series peaks/lasts sum (the fleet's aggregate footprint); findings
     and conformance checks concatenate, each stamped with the run
-    label; host-dependent ``tracemalloc`` sections are dropped.
+    label.
     """
     if not into:
         into.update(
@@ -812,7 +741,7 @@ def statescope_metrics(record: Dict[str, Any]) -> Dict[str, float]:
     """Flatten a record into deterministic ``state.*``/``model.*``/
     ``mem.*`` metrics; the memory-footprint benchmark
     (``benchmarks/test_memory_footprint.py``) reads its peaks from
-    them.  tracemalloc values are excluded: they vary by host."""
+    them."""
     out: Dict[str, float] = {}
     for name in sorted(record.get("series", {})):
         row = record["series"][name]
@@ -887,16 +816,6 @@ def render_statescope_report(record: Dict[str, Any]) -> List[str]:
                 f"    {mark:<4} {check['check']:<14} node={check['node']}{run} "
                 f"observed={check['observed']:.6g} expected={check['expected']:.6g} "
                 f"+-{check['ci_halfwidth']:.6g}"
-            )
-    tm = record.get("tracemalloc")
-    if tm:
-        lines.append(
-            f"  tracemalloc: current={tm['current_bytes']:,}B "
-            f"peak={tm['peak_bytes']:,}B rss_peak={tm.get('peak_rss_kb', 0):,}KB"
-        )
-        for site in tm.get("top_sites", []):
-            lines.append(
-                f"    {site['size_bytes']:>10,}B ({site['count']:>6} blocks) {site['site']}"
             )
     return lines
 

@@ -10,8 +10,8 @@ path.  This package makes both machine-checked:
 - :mod:`repro.qa.lint` — an AST-based linter with simulator-specific
   rules, including the whole-program SL010/SL011 of
   :mod:`repro.qa.flow` (``python -m repro.qa.lint src/repro``),
-- :mod:`repro.qa.simsan` — an opt-in runtime sanitizer
-  (``REPRO_SIMSAN=1``) that installs invariant hooks into the
+- :mod:`repro.qa.simsan` — an opt-in runtime sanitizer (the
+  ``simsan`` row of ``--obs``) that installs invariant hooks into the
   simulator, nodes, and tables,
 - :mod:`repro.qa.determinism` — a double-run event-stream hash check,
 - ``python -m repro.qa`` — the one-shot gate running all of the above.

@@ -43,9 +43,8 @@ def _step_simsan_smoke(paths: List[str]) -> Tuple[bool, str]:
     san = SimSan(mode="collect")
     run_scenario(
         Scenario.paper_topology(1, duration=1.0, seed=3, scale=0.05),
-        sanitizer=san,
+        instruments=[san],
     )
-    san.finish()
     if san.violations:
         detail = "\n".join(f"[{v.kind}] t={v.time:.6f}: {v.message}" for v in san.violations)
         return False, detail

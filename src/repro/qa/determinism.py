@@ -81,8 +81,8 @@ def scenario_digest(scenario: Any) -> RunDigest:
     """
     from repro.experiments.runner import run_scenario
 
-    san = SimSan(mode="collect", hash_events=True)
-    run_scenario(scenario, sanitizer=san)
+    san = SimSan(mode="collect")
+    run_scenario(scenario, instruments=[san])
     return RunDigest(
         stream=san.stream_digest(),
         blocks=san.block_digests(),

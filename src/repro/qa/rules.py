@@ -75,14 +75,13 @@ _WALL_CLOCK_FROM_TIME = {
 #: (SL005 does not treat these as "invoked at schedule time").
 _CALLBACK_FACTORIES = {"partial", "methodcaller", "attrgetter", "itemgetter"}
 
-#: Registry kind -> (exact variable names, accepted name suffix).  A
-#: module-level assignment to a matching name declares every string in
-#: its value; the first matching kind wins.
-_REGISTRIES: Dict[str, Tuple[Tuple[str, ...], Optional[str]]] = {
-    "events": (("KNOWN_EVENTS", "SPAN_EVENTS"), "_EVENTS"),
-    "metrics": (("METRIC_NAMES",), "_METRICS"),
-    "decisions": (("DECISION_KINDS",), None),  # repro.obs.audit
-    "statescope": (("STATESCOPE_SERIES",), None),  # repro.obs.statescope
+#: Registry kind -> the variable names that declare it.  A module-level
+#: assignment to one of them declares every string in its value.
+_REGISTRIES: Dict[str, Tuple[str, ...]] = {
+    "events": ("KNOWN_EVENTS", "SPAN_EVENTS"),
+    "metrics": ("METRIC_NAMES",),
+    "decisions": ("DECISION_KINDS",),  # repro.obs.audit
+    "statescope": ("STATESCOPE_SERIES",),  # repro.obs.statescope
 }
 
 
@@ -218,10 +217,9 @@ class LintContext:
             for target in targets:
                 if not isinstance(target, ast.Name):
                     continue
-                for kind, (names, suffix) in _REGISTRIES.items():
-                    if target.id in names or (suffix and target.id.endswith(suffix)):
+                for kind, names in _REGISTRIES.items():
+                    if target.id in names:
                         self.declared[kind].update(_collect_strings(value))
-                        break
 
 
 def _collect_strings(node: ast.AST) -> List[str]:

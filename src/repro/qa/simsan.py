@@ -1,4 +1,5 @@
-""""SimSan": the opt-in runtime sanitizer.
+""""SimSan": the opt-in runtime sanitizer, the ``simsan`` row of
+``--obs`` (:mod:`repro.obs.instruments`).
 
 Installs invariant hooks into a :class:`~repro.sim.engine.Simulator`
 and the nodes/tables attached to it.  When *not* installed the
@@ -7,8 +8,9 @@ which carries the hook, only when ``sim.sanitizer`` is set, and the
 table hook attributes (``pit.san`` / ``cs.san`` / ``bloom.san``)
 default to ``None`` behind single attribute checks on cold-ish paths.
 
-Enable per-process with ``REPRO_SIMSAN=1`` (the experiment runner
-calls :func:`maybe_install` on every run) or install explicitly.
+Select it like any instrument (``--obs simsan``, ``REPRO_OBS=simsan``,
+``run_scenario(scenario, instruments=[SimSan()])``); its record is the
+run's event-stream digest, the cross-process determinism check.
 
 Checked invariants
 ------------------
@@ -37,16 +39,13 @@ Checked invariants
 from __future__ import annotations
 
 import hashlib
-import os
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, List
 
 __all__ = [
     "SanitizerError",
     "SimSan",
     "Violation",
-    "enabled",
-    "maybe_install",
 ]
 
 #: Events hashed per block; block digests let a determinism mismatch be
@@ -83,20 +82,6 @@ class _BloomState:
     inserts_since_check: int = 0
 
 
-def enabled() -> bool:
-    """True when the ``REPRO_SIMSAN`` environment opt-in is set."""
-    return os.environ.get("REPRO_SIMSAN", "").strip().lower() in (
-        "1", "true", "on", "yes",
-    )
-
-
-def maybe_install(sim: Any, network: Any = None) -> Optional["SimSan"]:
-    """Install a sanitizer iff ``REPRO_SIMSAN`` is on (runner hook)."""
-    if not enabled():
-        return None
-    return SimSan().install(sim, network)
-
-
 class SimSan:
     """Invariant hooks over one simulator and its attached components.
 
@@ -105,25 +90,23 @@ class SimSan:
     mode:
         ``"raise"`` (default) raises :class:`SanitizerError` at the
         first violation; ``"collect"`` records violations in
-        :attr:`violations` and keeps running (used by tests and by the
-        reporting CLI).
+        :attr:`violations` and keeps running (used by tests, the
+        determinism check and the QA smoke run).
     bloom_check_interval:
         Inserts between bit-fill popcounts (1 = check every insert).
-    hash_events:
-        Fold every executed event into the determinism hash.
     """
+
+    name = "simsan"
 
     def __init__(
         self,
         mode: str = "raise",
         bloom_check_interval: int = 64,
-        hash_events: bool = True,
     ) -> None:
         if mode not in ("raise", "collect"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.bloom_check_interval = bloom_check_interval
-        self.hash_events = hash_events
         self.violations: List[Violation] = []
         self.events_seen = 0
         self._sim: Any = None
@@ -145,11 +128,12 @@ class SimSan:
     # ------------------------------------------------------------------
     # Installation
     # ------------------------------------------------------------------
-    def install(self, sim: Any, network: Any = None) -> "SimSan":
-        """Attach to the engine and (optionally) every network node."""
-        self.attach_engine(sim)
-        if network is not None:
-            for node in network.nodes.values():
+    def install(self, run: Any) -> "SimSan":
+        """Instrument protocol: attach to ``run.sim`` and to every node
+        of ``run.network`` (when it has one)."""
+        self.attach_engine(run.sim)
+        if run.network is not None:
+            for node in run.network.nodes.values():
                 self.attach_node(node)
         return self
 
@@ -237,13 +221,12 @@ class SimSan:
                 f"event {name} fires at {time!r} but the clock "
                 f"is already at {now!r}",
             )
-        if self.hash_events:
-            descriptor = f"{time!r}|{priority}|{name}|{len(args)}".encode()
-            self._hasher.update(descriptor)
-            self._block_hasher.update(descriptor)
-            if self.events_seen % HASH_BLOCK_EVENTS == 0:
-                self._block_digests.append(self._block_hasher.hexdigest())
-                self._block_hasher = hashlib.blake2b(digest_size=8)
+        descriptor = f"{time!r}|{priority}|{name}|{len(args)}".encode()
+        self._hasher.update(descriptor)
+        self._block_hasher.update(descriptor)
+        if self.events_seen % HASH_BLOCK_EVENTS == 0:
+            self._block_digests.append(self._block_hasher.hexdigest())
+            self._block_hasher = hashlib.blake2b(digest_size=8)
 
     def stream_digest(self) -> str:
         """Hash of every executed event's (time, priority, callback)."""
@@ -402,6 +385,17 @@ class SimSan:
                     f"{accounted}",
                 )
         return list(self.violations)
+
+    def finalize(self) -> Dict[str, Any]:
+        """Instrument protocol: the end-of-run checks of :meth:`finish`
+        (which raise in ``raise`` mode), then the run's record: the
+        event-stream digest and event count, plus the violations in
+        ``collect`` mode."""
+        violations = self.finish()
+        record: Dict[str, Any] = {"digest": self.stream_digest(), "events": self.events_seen}
+        if self.mode == "collect":
+            record["violations"] = [asdict(violation) for violation in violations]
+        return record
 
     # ------------------------------------------------------------------
     # Violation sink

@@ -61,7 +61,6 @@ def bare_run(sim: Simulator, network: Network = None, **fields) -> SimpleNamespa
         scenario=None,
         label="",
         horizon=None,
-        sanitizer=None,
         instruments={},
         wall_seconds=0.0,
     )

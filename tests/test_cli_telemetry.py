@@ -17,7 +17,7 @@ from repro.__main__ import main
 from repro.exec import ExperimentEngine, ScenarioSpec
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
-from repro.obs.instruments import INSTRUMENTS, OBS_ENV, OBS_OUT_ENV, resolve
+from repro.obs.instruments import INSTRUMENTS, OBS_ENV, OBS_OUT_ENV, make_live, resolve
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.session import ROUTER_OPS, TelemetrySession
 
@@ -160,7 +160,7 @@ class TestZeroBehaviourChange:
         obs = resolve(("telemetry", "trace", "samples", "profile"), str(tmp_path))
         telemetered = run_scenario(
             _tiny_scenario(),
-            instruments=[INSTRUMENTS[name].make(obs) for name in obs.names],
+            instruments=make_live(obs),
         )
 
         assert set(telemetered.instruments) == set(obs.names)

@@ -53,7 +53,7 @@ class TestScenarioSpec:
         assert fast_spec(seed=1).canonical() != fast_spec(seed=2).canonical()
 
     def test_pickle_round_trip(self):
-        spec = fast_spec(overrides=dict(tag_expiry=5.0), hash_events=True)
+        spec = fast_spec(overrides=dict(tag_expiry=5.0))
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_with_overrides_merges(self):
@@ -77,7 +77,7 @@ class TestScenarioSpec:
 class TestRunSummary:
     @pytest.fixture(scope="class")
     def summary(self):
-        return _execute_spec(fast_spec(hash_events=True))
+        return _execute_spec(fast_spec(), resolve(("simsan",)))
 
     def test_json_round_trip_is_exact(self, summary):
         restored = RunSummary.from_json_dict(
@@ -122,16 +122,16 @@ class TestRunSummary:
 # ---------------------------------------------------------------------------
 class TestSerialParallelEquivalence:
     def test_jobs4_matches_jobs1_bit_for_bit(self):
-        specs = [fast_spec(seed=seed, hash_events=True) for seed in (1, 2)]
+        specs = [fast_spec(seed=seed) for seed in (1, 2)]
         serial = run_specs(specs, jobs=1, use_cache=False,
-                           registry=MetricsRegistry())
+                           registry=MetricsRegistry(), obs=("simsan",))
         parallel = run_specs(specs, jobs=4, use_cache=False,
-                             registry=MetricsRegistry())
+                             registry=MetricsRegistry(), obs=("simsan",))
         assert [s.metrics_dict() for s in serial] == \
             [p.metrics_dict() for p in parallel]
-        assert [s.event_digest for s in serial] == \
-            [p.event_digest for p in parallel]
-        assert all(s.event_digest for s in serial)
+        digests = [s.instruments["simsan"]["digest"] for s in serial]
+        assert [p.instruments["simsan"]["digest"] for p in parallel] == digests
+        assert len(set(digests)) == 2
 
     def test_sweep_jobs1_matches_jobs4(self):
         from repro.experiments.sweeps import SweepSpec, run_sweep
@@ -145,8 +145,8 @@ class TestSerialParallelEquivalence:
                 "delivery": lambda r: r.client_delivery_ratio(),
             },
         )
-        serial = run_sweep(sweep, jobs=1, use_cache=False, hash_events=True)
-        parallel = run_sweep(sweep, jobs=4, use_cache=False, hash_events=True)
+        serial = run_sweep(sweep, jobs=1, use_cache=False)
+        parallel = run_sweep(sweep, jobs=4, use_cache=False)
         assert [p.samples for p in serial] == [p.samples for p in parallel]
 
     def test_results_keep_submission_order(self, tmp_path):
@@ -194,11 +194,14 @@ class TestRunCache:
         assert engine.stats.serial_runs == engine.stats.parallel_runs == 0
 
     def test_cache_round_trips_exactly(self, tmp_path):
-        spec = fast_spec(hash_events=True)
-        first = run_specs([spec], cache_dir=tmp_path, registry=MetricsRegistry())
-        cached = run_specs([spec], cache_dir=tmp_path, registry=MetricsRegistry())
+        spec = fast_spec()
+        first = run_specs([spec], cache_dir=tmp_path, registry=MetricsRegistry(),
+                          obs=("simsan",))
+        cached = run_specs([spec], cache_dir=tmp_path, registry=MetricsRegistry(),
+                           obs=("simsan",))
+        assert cached[0].cached
         assert cached[0].metrics_dict() == first[0].metrics_dict()
-        assert cached[0].event_digest == first[0].event_digest
+        assert cached[0].instruments["simsan"] == first[0].instruments["simsan"]
 
     def test_stale_code_fingerprint_invalidates(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "build-1")
@@ -322,6 +325,9 @@ _FLEET_CHECKS = {
     and len(json.loads((out / "profile.json").read_text())["runs"]) == 2,
     "flame": lambda m, out: (out / "flame.txt").read_text().strip() != "",
     "heartbeat": lambda m, out: m["runs"] == 2,
+    # One distinct digest per run, and the report carries them all.
+    "simsan": lambda m, out: len({run["digest"] for run in m["runs"]}) == 2
+    and json.loads((out / "simsan.json").read_text()) == {"runs": m["runs"]},
 }
 
 
@@ -569,7 +575,7 @@ class TestFleetStateScope:
 
 #: The rows without a class of their own above.
 @pytest.mark.parametrize(
-    "name", ["flightrec", "trace", "profile", "flame", "samples", "heartbeat"]
+    "name", ["simsan", "flightrec", "trace", "profile", "flame", "samples", "heartbeat"]
 )
 class TestInstrumentRoundTrip:
     def test_serial_and_parallel_merges_bit_for_bit(self, name, tmp_path, capsys):
@@ -619,7 +625,10 @@ class TestObsSelection:
         (summary,) = engine.run_specs([fast_spec()])
         assert summary.instruments == {}
         assert engine.fleet == {}
-        assert run_scenario(fast_spec().build()).instruments == {}
+        assert run_scenario(fast_spec().build(), instruments=()).instruments == {}
+        # Left unset, the runner follows the environment, like the engine.
+        followed = run_scenario(fast_spec().build()).instruments
+        assert set(followed) == {"audit", "statescope"}
 
     def test_warm_cache_replays_every_record(self, tmp_path):
         specs = [fast_spec(seed=seed) for seed in (1, 2)]

@@ -60,7 +60,7 @@ class TestLoopIsCycleFree:
         assert cycles_per_run == [0]
 
     def test_topology1_under_simsan(self, cycles_per_run):
-        run_scenario(_topo1(), sanitizer=SimSan(mode="collect"))
+        run_scenario(_topo1(), instruments=[SimSan(mode="collect")])
         assert cycles_per_run == [0]
 
     def test_table5_regime_with_filter_resets(self, cycles_per_run):

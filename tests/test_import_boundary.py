@@ -4,7 +4,7 @@ A single run imports ``repro.exec.spec`` and ``repro.experiments.runner``.
 Neither may pull in the routing library the topology code once used,
 the experiment engine, the sweep driver or the observability stack;
 the packages' re-exports resolve lazily instead.  Executing a plain run
-(no instruments, no sanitizer) loads no observability or QA module,
+(no ``REPRO_OBS`` selection) loads no observability or QA module,
 and an engine with no instrument selected, writing to a pipe, loads no
 telemetry module.
 """
@@ -37,7 +37,7 @@ def _loaded_after(statement: str) -> list:
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("REPRO_SIMSAN", None)  # measure the plain, unsanitized run
+    env.pop("REPRO_OBS", None)  # measure the plain, uninstrumented run
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 
 from repro.exec.engine import ExperimentEngine
+from repro.exec.spec import ScenarioSpec
 from repro.experiments.fig6_tag_rates import enumerate_fig6
 from repro.obs.fleet import FleetProgress
 
@@ -103,6 +104,21 @@ class TestEngineIntegration:
         engine.run_specs(enumerate_fig6(duration=2.0, scale=0.1)[:2], figure="fig6")
         assert "fleet 2/2" in stream.getvalue()
         assert stream.getvalue().endswith("\n")
+
+    def test_pool_line_never_counts_more_running_than_workers(self):
+        # The engine hands a pool every pending spec up front; only
+        # ``jobs`` of them run at once.
+        stream = Tty()
+        engine = ExperimentEngine(jobs=2, use_cache=False, obs=(), stream=stream)
+        specs = [
+            ScenarioSpec.make(topology=1, duration=0.5, scale=0.05, seed=seed)
+            for seed in (1, 2, 3, 4)
+        ]
+        engine.run_specs(specs)
+        lines = _lines(stream)
+        assert lines[:4] == ["fleet 0/4 · 1 running"] + ["fleet 0/4 · 2 running"] * 3
+        assert not any(f"{count} running" in line for line in lines for count in (3, 4))
+        assert lines[-1].startswith("fleet 4/4")
 
     def test_engine_quiet_by_default(self):
         stream = io.StringIO()

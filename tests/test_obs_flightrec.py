@@ -153,18 +153,19 @@ class TestSimSanTrigger:
 
     def test_end_of_run_violation_still_finalizes(self, tmp_path):
         class FailingSanitizer:
+            name = "simsan"
             flightrec = None
 
-            def install(self, sim, network):
+            def install(self, run):
                 pass
 
-            def finish(self):
+            def finalize(self):
                 raise AssertionError("conservation violated")
 
         scenario = Scenario.paper_topology(1, duration=1.0, seed=5, scale=0.1)
         rec = FlightRecorder(tmp_path, dump_on_exit=True)
         with pytest.raises(AssertionError, match="conservation"):
-            run_scenario(scenario, instruments=[rec], sanitizer=FailingSanitizer())
+            run_scenario(scenario, instruments=[rec, FailingSanitizer()])
         assert [path.name for path in tmp_path.iterdir()] == [rec.dumps[0].name]
 
 

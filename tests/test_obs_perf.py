@@ -21,6 +21,8 @@ from repro.obs.session import TelemetrySession
 from repro.qa.simsan import SimSan
 from repro.sim.engine import Simulator
 
+from tests.conftest import bare_run
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -156,12 +158,12 @@ class TestObservedLoop:
     def test_observed_composes_with_sanitizer_digest(self):
         reference = SimSan(mode="collect")
         sim, _ = self._sim_with_work()
-        reference.install(sim)
+        reference.install(bare_run(sim))
         sim.run()
 
         traced = SimSan(mode="collect")
         sim2, _ = self._sim_with_work()
-        traced.install(sim2)
+        traced.install(bare_run(sim2))
         with LayerTracer() as tracer:
             sim2.run()
 
@@ -219,10 +221,12 @@ def _current():
 
 
 class _Boom:
-    """A sanitizer stand-in whose first event hook raises."""
+    """A ``simsan`` stand-in whose first event hook raises."""
 
-    def install(self, sim, network=None):
-        sim.sanitizer = self
+    name = "simsan"
+
+    def install(self, run):
+        run.sim.sanitizer = self
 
     def before_event(self, time, priority, callback, args, now):
         raise RuntimeError("boom")
@@ -266,15 +270,14 @@ class TestInstallation:
         assert _current() == originals
         with pytest.raises(RuntimeError):
             with LayerTracer():
-                run_scenario(_tiny_scenario(), sanitizer=_Boom())
+                run_scenario(_tiny_scenario(), instruments=[_Boom()])
         assert _current() == originals
         # The profile row restores them too when the run raises, and
         # the heartbeat row's thread stops.
         with pytest.raises(RuntimeError):
             run_scenario(
                 _tiny_scenario(),
-                instruments=[LayerTracer(), Heartbeat(0.001, io.StringIO())],
-                sanitizer=_Boom(),
+                instruments=[LayerTracer(), Heartbeat(0.001, io.StringIO()), _Boom()],
             )
         assert _current() == originals
         assert not any(t.name == "repro-heartbeat" for t in threading.enumerate())

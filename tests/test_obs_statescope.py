@@ -336,13 +336,11 @@ class TestMergeAndMetrics:
             a["conformance"]["checks_total"] + b["conformance"]["checks_total"]
         )
 
-    def test_merge_is_deterministic_and_drops_tracemalloc(self):
+    def test_merge_is_deterministic(self):
         a = self._record("run-a")
-        a["tracemalloc"] = {"current_bytes": 123, "peak_bytes": 456}
         first, second = {}, {}
         merge_statescope(first, a)
         merge_statescope(second, json.loads(json.dumps(a)))
-        assert "tracemalloc" not in first
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
         )
@@ -359,11 +357,6 @@ class TestMergeAndMetrics:
         assert metrics["model.cs_hit.within"] == 1.0
         assert metrics["mem.deep_bytes.peak"] > 0
         assert all(isinstance(v, float) for v in metrics.values())
-
-    def test_metrics_exclude_tracemalloc(self):
-        record = self._record()
-        record["tracemalloc"] = {"current_bytes": 123}
-        assert not any("tracemalloc" in k for k in statescope_metrics(record))
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,23 @@ class TestUndeclaredNames:
         )
         assert codes(findings) == ["SL003"]
 
+    def test_only_exact_registry_names_declare(self, tmp_path):
+        # A ``*_EVENTS`` name that is not a registry declares nothing.
+        findings = run_lint(
+            tmp_path,
+            self.REGISTRY
+            + textwrap.dedent(
+                """
+                FOO_EVENTS = ("x",)
+
+                def fire(trace, now):
+                    trace.emit("x", now)
+                """
+            ),
+        )
+        assert codes(findings) == ["SL003"]
+        assert "event name 'x' is not declared" in findings[0].message
+
     def test_silent_without_registries(self, tmp_path):
         # A lone snippet with no registry in the scan must stay quiet:
         # the rule cannot know the full declared set.

@@ -1,10 +1,13 @@
 """SimSan: each invariant tripped by a deliberately broken component,
-the clean path staying silent, env gating, and determinism digests."""
+the clean path staying silent, the ``simsan`` row of ``--obs``, and
+determinism digests."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.exec import ScenarioSpec, run_specs
+from repro.exec.engine import _execute_spec
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
 from repro.filters.bloom import BloomFilter
@@ -12,9 +15,12 @@ from repro.ndn.cs import ContentStore
 from repro.ndn.name import Name
 from repro.ndn.packets import Data, Interest
 from repro.ndn.pit import Pit, PitRecord
+from repro.obs.instruments import INSTRUMENTS, OBS_ENV, resolve
 from repro.qa.determinism import check_scenario, scenario_digest
-from repro.qa.simsan import SanitizerError, SimSan, enabled, maybe_install
+from repro.qa.simsan import SanitizerError, SimSan
 from repro.sim.engine import Simulator
+
+from tests.conftest import bare_run
 
 
 def record(face="f0", at=0.0):
@@ -261,40 +267,98 @@ class TestInterestDisposition:
 
 
 # ---------------------------------------------------------------------------
-# Env gating + full-scenario integration
+# The ``simsan`` row + full-scenario integration
 # ---------------------------------------------------------------------------
-class TestGatingAndIntegration:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIMSAN", raising=False)
-        assert not enabled()
-        assert maybe_install(Simulator(seed=1)) is None
+_REAL_INSERT = BloomFilter.insert
 
-    def test_env_values(self, monkeypatch):
-        for value in ("1", "true", "ON", "yes"):
-            monkeypatch.setenv("REPRO_SIMSAN", value)
-            assert enabled()
-        monkeypatch.setenv("REPRO_SIMSAN", "0")
-        assert not enabled()
+
+def _tampered_insert(self, item):
+    """A Bloom insert whose counter moves out of band after the hook."""
+    _REAL_INSERT(self, item)
+    self.count += 1
+
+
+class _TamperedSpec(ScenarioSpec):
+    """A spec whose build seeds the Bloom counter tamper into whichever
+    process runs it, a spawned pool worker included."""
+
+    def build(self):
+        BloomFilter.insert = _tampered_insert
+        return super().build()
+
+
+def fast_spec(seed=1, cls=ScenarioSpec):
+    return cls.make(topology=1, duration=2.0, scale=0.1, seed=seed)
+
+
+class TestGatingAndIntegration:
+    def test_obs_env_selects_the_row(self, monkeypatch):
+        monkeypatch.setenv(OBS_ENV, "audit,simsan")
+        obs = resolve()
+        assert obs.names == ("simsan", "audit")  # SimSan installs first
+        san = INSTRUMENTS["simsan"].make(obs)
+        assert isinstance(san, SimSan) and san.mode == "raise"
 
     def test_unsanitized_run_has_no_hooks(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIMSAN", raising=False)
+        monkeypatch.delenv(OBS_ENV, raising=False)
         result = run_scenario(tiny_scenario())
         assert result.sim.sanitizer is None
+        assert result.instruments == {}
         node = next(iter(result.network.nodes.values()))
         assert getattr(node.pit, "san", None) is None
 
     def test_env_gated_scenario_run_is_clean(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMSAN", "1")
+        monkeypatch.setenv(OBS_ENV, "simsan")
         result = run_scenario(tiny_scenario())
         san = result.sim.sanitizer
-        assert san is not None
+        assert isinstance(san, SimSan)
         assert san.events_seen > 0
         assert san.violations == []
+        assert result.instruments["simsan"] == {
+            "digest": san.stream_digest(), "events": san.events_seen,
+        }
 
     def test_explicit_sanitizer_scenario_run_is_clean(self):
-        san = SimSan(mode="raise")
-        run_scenario(tiny_scenario(), sanitizer=san)
+        san = SimSan(mode="collect")
+        result = run_scenario(tiny_scenario(), instruments=[san])
         assert san.finish() == []
+        assert result.instruments["simsan"]["violations"] == []
+        assert result.instruments["simsan"]["digest"] == san.stream_digest()
+
+    def test_collect_record_carries_the_violations(self):
+        san = SimSan(mode="collect").install(bare_run(Simulator(seed=1)))
+        pit = Pit(entry_lifetime=2.0)
+        pit.san = san
+        pit.insert("/a/1", record(), now=0.0)
+        pit._entries.clear()  # leak the record
+        (violation,) = san.finalize()["violations"]
+        assert violation["kind"] == "pit-conservation"
+
+    def test_row_digest_is_the_determinism_digest(self):
+        spec = fast_spec()
+        summary = _execute_spec(spec, resolve(("simsan",)))
+        reference = scenario_digest(spec.build())
+        assert summary.instruments["simsan"] == {
+            "digest": reference.stream, "events": reference.events,
+        }
+        assert reference.events == summary.events_executed
+
+
+class TestSeededViolationThroughTheEngine:
+    """A tampered Bloom insert counter must fail the run: the engine
+    returns no summary, and so no digest, for a run that broke an
+    invariant."""
+
+    def test_serial_run_raises(self, monkeypatch):
+        monkeypatch.setattr(BloomFilter, "insert", _tampered_insert)
+        with pytest.raises(SanitizerError, match="bf-monotonicity"):
+            run_specs([fast_spec()], jobs=1, use_cache=False, obs=("simsan",))
+
+    def test_pool_worker_raises(self):
+        specs = [fast_spec(seed, cls=_TamperedSpec) for seed in (1, 2)]
+        with pytest.raises(SanitizerError, match="bf-monotonicity"):
+            run_specs(specs, jobs=2, use_cache=False, obs=("simsan",))
+        assert BloomFilter.insert is _REAL_INSERT  # only the workers were tampered
 
 
 # ---------------------------------------------------------------------------

@@ -182,11 +182,11 @@ def test_step_feeds_sanitizer_like_run():
             sim.schedule(rng.random() * 5.0, lambda: None)
         return sim
 
-    ran = SimSan(mode="collect", hash_events=True)
+    ran = SimSan(mode="collect")
     sim = build(ran)
     sim.run()
 
-    stepped = SimSan(mode="collect", hash_events=True)
+    stepped = SimSan(mode="collect")
     sim2 = build(stepped)
     _drain_by_stepping(sim2)
 
@@ -223,7 +223,7 @@ def test_step_sanitizer_takes_precedence_over_profiler():
     from repro.qa.simsan import SimSan
 
     sim = Simulator(seed=7)
-    san = SimSan(mode="collect", hash_events=True)
+    san = SimSan(mode="collect")
     sim.sanitizer = san
     for i in range(3):
         sim.schedule(float(i + 1), lambda: None)
@@ -269,7 +269,7 @@ def test_step_perf_composes_with_sanitizer():
 
     def digest(step):
         sim = Simulator(seed=7)
-        san = SimSan(mode="collect", hash_events=True)
+        san = SimSan(mode="collect")
         sim.sanitizer = san
         for i in range(3):
             sim.schedule(float(i + 1), lambda: None)
