@@ -9,9 +9,9 @@ per duration, each in a fresh interpreter importing ``repro`` from
 ``--src`` (default: this checkout's ``src``), so two trees can be
 compared by running the script once against each.  For every run it
 prints one JSON line with the run's wall time and, from
-``gc.callbacks``, the collections and seconds per generation, both over
-the whole operation (build, loop, summary) and inside
-``Simulator.run`` alone, and the process's peak RSS.
+``gc.callbacks``, the collections and seconds per generation over the
+whole operation (build, loop, summary), inside ``Simulator.run`` alone
+and after it returns (the summary), and the process's peak RSS.
 
 A last line counts, in one more run at the first duration, the
 ``Data.copy`` calls and the ``Name`` builds that went through the
@@ -45,10 +45,10 @@ def measure_gc(duration: float, seed: int) -> dict:
     from repro.experiments.runner import run_scenario
     from repro.sim.engine import Simulator
 
-    where = {"in_loop": False}
+    where = {"part": "build"}
     stats = {
         part: {str(g): {"collections": 0, "seconds": 0.0} for g in range(3)}
-        for part in ("op", "loop")
+        for part in ("op", "loop", "after_loop")
     }
     started = []
 
@@ -57,7 +57,7 @@ def measure_gc(duration: float, seed: int) -> dict:
             started.append(time.perf_counter())
             return
         elapsed = time.perf_counter() - started.pop()
-        parts = ("op", "loop") if where["in_loop"] else ("op",)
+        parts = ("op",) if where["part"] == "build" else ("op", where["part"])
         for part in parts:
             entry = stats[part][str(info["generation"])]
             entry["collections"] += 1
@@ -66,11 +66,11 @@ def measure_gc(duration: float, seed: int) -> dict:
     run = Simulator.run
 
     def flagged(self, until=None):
-        where["in_loop"] = True
+        where["part"] = "loop"
         try:
             run(self, until)
         finally:
-            where["in_loop"] = False
+            where["part"] = "after_loop"
 
     Simulator.run = flagged
     gc.callbacks.append(on_gc)
@@ -90,6 +90,9 @@ def measure_gc(duration: float, seed: int) -> dict:
         "loop_s": round(result.wall_seconds, 3),
         "gc_op_s": round(sum(e["seconds"] for e in stats["op"].values()), 4),
         "gc_loop_s": round(sum(e["seconds"] for e in stats["loop"].values()), 4),
+        "gc_after_loop_s": round(
+            sum(e["seconds"] for e in stats["after_loop"].values()), 4
+        ),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "gc": stats,
     }

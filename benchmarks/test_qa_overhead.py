@@ -96,18 +96,19 @@ def test_simsan_off_is_zero_cost():
 
 
 def _seed_loop(sim: Simulator) -> None:
-    """The seed repository's run loop, verbatim, over the engine's
-    internals: no loop selection and no sanitizer branch."""
+    """The seed repository's run loop over the engine's internals (with
+    today's dead-entry bookkeeping): no loop selection and no sanitizer
+    branch."""
     heap = sim._heap
     while heap and not sim._stopped:
         event = heap[0][3]
         if event.cancelled:
             heappop(heap)
+            sim._dead -= 1
             continue
         heappop(heap)
-        sim._live -= 1
         event.on_cancel = None
-        sim._now = event.time
+        sim.now = event.time
         sim.events_executed += 1
         event.callback(*event.args)
 

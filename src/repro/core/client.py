@@ -75,7 +75,8 @@ class Client(Node):
         self.tags: Dict[str, Tag] = {}
         #: provider_id -> unwrapped catalog master key.
         self.master_keys: Dict[str, bytes] = {}
-        self._outstanding: Dict[Name, _Outstanding] = {}
+        #: Keyed by the chunk name's URI string (``name._uri``).
+        self._outstanding: Dict[str, _Outstanding] = {}
         self._registration_pending: Dict[str, _PendingRegistration] = {}
         self._zipf = ZipfSampler(len(catalog), config.zipf_alpha, self.rng)
         self._cursor: Optional[Tuple[CatalogEntry, int]] = None
@@ -158,7 +159,7 @@ class Client(Node):
     # ------------------------------------------------------------------
     def _trace_span_start(self, interest: Interest, kind: str) -> None:
         trace = self.sim.trace
-        if trace.active and trace.wants("span.start"):
+        if trace._n_subs and trace.wants("span.start"):
             trace.emit(
                 "span.start", self.sim.now,
                 span=interest.nonce, node=self.node_id,
@@ -167,7 +168,7 @@ class Client(Node):
 
     def _trace_span_end(self, span: int, outcome: str, latency: float) -> None:
         trace = self.sim.trace
-        if span and trace.active and trace.wants("span.end"):
+        if trace._n_subs and span and trace.wants("span.end"):
             trace.emit(
                 "span.end", self.sim.now,
                 span=span, node=self.node_id, outcome=outcome, latency=latency,
@@ -187,7 +188,7 @@ class Client(Node):
                 self._schedule_retry_if_idle(entry.provider_id)
                 return
             name = entry.chunk_name(chunk_index)
-            if name in self._outstanding:
+            if name._uri in self._outstanding:
                 self._advance()
                 continue
             self._send_interest(name, tag)
@@ -214,7 +215,7 @@ class Client(Node):
         timeout = self.sim.schedule(
             self.config.request_lifetime, self._on_timeout, name, interest.nonce
         )
-        self._outstanding[name] = _Outstanding(
+        self._outstanding[name._uri] = _Outstanding(
             issued_at=self.sim.now, nonce=interest.nonce, timeout_event=timeout
         )
         self.stats.chunks_requested += 1
@@ -222,7 +223,7 @@ class Client(Node):
         self.send(self.uplink, interest)
 
     def _on_timeout(self, name: Name, nonce: int) -> None:
-        pending = self._outstanding.get(name)
+        pending = self._outstanding.get(name._uri)
         if pending is None or pending.nonce != nonce:
             return
         if (
@@ -231,7 +232,7 @@ class Client(Node):
         ):
             self._retransmit(name, pending)
             return
-        del self._outstanding[name]
+        del self._outstanding[name._uri]
         self.stats.timeouts += 1
         self._trace_span_end(pending.nonce, "timeout", self.sim.now - pending.issued_at)
         self._pump()
@@ -272,7 +273,7 @@ class Client(Node):
         name = data.name
         if type(name) is not Name:
             name = Name(name)
-        pending = self._outstanding.pop(name, None)
+        pending = self._outstanding.pop(name._uri, None)
         if pending is None:
             return
         pending.timeout_event.cancel()
@@ -323,7 +324,7 @@ class Client(Node):
         self._pump()
 
     def on_nack(self, nack: Nack, in_face: Face) -> None:
-        pending = self._outstanding.pop(Name(nack.name), None)
+        pending = self._outstanding.pop(Name(nack.name)._uri, None)
         if pending is None:
             return
         pending.timeout_event.cancel()

@@ -43,7 +43,7 @@ def edge_precheck(tag: Tag, content_name: NameLike, now: float) -> Optional[Nack
     """
     if type(content_name) is not Name:
         content_name = Name(content_name)
-    if len(content_name) == 0:
+    if not content_name.components:
         return NackReason.PREFIX_MISMATCH
     if not tag.provider_prefix().is_prefix_of(content_name):
         return NackReason.PREFIX_MISMATCH

@@ -37,6 +37,9 @@ class ContentStore:  # simlint: disable=SL014 (QA tests stub methods per instanc
     policy:
         Eviction policy: ``lru`` | ``fifo`` | ``lfu``.
 
+    Both maps are keyed by the name's URI string (``name._uri``), whose
+    hash CPython caches and compares in C; the methods take names.
+
     >>> from repro.ndn.packets import Data
     >>> cs = ContentStore(capacity=2)
     >>> cs.insert(Data(name=Name('/a/1')))
@@ -53,8 +56,8 @@ class ContentStore:  # simlint: disable=SL014 (QA tests stub methods per instanc
             raise ValueError(f"unknown eviction policy {policy!r}; expected {_POLICIES}")
         self.capacity = capacity
         self.policy = policy
-        self._store: "OrderedDict[Name, Data]" = OrderedDict()
-        self._frequency: Dict[Name, int] = {}
+        self._store: "OrderedDict[str, Data]" = OrderedDict()
+        self._frequency: Dict[str, int] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -70,7 +73,7 @@ class ContentStore:  # simlint: disable=SL014 (QA tests stub methods per instanc
         return len(self._store)
 
     def __contains__(self, name: NameLike) -> bool:
-        return Name(name) in self._store
+        return Name(name)._uri in self._store
 
     def insert(self, data: Data) -> None:
         """Cache ``data`` itself: the store takes ownership of the packet.
@@ -88,16 +91,18 @@ class ContentStore:  # simlint: disable=SL014 (QA tests stub methods per instanc
         name = data.name
         if type(name) is not Name:
             name = Name(name)
-        if name in self._store:
+        key = name._uri
+        store = self._store
+        if key in store:
             if self.policy == "lru":
-                self._store.move_to_end(name)
-            self._store[name] = data
+                store.move_to_end(key)
+            store[key] = data
             return
-        self._store[name] = data
+        store[key] = data
         if self.policy == "lfu":
             # Only lfu eviction reads frequencies, so only lfu keeps them.
-            self._frequency[name] = self._frequency.get(name, 0)
-        if len(self._store) > self.capacity:
+            self._frequency[key] = self._frequency.get(key, 0)
+        if len(store) > self.capacity:
             self._evict_one()
         if self.san is not None:
             self.san.cs_insert(self)
@@ -117,24 +122,25 @@ class ContentStore:  # simlint: disable=SL014 (QA tests stub methods per instanc
         """Exact-match lookup; returns a fresh copy or None."""
         if type(name) is not Name:
             name = Name(name)
-        data = self._store.get(name)
+        key = name._uri
+        data = self._store.get(key)
         if data is None:
             self.misses += 1
             return None
         policy = self.policy
         if policy == "lru":
-            self._store.move_to_end(name)
+            self._store.move_to_end(key)
         elif policy == "lfu":
-            self._frequency[name] = self._frequency.get(name, 0) + 1
+            self._frequency[key] = self._frequency.get(key, 0) + 1
         self.hits += 1
         if self.on_hit is not None:
             self.on_hit(name)
         return data.copy()
 
     def evict(self, name: NameLike) -> bool:
-        name = Name(name)
-        self._frequency.pop(name, None)
-        return self._store.pop(name, None) is not None
+        key = Name(name)._uri
+        self._frequency.pop(key, None)
+        return self._store.pop(key, None) is not None
 
     def clear(self) -> None:
         self._store.clear()

@@ -66,7 +66,7 @@ class Face:
         # case defers to the slow path, which recomputes the identical
         # backlog (no RNG, no state mutated yet) and handles counters
         # and span traces.
-        now = sim._now
+        now = sim.now
         size = packet.size_bytes()
         tx_time = size * 8.0 / link.bandwidth_bps
         busy = self.busy_until

@@ -144,7 +144,7 @@ class Node:  # simlint: disable=SL014 (SimSan patches send/on_interest per insta
             self._trace_tx(trace, packet, delay)
         if delay > 0.0:
             sim = self.sim
-            sim.post_at(sim._now + delay, face.send, (packet,))
+            sim.post_at(sim.now + delay, face.send, (packet,))
         else:
             face.send(packet)
 
@@ -191,6 +191,8 @@ class Node:  # simlint: disable=SL014 (SimSan patches send/on_interest per insta
 
     def _trace_pit_aggregate(self, name: Name, record: PitRecord) -> None:
         trace = self.sim.trace
+        if not trace._n_subs:
+            return
         if trace.wants("pit.aggregate"):
             trace.emit(
                 "pit.aggregate", self.sim.now,
@@ -206,7 +208,7 @@ class Node:  # simlint: disable=SL014 (SimSan patches send/on_interest per insta
 
     def _trace_cs_hit(self, name: Name) -> None:
         trace = self.sim.trace
-        if trace.wants("cs.hit"):
+        if trace._n_subs and trace.wants("cs.hit"):
             trace.emit(
                 "cs.hit", self.sim.now,
                 node=self.node_id, content=str(name),
@@ -215,20 +217,15 @@ class Node:  # simlint: disable=SL014 (SimSan patches send/on_interest per insta
     def trace_span_serve(self, interest: Interest) -> None:
         """Mark where an Interest span turned around (cache or origin)."""
         trace = self.sim.trace
-        if interest.nonce and trace.wants("span.serve"):
+        if trace._n_subs and interest.nonce and trace.wants("span.serve"):
             trace.emit(
                 "span.serve", self.sim.now,
                 span=interest.nonce, node=self.node_id,
             )
 
-    def compute_delay(self, *ops: str) -> float:
-        """Sample and sum the latencies of the named operations."""
-        sample = self.cost_model.sample
-        rng = self.rng
-        total = 0.0
-        for op in ops:
-            total += sample(op, rng)
-        return total
+    def compute_delay(self, op: str) -> float:
+        """Sample the latency of the named operation."""
+        return self.cost_model.sample(op, self.rng)
 
     # ------------------------------------------------------------------
     # Default NDN behaviour (overridden by protocol roles)
@@ -313,14 +310,15 @@ class AccessPoint(Node):  # simlint: disable=SL014 (Node subclass; same patching
         super().__init__(sim, node_id, cs_capacity=0)
         self.uplink: Optional[Face] = None
         self.pending_lifetime = pending_lifetime
-        self._pending: Dict[Name, List[_ApPending]] = {}
+        #: Keyed by the name's URI string, like the PIT and the store.
+        self._pending: Dict[str, List[_ApPending]] = {}
 
     def set_uplink(self, face: Face) -> None:
         self.uplink = face
 
-    def _purge(self, name: Name) -> None:
+    def _purge(self, key: str) -> None:
         now = self.sim.now
-        records = self._pending.get(name)
+        records = self._pending.get(key)
         if not records:
             return
         # Records append in arrival order with a fixed lifetime, so
@@ -330,9 +328,9 @@ class AccessPoint(Node):  # simlint: disable=SL014 (Node subclass; same patching
             return
         live = [r for r in records if r.expires_at >= now]
         if live:
-            self._pending[name] = live
+            self._pending[key] = live
         else:
-            del self._pending[name]
+            del self._pending[key]
 
     def on_interest(self, interest: Interest, in_face: Face) -> None:
         if self.uplink is None:
@@ -343,9 +341,10 @@ class AccessPoint(Node):  # simlint: disable=SL014 (Node subclass; same patching
         name = interest.name
         if type(name) is not Name:
             name = Name(name)
-        self._purge(name)
+        key = name._uri
+        self._purge(key)
         tag_key = interest.tag.cache_key() if interest.tag is not None else None
-        self._pending.setdefault(name, []).append(
+        self._pending.setdefault(key, []).append(
             _ApPending(
                 nonce=interest.nonce,
                 tag_key=tag_key,
@@ -363,9 +362,17 @@ class AccessPoint(Node):  # simlint: disable=SL014 (Node subclass; same patching
         name = data.name
         if type(name) is not Name:
             name = Name(name)
-        self._purge(name)
-        records = self._pending.get(name, [])
+        key = name._uri
+        self._purge(key)
+        records = self._pending.get(key)
         if not records:
+            return
+        if len(records) == 1:
+            # One requester: it matches whatever the tag, and gets the
+            # received packet itself (the AP keeps no reference to it).
+            del self._pending[key]
+            data.span_id = records[0].nonce
+            self.send(records[0].face, data)
             return
         if data.tag is not None:
             tag_key = data.tag.cache_key()
@@ -376,9 +383,9 @@ class AccessPoint(Node):  # simlint: disable=SL014 (Node subclass; same patching
             matched = records[:]
         remaining = [r for r in records if r not in matched]
         if remaining:
-            self._pending[name] = remaining
+            self._pending[key] = remaining
         else:
-            self._pending.pop(name, None)
+            self._pending.pop(key, None)
         # The AP caches nothing and keeps no reference to the packet, so
         # the last record gets the received packet itself.
         last = len(matched) - 1
@@ -388,14 +395,14 @@ class AccessPoint(Node):  # simlint: disable=SL014 (Node subclass; same patching
             self.send(record.face, out)
 
     def on_nack(self, nack: Nack, in_face: Face) -> None:
-        name = Name(nack.name)
-        self._purge(name)
-        records = self._pending.get(name, [])
+        key = Name(nack.name)._uri
+        self._purge(key)
+        records = self._pending.get(key, [])
         matched = [r for r in records if r.nonce == nack.nonce] or records[:]
         remaining = [r for r in records if r not in matched]
         if remaining:
-            self._pending[name] = remaining
+            self._pending[key] = remaining
         else:
-            self._pending.pop(name, None)
+            self._pending.pop(key, None)
         for record in matched:
             self.send(record.face, nack.copy())

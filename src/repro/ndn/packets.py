@@ -117,7 +117,8 @@ class Interest:
 
     def is_registration(self) -> bool:
         """Registration interests use the /<provider>/register/... namespace."""
-        return len(self.name) >= 2 and self.name[1] == "register"
+        components = self.name.components
+        return len(components) >= 2 and components[1] == "register"
 
     def signed_portion(self) -> bytes:
         """Bytes a client signs: the name plus the nonce (replay-fresh)."""

@@ -51,6 +51,10 @@ class PitEntry:
 class Pit:
     """Name-indexed pending-interest table with lazy expiry.
 
+    Entries are keyed by the name's URI string (``name._uri``), whose
+    hash CPython caches and compares in C; the methods take names, and
+    each :class:`PitEntry` keeps its :class:`Name`.
+
     ``capacity`` (0 = unlimited) bounds the number of simultaneous
     entries: a router under interest-flooding pressure sheds *new*
     names once full (after purging expired state) rather than growing
@@ -65,7 +69,7 @@ class Pit:
     def __init__(self, entry_lifetime: float = 2.0, capacity: int = 0) -> None:
         self.entry_lifetime = entry_lifetime
         self.capacity = capacity
-        self._entries: Dict[Name, PitEntry] = {}
+        self._entries: Dict[str, PitEntry] = {}
         self.expired_records = 0
         self.rejections = 0
         #: Observability hooks (``None`` = off).  The owning node wires
@@ -105,12 +109,13 @@ class Pit:
         """Return the live entry for ``name``; expired entries are purged."""
         if type(name) is not Name:
             name = Name(name)
-        entry = self._entries.get(name)
+        key = name._uri
+        entry = self._entries.get(key)
         if entry is None:
             return None
         if now is not None and now > entry.expires_at:
             self.expired_records += len(entry.records)
-            del self._entries[name]
+            del self._entries[key]
             if self.on_timeout is not None:
                 self.on_timeout(name, len(entry.records))
             if self.san is not None:
@@ -143,7 +148,7 @@ class Pit:
                     if self.san is not None:
                         self.san.pit_reject(self)
                     return False
-            self._entries[name] = PitEntry(
+            self._entries[name._uri] = PitEntry(
                 name=name,
                 records=[record],
                 created_at=now,
@@ -165,7 +170,7 @@ class Pit:
             name = Name(name)
         entry = self.find(name, now)
         if entry is not None:
-            del self._entries[name]
+            del self._entries[name._uri]
             if self.san is not None:
                 self.san.pit_consume(self, entry)
         return entry
@@ -180,28 +185,29 @@ class Pit:
         """
         if type(name) is not Name:
             name = Name(name)
-        entry = self._entries.get(name)
+        key = name._uri
+        entry = self._entries.get(key)
         if entry is None:
             return 0
         before = len(entry.records)
         entry.records = [r for r in entry.records if not predicate(r)]
         removed = before - len(entry.records)
         if not entry.records:
-            del self._entries[name]
+            del self._entries[key]
         if removed and self.san is not None:
             self.san.pit_drop(self, removed)
         return removed
 
     def purge_expired(self, now: float) -> int:
         """Drop every expired entry; returns number of records dropped."""
-        dead = [name for name, e in self._entries.items() if now > e.expires_at]
+        dead = [key for key, e in self._entries.items() if now > e.expires_at]
         dropped = 0
-        for name in dead:
-            records = len(self._entries[name].records)
+        for key in dead:
+            entry = self._entries.pop(key)
+            records = len(entry.records)
             dropped += records
-            del self._entries[name]
             if self.on_timeout is not None:
-                self.on_timeout(name, records)
+                self.on_timeout(entry.name, records)
         self.expired_records += dropped
         if dropped and self.san is not None:
             self.san.pit_expire(self, dropped)

@@ -167,26 +167,24 @@ class SimSan:
         self._node_sends.setdefault(node_id, 0)
         self._node_drops[node_id] = self._drop_counter_reader(node)
 
-        original_send = node.send
+        # Both wrappers look the handler up on the node's class at call
+        # time, not at install: a class-level shim installed later (the
+        # layer profile's) is then called too.
 
         def send_wrapper(
             face: Any, packet: Any, delay: float = 0.0,
-            _orig: Any = original_send, _id: str = node_id,
+            _node: Any = node, _id: str = node_id,
         ) -> Any:
             self._node_sends[_id] += 1
-            return _orig(face, packet, delay)
+            return type(_node).send(_node, face, packet, delay)
 
         node.send = send_wrapper
 
-        original_on_interest = node.on_interest
-
         def on_interest_wrapper(
-            interest: Any, in_face: Any,
-            _orig: Any = original_on_interest, _node: Any = node,
-            _id: str = node_id,
+            interest: Any, in_face: Any, _node: Any = node, _id: str = node_id,
         ) -> Any:
             before = self._disposition_count(_node, _id)
-            result = _orig(interest, in_face)
+            result = type(_node).on_interest(_node, interest, in_face)
             if self._disposition_count(_node, _id) <= before:
                 self._violation(
                     "interest-black-hole",

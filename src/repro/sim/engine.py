@@ -65,10 +65,15 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
         # Heap entries are native tuples (see the module docstring), so
         # heapq compares them at C speed.
         self._heap: list = []
-        self._now: float = 0.0
+        #: Current virtual time in seconds.  A plain attribute, not a
+        #: property: every hop reads it, and only the loops write it.
+        self.now: float = 0.0
         self._running = False
         self._stopped = False
-        self._live = 0
+        #: Cancelled entries still in the heap.  Only a cancel and the
+        #: pop of a cancelled entry touch it, so scheduling and dispatch
+        #: pay nothing for :meth:`pending`.
+        self._dead = 0
         self.events_executed = 0
         self.rng = RngRegistry(seed)
         self.trace = TraceHub()
@@ -77,14 +82,6 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
         #: monotonicity and hashes the event stream; ``None`` keeps the
         #: hot loop untouched.
         self.sanitizer = None
-
-    # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -99,7 +96,7 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
+        return self.schedule_at(self.now + delay, callback, *args, priority=priority)
 
     def schedule_at(
         self,
@@ -109,14 +106,13 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time!r}, clock already at {self._now!r}"
+                f"cannot schedule at {time!r}, clock already at {self.now!r}"
             )
         event = Event(time, callback, args, priority)
         event.on_cancel = self._note_cancel
         heappush(self._heap, (time, priority, event.seq, event))
-        self._live += 1
         return event
 
     def post_at(
@@ -129,14 +125,13 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
         after ``now`` (it is not checked).
         """
         heappush(self._heap, (time, 0, next(_event_counter), callback, args))
-        self._live += 1
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (lazy deletion)."""
         event.cancel()
 
     def _note_cancel(self) -> None:
-        self._live -= 1
+        self._dead += 1
         # Lazy-cancel compaction: once dead entries outnumber live ones
         # (and there are enough to matter), rebuild in place.  The slice
         # assignment keeps the list identity, so a run loop holding a
@@ -145,13 +140,14 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
         # seq), so dispatch order — and therefore the SimSan digest —
         # is unchanged.  Posted (5-tuple) entries are never cancelled.
         heap = self._heap
-        dead = len(heap) - self._live
+        dead = self._dead
         if dead > _COMPACT_MIN_DEAD and dead << 1 > len(heap):
             heap[:] = [
                 entry for entry in heap
                 if len(entry) == 5 or not entry[3].cancelled
             ]
             heapify(heap)
+            self._dead = 0
 
     # ------------------------------------------------------------------
     # Execution
@@ -168,6 +164,8 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
 
         The cyclic garbage collector is paused while the loop runs and
         left as it was found on return, also when a callback raises.
+        Before it is re-enabled, the objects that survived the loop are
+        moved to the oldest generation without being walked.
         """
         if self._running:
             raise SimulationError("simulator is already running")
@@ -191,11 +189,19 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
                     self.step()
             else:
                 self._drain(until)
-            if until is not None and self._now < until and not self._stopped:
-                self._now = until
+            if until is not None and self.now < until and not self._stopped:
+                self.now = until
         finally:
             self._running = False
             if paused:
+                # Everything the loop allocated is still in the young
+                # generation, and the first pass after gc.enable() would
+                # walk all of it.  freeze() + unfreeze() splices every
+                # tracked object into the oldest generation instead, in
+                # O(1).  Objects someone else froze stay frozen.
+                if not gc.get_freeze_count():
+                    gc.freeze()
+                    gc.unfreeze()
                 gc.enable()
 
     def _drain(self, until: Optional[float]) -> None:
@@ -218,19 +224,18 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
                 entry = heap[0]
                 if len(entry) == 5:
                     pop(heap)
-                    self._live -= 1
-                    self._now = entry[0]
+                    self.now = entry[0]
                     self.events_executed += 1
                     entry[3](*entry[4])
                     continue
                 event = entry[3]
                 if event.cancelled:
                     pop(heap)
+                    self._dead -= 1
                     continue
                 pop(heap)
-                self._live -= 1
                 event.on_cancel = None
-                self._now = entry[0]
+                self.now = entry[0]
                 self.events_executed += 1
                 event.callback(*event.args)
         else:
@@ -241,22 +246,21 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
                     if time > until:
                         break
                     pop(heap)
-                    self._live -= 1
-                    self._now = time
+                    self.now = time
                     self.events_executed += 1
                     entry[3](*entry[4])
                     continue
                 event = entry[3]
                 if event.cancelled:
                     pop(heap)
+                    self._dead -= 1
                     continue
                 time = entry[0]
                 if time > until:
                     break
                 pop(heap)
-                self._live -= 1
                 event.on_cancel = None
-                self._now = time
+                self.now = time
                 self.events_executed += 1
                 event.callback(*event.args)
 
@@ -277,14 +281,14 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
             else:
                 event = entry[3]
                 if event.cancelled:
+                    self._dead -= 1
                     continue
                 event.on_cancel = None
                 time, priority = entry[0], entry[1]
                 callback, args = event.callback, event.args
-            self._live -= 1
             if self.sanitizer is not None:
-                self.sanitizer.before_event(time, priority, callback, args, self._now)
-            self._now = time
+                self.sanitizer.before_event(time, priority, callback, args, self.now)
+            self.now = time
             self.events_executed += 1
             callback(*args)
             return True
@@ -299,13 +303,15 @@ class Simulator:  # simlint: disable=SL014 (SimSan patches schedule/schedule_at/
         heap = self._heap
         while heap and len(heap[0]) == 4 and heap[0][3].cancelled:
             heappop(heap)
+            self._dead -= 1
         return heap[0][0] if heap else None
 
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued.
+        """Number of live (non-cancelled) entries still queued.
 
-        O(1): a live counter is maintained across schedule / cancel /
-        execute, so samplers can poll this every tick without scanning
+        O(1): the heap's length minus the cancelled entries it still
+        holds (counted on cancel, uncounted when popped or compacted
+        away), so samplers can poll this every tick without scanning
         the heap.
         """
-        return self._live
+        return len(self._heap) - self._dead

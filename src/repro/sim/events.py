@@ -44,10 +44,10 @@ class Event:
         self.args = args
         self.cancelled = False
         #: Fired exactly once on the first ``cancel()`` of a still-pending
-        #: event.  The scheduler uses it to keep its live-event count
-        #: exact without scanning the heap; it is cleared when the event
-        #: is popped for execution, so a late ``cancel()`` is a no-op for
-        #: the count.
+        #: event.  The scheduler uses it to keep its count of cancelled
+        #: heap entries exact without scanning the heap; it is cleared
+        #: when the event is popped for execution, so a late ``cancel()``
+        #: is a no-op for the count.
         self.on_cancel: Any = None
 
     def cancel(self) -> None:

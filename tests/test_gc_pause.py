@@ -111,6 +111,32 @@ class TestRunRestoresCollector:
             sim.run(until=2.0)
         assert gc.isenabled() is enabled
 
+    def test_loop_survivors_skip_the_young_generations(self, restore_collector):
+        # What the loop allocated goes straight to the oldest generation,
+        # so the first young pass after the loop does not walk it.
+        kept = []
+        sim = Simulator()
+        sim.schedule(1.0, lambda: kept.append([]))
+        gc.enable()
+        sim.run()
+        survivor = kept[0]
+        assert not any(obj is survivor for obj in gc.get_objects(generation=0))
+        assert not any(obj is survivor for obj in gc.get_objects(generation=1))
+        assert any(obj is survivor for obj in gc.get_objects(generation=2))
+        assert gc.get_freeze_count() == 0
+
+    def test_objects_frozen_by_the_caller_stay_frozen(self, restore_collector):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            sim = Simulator()
+            sim.schedule(1.0, lambda: None)
+            gc.enable()
+            sim.run()
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
     def test_nested_run_leaves_collector_paused(self, restore_collector):
         # The inner run raises before touching the collector, so the
         # outer loop keeps running paused.

@@ -168,9 +168,10 @@ class TestContentStore:
         cs.insert(self.make_data("/a/1"))
         cs.lookup("/a/1")
         cs.insert(self.make_data("/a/2"))
-        assert cs._frequency == {Name("/a/1"): 1, Name("/a/2"): 0}
+        # Keyed by the name's URI string, like the store itself.
+        assert cs._frequency == {"/a/1": 1, "/a/2": 0}
         cs.insert(self.make_data("/a/3"))  # evicts the colder /a/2
-        assert cs._frequency == {Name("/a/1"): 1, Name("/a/3"): 0}
+        assert cs._frequency == {"/a/1": 1, "/a/3": 0}
 
     def test_reinsert_moves_to_front(self):
         cs = ContentStore(capacity=2)

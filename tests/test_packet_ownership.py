@@ -18,10 +18,22 @@ from repro.ndn.link import Face
 from repro.ndn.node import Node
 
 
+def _store_key(store, packet):
+    """The key ``store`` files ``packet`` under, whatever its type, or
+    None when the store does not hold it.  A fresh or refreshed entry
+    sits at the end of the store's order, so the scan from the end is
+    short."""
+    for key in reversed(store._store):
+        if store._store[key] is packet:
+            return key
+    return None
+
+
 def test_no_packet_is_shared_while_held(monkeypatch):
     in_flight = {}  # id -> packet, between Face.send and Node.receive
-    cached = {}  # id -> (store, name, packet), from ContentStore.insert
+    cached = {}  # id -> (store, key, packet), from ContentStore.insert
     violations = []
+    held_after_insert = []
     face_send = Face.send
     node_receive = Node.receive
     cs_insert = ContentStore.insert
@@ -52,7 +64,8 @@ def test_no_packet_is_shared_while_held(monkeypatch):
             note("cached while in flight", None, data)
         cs_insert(self, data)
         if self.capacity > 0:
-            cached[id(data)] = (self, data.name, data)
+            cached[id(data)] = (self, _store_key(self, data), data)
+            held_after_insert.append(held_by_store(data))
 
     monkeypatch.setattr(Face, "send", send)
     monkeypatch.setattr(Node, "receive", receive)
@@ -66,4 +79,7 @@ def test_no_packet_is_shared_while_held(monkeypatch):
     stores = [node.cs for node in result.network.nodes.values()]
     assert sum(cs.hits for cs in stores) > 0
     assert len(cached) > 0
+    # The held check sees what the stores keep: right after each insert
+    # (LRU: the new entry is never the victim) the store holds the packet.
+    assert held_after_insert and all(held_after_insert)
     assert not violations, f"{len(violations)} violations, first: {violations[:3]}"

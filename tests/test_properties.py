@@ -204,6 +204,61 @@ class TestSchedulerProperties:
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
 
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ("schedule_at", "post_at", "cancel", "step", "peek_time", "run", "burst")
+                ),
+                st.integers(min_value=0, max_value=100),
+            ),
+            max_size=60,
+        )
+    )
+    def test_pending_equals_a_heap_scan(self, ops):
+        # pending() is the heap length minus a dead-entry count kept by
+        # cancel, by the pops of cancelled entries and by compaction.
+        # After any mix of those it must equal a scan for live entries.
+        sim = Simulator()
+        events = []  # every Event scheduled, executed and cancelled ones too
+
+        def noop():
+            pass
+
+        def live_in_heap():
+            return sum(1 for e in sim._heap if len(e) == 5 or not e[3].cancelled)
+
+        for op, k in ops:
+            time = sim.now + (k % 20) * 0.01
+            if op == "schedule_at":
+                events.append(sim.schedule_at(time, noop, priority=k % 2))
+            elif op == "post_at":
+                sim.post_at(time, noop, ())
+            elif op == "cancel" and events:
+                # May hit an executed event (cancel after pop) or a
+                # cancelled one (double cancel): both must be no-ops.
+                events[k % len(events)].cancel()
+            elif op == "step":
+                sim.step()
+            elif op == "peek_time":
+                sim.peek_time()
+            elif op == "run":
+                sim.run(until=time)
+            elif op == "burst":
+                # Enough cancels to outnumber the rest of the heap, so
+                # compaction must run at least once.
+                before = len(sim._heap)
+                burst = [sim.schedule_at(time + 1.0, noop) for _ in range(70 + k)]
+                for event in burst:
+                    event.cancel()
+                events.extend(burst)
+                if len(burst) > before:
+                    assert len(sim._heap) < before + len(burst)
+            assert sim.pending() == live_in_heap()
+        sim.run()
+        assert sim.pending() == 0 and not sim._heap
+
 
 class TestZipfProperties:
     @given(

@@ -15,7 +15,7 @@ from repro.ndn.cs import ContentStore
 from repro.ndn.name import Name
 from repro.ndn.packets import Data, Interest
 from repro.ndn.pit import Pit, PitRecord
-from repro.obs.instruments import INSTRUMENTS, OBS_ENV, resolve
+from repro.obs.instruments import INSTRUMENTS, OBS_ENV, make_live, resolve
 from repro.qa.determinism import check_scenario, scenario_digest
 from repro.qa.simsan import SanitizerError, SimSan
 from repro.sim.engine import Simulator
@@ -99,7 +99,7 @@ class TestPitInvariants:
         pit.san = san
         pit.insert("/a/1", record(), now=0.0)
         # Bypass the capacity check entirely.
-        pit._entries[Name("/smuggled")] = pit._entries[Name("/a/1")]
+        pit._entries["/smuggled"] = pit._entries["/a/1"]  # keyed by URI
         with pytest.raises(SanitizerError, match="pit-occupancy"):
             san.check_tables()
 
@@ -342,6 +342,23 @@ class TestGatingAndIntegration:
             "digest": reference.stream, "events": reference.events,
         }
         assert reference.events == summary.events_executed
+
+    def test_profile_counts_match_with_and_without_simsan(self):
+        # SimSan wraps each node's on_interest and send per instance;
+        # the wrappers must still reach the layer profile's class shims,
+        # installed after them, so selecting simsan moves no count.
+        def router_calls(names):
+            scenario = Scenario.paper_topology(1, duration=1.0, seed=1, scale=0.05)
+            result = run_scenario(scenario, instruments=make_live(resolve(names)))
+            layers = result.instruments["profile"]["layers"]
+            return {
+                layer: layers.get(layer, {}).get("calls", 0)
+                for layer in ("core.edge", "core.core", "core.provider")
+            }
+
+        plain = router_calls(("profile",))
+        assert all(plain.values())
+        assert router_calls(("simsan", "profile")) == plain
 
 
 class TestSeededViolationThroughTheEngine:

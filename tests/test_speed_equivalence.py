@@ -385,20 +385,21 @@ def test_fib_memo_matches_unmemoized_walk():
 
 
 def _drain_seed_loop(sim: Simulator, until=None) -> None:
-    """The seed repo's dispatch loop, verbatim (the reference the
-    benchmark's replica also uses)."""
+    """The seed repo's dispatch loop (the reference the benchmark's
+    replica also uses), with today's bookkeeping: popping a cancelled
+    entry uncounts it from the engine's dead-entry count."""
     heap = sim._heap
     while heap and not sim._stopped:
         event = heap[0][3]
         if event.cancelled:
             heapq.heappop(heap)
+            sim._dead -= 1
             continue
         if until is not None and event.time > until:
             break
         heapq.heappop(heap)
-        sim._live -= 1
         event.on_cancel = None
-        sim._now = event.time
+        sim.now = event.time
         sim.events_executed += 1
         event.callback(*event.args)
 
@@ -413,7 +414,7 @@ def _build_workload(sim: Simulator, n: int = 200, seed: int = 7):
     pending = []
 
     def fire(tag):
-        trace.append((round(sim._now, 9), tag))
+        trace.append((round(sim.now, 9), tag))
         roll = rng.random()
         if roll < 0.5 and tag < n * 4:
             delay = round(rng.random() * 0.02, 6)
@@ -434,7 +435,7 @@ def _dispatch_digest(runner, until=None, n=200, seed=7):
     sim = Simulator(seed=3)
     trace = _build_workload(sim, n=n, seed=seed)
     runner(sim, until)
-    return trace, sim.events_executed, sim._now, sim._live
+    return trace, sim.events_executed, sim.now, sim.pending(), sim._dead
 
 
 def test_drain_matches_seed_loop():
@@ -485,7 +486,7 @@ class _ReferenceSim:
     way SimSan does, so the sanitized loop's digest has a reference."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        self.now = 0.0
         self._entries = []  # (time, priority, index, callback, args, handle)
         self._index = 0
         self.events_executed = 0
@@ -496,7 +497,7 @@ class _ReferenceSim:
         self._index += 1
 
     def schedule(self, delay, callback, *args, priority=0):
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
+        return self.schedule_at(self.now + delay, callback, *args, priority=priority)
 
     def schedule_at(self, time, callback, *args, priority=0):
         handle = _RefHandle()
@@ -519,7 +520,7 @@ class _ReferenceSim:
             if until is not None and time > until:
                 break
             self._entries.remove(entry)
-            self._now = time
+            self.now = time
             self.events_executed += 1
             self.hasher.update(
                 f"{time!r}|{priority}|{callback.__qualname__}|{len(args)}".encode()
@@ -537,7 +538,7 @@ def _build_mixed_workload(sim, n: int = 150, seed: int = 5):
     pending = []
 
     def fire(tag):
-        trace.append((sim._now, tag))
+        trace.append((sim.now, tag))
         if tag >= n * 6:
             return
         roll = rng.random()
@@ -545,7 +546,7 @@ def _build_mixed_workload(sim, n: int = 150, seed: int = 5):
         if roll < 0.35:
             pending.append(sim.schedule(delay, fire, tag + n))
         elif roll < 0.7:
-            sim.post_at(sim._now + delay, fire, (tag + n,))
+            sim.post_at(sim.now + delay, fire, (tag + n,))
         elif roll < 0.85 and pending:
             pending.pop(rng.randrange(len(pending))).cancel()
 
@@ -563,7 +564,7 @@ def _mixed_reference(until):
     trace = _build_mixed_workload(ref)
     ref.run(until)
     ref.run()
-    return trace, ref.events_executed, ref._now, len(ref.live()), ref.hasher.hexdigest()
+    return trace, ref.events_executed, ref.now, len(ref.live()), ref.hasher.hexdigest()
 
 
 def _mixed_dispatch(runner, until):
@@ -574,7 +575,7 @@ def _mixed_dispatch(runner, until):
     runner(sim, until)
     runner(sim, None)
     assert sim.pending() == 0 and not sim._heap
-    return trace, sim.events_executed, sim._now, sim._live
+    return trace, sim.events_executed, sim.now, sim.pending()
 
 
 @pytest.mark.parametrize("until", [None, 0.17])
