@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test qa lint sanitize determinism bench perf perf-gate
+.PHONY: test qa lint sanitize determinism bench perf perf-gate ledger
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -49,3 +49,9 @@ perf:
 # docs/PERFORMANCE.md, "The CI throughput gate".
 perf-gate:
 	$(PYTHON) benchmarks/perf_gate.py HEAD^
+
+# Python calls per function for one perfbench topo1_paper operation
+# under cProfile (~10 s); the per-hop rows are benchmarks/call_ledger.py's
+# WATCHED.  docs/PERFORMANCE.md, "Per-hop interpreter overhead".
+ledger:
+	$(PYTHON) benchmarks/call_ledger.py --out benchmarks/results/call_ledger.json

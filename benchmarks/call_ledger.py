@@ -2,7 +2,8 @@
 
 Usage (from the repository root)::
 
-    python3 benchmarks/call_ledger.py [--src DIR] [--seed 1000] [--duration 2]
+    python3 benchmarks/call_ledger.py [--src DIR] [--seed 1000] [--duration 2] \
+        [--out FILE]
 
 Runs perfbench's ``topo1_paper`` operation (topology 1, scale 1.0,
 2 virtual s, scenario seed 1000) once under :mod:`cProfile` in a fresh
@@ -11,7 +12,9 @@ checkout's ``src``), so two trees can be compared by running the script
 once against each.  It prints one JSON document: the total number of
 Python calls the operation made (build, loop and summary), the events
 it executed, and the call counts of the per-hop functions listed in
-``WATCHED`` (0 for a function the tree no longer has).
+``WATCHED`` (0 for a function the tree no longer has); ``--out`` also
+writes it to a file (``make ledger`` writes
+``benchmarks/results/call_ledger.json``).
 
 cProfile slows the operation several-fold; the counts, not the times,
 are the output.
@@ -48,6 +51,19 @@ WATCHED = {
     ("ndn/packets.py", "is_registration"): "Interest.is_registration",
     ("ndn/node.py", "on_data"): "Node.on_data (incl. AccessPoint)",
     ("ndn/node.py", "<listcomp>"): "node.py list comprehensions",
+    ("core/tag.py", "encoded_size"): "Tag.encoded_size",
+    ("core/tag.py", "cache_key"): "Tag.cache_key",
+    ("filters/bloom.py", "contains"): "BloomFilter.contains",
+    ("filters/bloom.py", "_probes"): "bloom._probes (memo misses)",
+    ("sim/engine.py", "post_at"): "Simulator.post_at",
+    ("crypto/cost_model.py", "sample"): "ComputationCostModel.sample",
+    ("core/metrics.py", "note_request"): "OpCounters.note_request",
+    ("ndn/pit.py", "find"): "Pit.find",
+    ("ndn/name.py", "__new__"): "Name.__new__",
+    ("ndn/name.py", "__init__"): "Name.__init__",
+    ("ndn/name.py", "__truediv__"): "Name.__truediv__",
+    ("crypto/chacha20.py", "_quarter_round"): "chacha20._quarter_round",
+    ("crypto/chacha20.py", "_rotl32"): "chacha20._rotl32",
 }
 
 
@@ -88,6 +104,7 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--seed", type=int, default=1000)
     parser.add_argument("--duration", type=float, default=2.0)
+    parser.add_argument("--out", help="also write the JSON document to this file")
     parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
@@ -104,7 +121,10 @@ def main(argv=None) -> int:
         check=True, capture_output=True, text=True,
     )
     document = json.loads(child.stdout.strip().splitlines()[-1])
-    print(json.dumps(document, indent=1))
+    text = json.dumps(document, indent=1)
+    print(text)
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
     return 0
 
 

@@ -219,7 +219,8 @@ class Client(Node):
             issued_at=self.sim.now, nonce=interest.nonce, timeout_event=timeout
         )
         self.stats.chunks_requested += 1
-        self._trace_span_start(interest, kind="content")
+        if self.sim.trace._n_subs:
+            self._trace_span_start(interest, kind="content")
         self.send(self.uplink, interest)
 
     def _on_timeout(self, name: Name, nonce: int) -> None:
@@ -279,9 +280,10 @@ class Client(Node):
         pending.timeout_event.cancel()
         if data.nack is not None:
             self.stats.nacks_received += 1
-            self._trace_span_end(
-                pending.nonce, "nack", self.sim.now - pending.issued_at
-            )
+            if self.sim.trace._n_subs:
+                self._trace_span_end(
+                    pending.nonce, "nack", self.sim.now - pending.issued_at
+                )
         else:
             self.stats.chunks_received += 1
             if self.can_consume(data):
@@ -289,9 +291,10 @@ class Client(Node):
             self.stats.latency_samples.append(
                 (self.sim.now, self.sim.now - pending.issued_at)
             )
-            self._trace_span_end(
-                pending.nonce, "data", self.sim.now - pending.issued_at
-            )
+            if self.sim.trace._n_subs:
+                self._trace_span_end(
+                    pending.nonce, "data", self.sim.now - pending.issued_at
+                )
         self._pump()
 
     def can_consume(self, data: Data) -> bool:

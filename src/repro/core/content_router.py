@@ -35,7 +35,7 @@ class ContentRouterMixin:
 
     Host classes must provide the :class:`~repro.core.router_base.
     TacticRouterBase` interface (``bf_lookup``, ``bf_insert``,
-    ``verify_tag_signature``, ``compute_delay``, ``counters``, ``rng``,
+    ``verify_tag_signature``, ``cost_model``, ``counters``, ``rng``,
     ``send``).
     """
 
@@ -50,8 +50,9 @@ class ContentRouterMixin:
         tag = interest.tag
         data.tag = tag
         data.span_id = interest.nonce
-        self.trace_span_serve(interest)
-        delay = self.compute_delay("precheck")
+        if self.sim.trace._n_subs:
+            self.trace_span_serve(interest)
+        delay = self.cost_model.sample("precheck", self.rng)
 
         # Public content: "return the requested content without tag
         # verification" (ALD is NULL).
@@ -117,7 +118,7 @@ class ContentRouterMixin:
         expire.
         """
         self.counters.nacks_issued += 1
-        tag_key = interest.tag.cache_key() if interest.tag is not None else b""
+        tag_key = interest.tag._cache_key if interest.tag is not None else b""
         if self.audit is not None:
             self.audit.note_nack(self, tag_key, reason)
         if not self.config.nack_carries_content:

@@ -37,7 +37,7 @@ class CoreRouter(ContentRouterMixin, IntermediateRouterMixin, TacticRouterBase):
         super().__init__(sim, node_id, config, cert_store, metrics, is_edge=False)
 
     def on_interest(self, interest: Interest, in_face: Face) -> None:
-        self.counters.note_request()
+        self.counters.requests_since_reset += 1
         if interest.is_registration():
             # Registration rides plain NDN forwarding to the provider.
             self.aggregate_or_forward(interest, in_face)

@@ -56,7 +56,7 @@ class EdgeRouter(TacticRouterBase):
     # Interest path
     # ------------------------------------------------------------------
     def on_interest(self, interest: Interest, in_face: Face) -> None:
-        self.counters.note_request()
+        self.counters.requests_since_reset += 1
         now = self.sim.now
 
         # Registration traffic carries credentials, not tags; it rides
@@ -75,7 +75,7 @@ class EdgeRouter(TacticRouterBase):
             self._enqueue_and_forward(forwarded, in_face, delay=0.0)
             return
 
-        delay = self.compute_delay("precheck")
+        delay = self.cost_model.sample("precheck", self.rng)
         reason = edge_precheck(interest.tag, interest.name, now)
         if reason is not None:
             # Protocol 1 failures drop silently ("the edge routers drop
@@ -86,7 +86,7 @@ class EdgeRouter(TacticRouterBase):
             return
 
         if self.config.enable_access_path:
-            delay += self.compute_delay("access_path_check")
+            delay += self.cost_model.sample("access_path_check", self.rng)
             if not paths_match(interest.tag.access_path, interest.observed_access_path):
                 self.counters.access_path_drops += 1
                 self._nack_client(interest, in_face, NackReason.ACCESS_PATH, delay)
@@ -122,7 +122,7 @@ class EdgeRouter(TacticRouterBase):
     def _verify_client_signature(self, interest: Interest) -> Tuple[bool, float]:
         """Check the request signature against the tag's client locator."""
         self.counters.client_sig_verifications += 1
-        delay = self.compute_delay("signature_verify")
+        delay = self.cost_model.sample("signature_verify", self.rng)
         public_key = self.cert_store.try_get_public_key(
             interest.tag.client_key_locator, now=self.sim.now
         )
@@ -135,7 +135,7 @@ class EdgeRouter(TacticRouterBase):
     ) -> None:
         self.counters.nacks_issued += 1
         if self.audit is not None:
-            key = interest.tag.cache_key() if interest.tag is not None else b""
+            key = interest.tag._cache_key if interest.tag is not None else b""
             self.audit.note_nack(self, key, reason)
         nack = Nack(name=interest.name, reason=reason, nonce=interest.nonce)
         self.send(in_face, nack, delay)
@@ -158,11 +158,11 @@ class EdgeRouter(TacticRouterBase):
                 self.send(record.in_face, out, delay)
             return
 
-        primary_key = data.tag.cache_key() if data.tag is not None else None
+        primary_key = data.tag._cache_key if data.tag is not None else None
         nack_key = data.nack.tag_key if data.nack is not None else None
 
         for record in entry.records:
-            record_key = record.tag.cache_key() if record.tag is not None else b""
+            record_key = record.tag._cache_key if record.tag is not None else b""
             delay = 0.0
 
             if data.nack is not None and record_key == nack_key:

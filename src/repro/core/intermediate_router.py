@@ -53,11 +53,11 @@ class IntermediateRouterMixin:
         """Lines 6-26: per-record validation and reverse-path delivery."""
         entry = self.pit.consume(data.name, now=self.sim.now)
         if entry is not None:
-            primary_key = data.tag.cache_key() if data.tag is not None else None
+            primary_key = data.tag._cache_key if data.tag is not None else None
             primary_served = False
 
             for record in entry.records:
-                record_key = record.tag.cache_key() if record.tag is not None else b""
+                record_key = record.tag._cache_key if record.tag is not None else b""
 
                 # Lines 6-10: the first requester's copy goes out as-is
                 # (including any attached NACK).
@@ -108,16 +108,16 @@ class IntermediateRouterMixin:
             return
 
         if data.access_level is not None:
-            delay += self.compute_delay("precheck")
+            delay += self.cost_model.sample("precheck", self.rng)
             reason = content_precheck(record.tag, data)
             if reason is not None:
                 self.counters.precheck_drops += 1
                 self.counters.nacks_issued += 1
                 if self.audit is not None:
-                    self.audit.note_nack(self, record.tag.cache_key(), reason)
+                    self.audit.note_nack(self, record.tag._cache_key, reason)
                 if not self.config.nack_carries_content:
                     return
-                out.nack = AttachedNack(tag_key=record.tag.cache_key(), reason=reason)
+                out.nack = AttachedNack(tag_key=record.tag._cache_key, reason=reason)
                 self.send(record.in_face, out, delay)
                 return
 
@@ -146,11 +146,11 @@ class IntermediateRouterMixin:
             self.counters.nacks_issued += 1
             if self.audit is not None:
                 self.audit.note_nack(
-                    self, record.tag.cache_key(), NackReason.INVALID_SIGNATURE
+                    self, record.tag._cache_key, NackReason.INVALID_SIGNATURE
                 )
             if not self.config.nack_carries_content:
                 return
             out.nack = AttachedNack(
-                tag_key=record.tag.cache_key(), reason=NackReason.INVALID_SIGNATURE
+                tag_key=record.tag._cache_key, reason=NackReason.INVALID_SIGNATURE
             )
             self.send(record.in_face, out, delay)

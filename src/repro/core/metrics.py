@@ -34,13 +34,11 @@ class OpCounters:
     precheck_drops: int = 0
     access_path_drops: int = 0
     nacks_issued: int = 0
-    #: Interests processed since the last BF reset, and the completed
-    #: intervals (the paper's "number of requests for a BF reset").
+    #: Interests processed since the last BF reset (routers bump it on
+    #: every Interest), and the completed intervals (the paper's
+    #: "number of requests for a BF reset").
     requests_since_reset: int = 0
     reset_intervals: List[int] = field(default_factory=list)
-
-    def note_request(self) -> None:
-        self.requests_since_reset += 1
 
     def note_reset(self) -> None:
         self.bf_resets += 1

@@ -118,7 +118,7 @@ class ContentObject:
     key_nonce: bytes = b"\x00" * 12
 
     def chunk_name(self, index: int) -> Name:
-        return self.prefix / f"chunk-{index}"
+        return self.prefix.append(f"chunk-{index}")
 
     def chunk_names(self) -> List[Name]:
         return [self.chunk_name(i) for i in range(self.num_chunks)]
@@ -197,7 +197,9 @@ class Provider(ContentRouterMixin, TacticRouterBase):
         A name matches when its prefix is an object's and its last
         component is one of that object's ``chunk-<i>`` labels.
         """
-        components = Name(name).components
+        if type(name) is not Name:
+            name = Name(name)
+        components = name.components
         obj = self._objects.get(components[:-1]) if components else None
         if obj is None or components[-1] not in chunk_labels(obj.num_chunks):
             return None
@@ -232,13 +234,16 @@ class Provider(ContentRouterMixin, TacticRouterBase):
             if is_manifest_name(interest.name):
                 self._serve_manifest(interest, in_face)
                 return
-        obj = self.content_object(interest.name)
+        name = interest.name
+        if type(name) is not Name:
+            name = Name(name)
+        obj = self.content_object(name)
         if obj is None:
             self.unroutable_drops += 1
             return
         data = Data(
-            name=Name(interest.name),
-            payload=self._chunk_payload(obj, Name(interest.name)),
+            name=name,
+            payload=self._chunk_payload(obj, name),
             access_level=obj.access_level,
             provider_key_locator=self.key_locator,
             signature=b"\x00" * 64,  # placeholder content signature (size-modelled)
@@ -315,8 +320,9 @@ class Provider(ContentRouterMixin, TacticRouterBase):
             created_at=self.sim.now,
         )
         response.span_id = interest.nonce
-        self.trace_span_serve(interest)
-        delay = self.compute_delay("tag_sign")
+        if self.sim.trace._n_subs:
+            self.trace_span_serve(interest)
+        delay = self.cost_model.sample("tag_sign", self.rng)
         self.send(in_face, response, delay)
 
     def issue_tag_direct(self, user_id: str, access_path: bytes) -> Optional[Tag]:

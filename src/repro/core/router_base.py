@@ -91,7 +91,7 @@ class TacticRouterBase(Node):
         path on every request — the behaviour of router-enforced schemes
         without TACTIC's filter caching.
         """
-        key = tag.cache_key()
+        key = tag._cache_key
         if self.revoked_tag_keys and key in self.revoked_tag_keys:
             if self.audit is not None:
                 self.audit.record_decision(
@@ -102,7 +102,7 @@ class TacticRouterBase(Node):
             return False, 0.0
         self.counters.bf_lookups += 1
         found = self.bloom.contains(key)
-        delay = self.compute_delay("bf_lookup")
+        delay = self.cost_model.sample("bf_lookup", self.rng)
         if self.audit is not None:
             self.audit.note_bf_lookup(self, key, found, delay)
         return found, delay
@@ -112,13 +112,13 @@ class TacticRouterBase(Node):
         if not self.config.use_bloom_filters:
             return 0.0
         self.counters.bf_inserts += 1
-        key = tag.cache_key()
+        key = tag._cache_key
         reset = self.bloom.insert_with_auto_reset(key)
         if reset:
             self.counters.note_reset()
         if self.audit is not None:
             self.audit.note_bf_insert(self, key, reset)
-        return self.compute_delay("bf_insert")
+        return self.cost_model.sample("bf_insert", self.rng)
 
     def revoke_tag_key(self, key: bytes) -> None:
         """Blacklist one tag on this node (explicit-revocation hook)."""
@@ -128,11 +128,11 @@ class TacticRouterBase(Node):
 
     def verify_tag_signature(self, tag: Tag) -> Tuple[bool, float]:
         """Full signature verification through the PKI."""
-        if self.revoked_tag_keys and tag.cache_key() in self.revoked_tag_keys:
+        if self.revoked_tag_keys and tag._cache_key in self.revoked_tag_keys:
             # Cryptographically valid but administratively dead.
             if self.audit is not None:
                 self.audit.record_decision(
-                    "revoked", self, tag_key=tag.cache_key(), outcome="sig_verify"
+                    "revoked", self, tag_key=tag._cache_key, outcome="sig_verify"
                 )
             return False, 0.0
         self.counters.signature_verifications += 1
@@ -140,7 +140,7 @@ class TacticRouterBase(Node):
             tag.provider_key_locator, now=self.sim.now
         )
         valid = public_key is not None and tag.verify_signature(public_key)
-        delay = self.compute_delay("signature_verify")
+        delay = self.cost_model.sample("signature_verify", self.rng)
         if self.audit is not None:
             self.audit.note_sig_verify(self, tag, valid, delay)
         return valid, delay

@@ -60,13 +60,14 @@ class Tag:
     access_path: bytes
     expiry: float
     signature: bytes = b""
-    # Lazy caches (excluded from identity): tags are immutable once
-    # signed, so the cache key, wire size, and provider prefix are each
-    # computed at most once per instance instead of per packet hop.
-    _cache_key: Optional[bytes] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _esize: int = field(default=-1, init=False, repr=False, compare=False)
+    # Derived constants (excluded from identity).  Tags are immutable
+    # once signed (``sign_with`` and ``copy`` build a fresh instance
+    # through ``__post_init__``), so the cache key and wire size are
+    # computed once here and the forwarding path reads ``_cache_key``
+    # and ``_esize`` directly; the provider prefix stays lazy, as only
+    # the edge pre-check asks for it.
+    _cache_key: bytes = field(default=b"", init=False, repr=False, compare=False)
+    _esize: int = field(default=0, init=False, repr=False, compare=False)
     _prefix: Optional[Name] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -77,6 +78,15 @@ class Tag:
             raise ValueError(
                 f"access path must be 32 bytes, got {len(self.access_path)}"
             )
+        self._cache_key = hashlib.sha256(
+            self.signed_bytes() + b"#" + self.signature
+        ).digest()
+        self._esize = (
+            len(self.provider_key_locator)
+            + len(self.client_key_locator)
+            + _FIXED_FIELDS_SIZE
+            + len(self.signature)
+        )
 
     # ------------------------------------------------------------------
     # Canonical encoding and signing
@@ -128,29 +138,13 @@ class Tag:
     # Identity
     # ------------------------------------------------------------------
     def cache_key(self) -> bytes:
-        """Stable identifier of this exact signed tag (Bloom-filter key).
-
-        Cached after first computation — tags are immutable once signed
-        (``sign_with`` returns a fresh instance).
-        """
-        key = self._cache_key
-        if key is None:
-            key = hashlib.sha256(self.signed_bytes() + b"#" + self.signature).digest()
-            self._cache_key = key
-        return key
+        """Stable identifier of this exact signed tag (Bloom-filter key):
+        SHA-256 over the signed fields and the signature."""
+        return self._cache_key
 
     def encoded_size(self) -> int:
         """Wire-size estimate in bytes."""
-        size = self._esize
-        if size < 0:
-            size = (
-                len(self.provider_key_locator)
-                + len(self.client_key_locator)
-                + _FIXED_FIELDS_SIZE
-                + len(self.signature)
-            )
-            self._esize = size
-        return size
+        return self._esize
 
     def copy(self) -> "Tag":
         return replace(self)

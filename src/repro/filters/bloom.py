@@ -10,13 +10,17 @@ when it is saturated (its FPP reaches the maximum FPP)" — callers check
 :meth:`is_saturated` after inserts and call :meth:`reset`.
 
 Hashing uses the Kirsch-Mitzenmatcher double-hashing scheme over a
-single BLAKE2b digest: index_i = (h1 + i*h2) mod m.
+single BLAKE2b digest: index_i = (h1 + i*h2) mod m.  The k indices of a
+key are memoized per ``(item, m, k)`` (:func:`_probes`): a client sends
+every request under one tag, so a router probes the same few hundred
+keys thousands of times.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Union
+from functools import lru_cache
+from typing import Tuple, Union
 
 from repro.filters.params import estimate_fpp, size_for_capacity
 
@@ -31,6 +35,23 @@ def _item_bytes(item: Item) -> bytes:
     if isinstance(item, str):
         return item.encode("utf-8")
     return bytes(item)
+
+
+#: Entries the probe memo keeps (least recently used evicted first).
+#: One entry is the key tuple plus a k-tuple of ints, ~0.4 KiB at k = 5,
+#: so the memo stays under ~2 MiB however many distinct tags a run sees.
+PROBE_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=PROBE_MEMO_SIZE)
+def _probes(item: Union[bytes, str], size_bits: int, num_hashes: int) -> Tuple[int, ...]:
+    """The ``num_hashes`` bit indices of ``item`` in a ``size_bits``-bit
+    filter, in probe order (``bytearray`` items are converted by the
+    caller: the memo needs a hashable key)."""
+    digest = hashlib.blake2b(_item_bytes(item), digest_size=16).digest()
+    h1 = int.from_bytes(digest[:8], "big")
+    h2 = int.from_bytes(digest[8:], "big") | 1  # odd => full-period stride
+    return tuple((h1 + i * h2) % size_bits for i in range(num_hashes))
 
 
 def _popcount(value: int) -> int:
@@ -93,43 +114,28 @@ class BloomFilter:
         self.san = None
 
     # ------------------------------------------------------------------
-    # Hashing
-    # ------------------------------------------------------------------
-    def _indices(self, item: Item) -> list:
-        digest = hashlib.blake2b(_item_bytes(item), digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1  # odd => full-period stride
-        m = self.size_bits
-        return [(h1 + i * h2) % m for i in range(self.num_hashes)]
-
-    # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
     def insert(self, item: Item) -> None:
         """Insert ``item``; counts every call (duplicates included) for FPP."""
-        for idx in self._indices(item):
-            self._bits[idx >> 3] |= 1 << (idx & 7)
+        if type(item) is bytearray:
+            item = bytes(item)
+        bits = self._bits
+        for idx in _probes(item, self.size_bits, self.num_hashes):
+            bits[idx >> 3] |= 1 << (idx & 7)
         self.count += 1
         self.total_inserts += 1
         if self.san is not None:
             self.san.bf_insert(self)
 
     def contains(self, item: Item) -> bool:
-        """Membership test; false positives possible, negatives exact.
-
-        The double-hash indices are computed inline rather than via
-        :meth:`_indices` — lookups are the hottest router operation and
-        the list allocation dominated the per-call cost.
-        """
+        """Membership test; false positives possible, negatives exact."""
         self.total_lookups += 1
         self.lookups_since_reset += 1
-        digest = hashlib.blake2b(_item_bytes(item), digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1
-        m = self.size_bits
+        if type(item) is bytearray:
+            item = bytes(item)
         bits = self._bits
-        for i in range(self.num_hashes):
-            idx = (h1 + i * h2) % m
+        for idx in _probes(item, self.size_bits, self.num_hashes):
             if not (bits[idx >> 3] >> (idx & 7)) & 1:
                 return False
         return True

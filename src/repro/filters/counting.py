@@ -9,18 +9,10 @@ expiry, which requires counters rather than bits.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Union
+from typing import Tuple
 
+from repro.filters.bloom import Item, _probes
 from repro.filters.params import estimate_fpp, size_for_capacity
-
-Item = Union[bytes, bytearray, str]
-
-
-def _item_bytes(item: Item) -> bytes:
-    if isinstance(item, str):
-        return item.encode("utf-8")
-    return bytes(item)
 
 
 class CountingBloomFilter:
@@ -40,12 +32,10 @@ class CountingBloomFilter:
         self._cells = [0] * self.size_cells
         self.count = 0
 
-    def _indices(self, item: Item) -> list:
-        digest = hashlib.blake2b(_item_bytes(item), digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1
-        m = self.size_cells
-        return [(h1 + i * h2) % m for i in range(self.num_hashes)]
+    def _indices(self, item: Item) -> Tuple[int, ...]:
+        if type(item) is bytearray:
+            item = bytes(item)
+        return _probes(item, self.size_cells, self.num_hashes)
 
     def insert(self, item: Item) -> None:
         for idx in self._indices(item):

@@ -10,10 +10,12 @@ are the defaults provided by :mod:`repro.topology`.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.ndn.packets import packet_span_id
 from repro.sim.engine import Simulator
+from repro.sim.events import _event_counter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ndn.node import Node
@@ -59,13 +61,16 @@ class Face:
             return link.transmit(packet, src=self.node)
         # Allocation-free fast path for the headline configuration
         # (link up, lossless, no trace subscriber): the same
-        # serialization arithmetic — identical expression forms, so
-        # float results are bit-identical — and the same ``post_at``
-        # call as :meth:`Link.transmit`, minus the branches that
-        # configuration can never take.  The drop-tail
+        # serialization arithmetic as :meth:`Link.transmit` — identical
+        # expression forms, so float results are bit-identical — minus
+        # the branches that configuration can never take.  The drop-tail
         # case defers to the slow path, which recomputes the identical
         # backlog (no RNG, no state mutated yet) and handles counters
-        # and span traces.
+        # and span traces.  The delivery is pushed here, not through
+        # ``sim.post_at``: the entry is the exact tuple ``post_at``
+        # builds, ``seq`` drawn from the same shared counter, so
+        # dispatch order is unchanged (docs/ARCHITECTURE.md, "The event
+        # heap").
         now = sim.now
         size = packet.size_bytes()
         tx_time = size * 8.0 / link.bandwidth_bps
@@ -74,8 +79,12 @@ class Face:
         if (start - now) * link.bandwidth_bps / 8.0 > link.queue_bytes:
             return link.transmit(packet, src=self.node)
         self.busy_until = start + tx_time
-        sim.post_at(
-            start + tx_time + link.latency, self.peer.receive, (packet, self.remote_face)
+        heappush(
+            sim._heap,
+            (
+                start + tx_time + link.latency, 0, next(_event_counter),
+                self.peer.receive, (packet, self.remote_face),
+            ),
         )
         link.packets_sent += 1
         link.bytes_sent += size

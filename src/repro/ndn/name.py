@@ -1,8 +1,10 @@
 """Hierarchical NDN names.
 
-Names are immutable sequences of string components, written in URI form
-as ``/component/component/...``.  The empty name (``/``) is the root and
-is a prefix of every name.  Longest-prefix matching over names drives
+Names are immutable sequences of non-empty string components, written
+in URI form as ``/component/component/...``, and the URI is one-to-one
+with the name (``Name(n.to_uri()) == n``), which is what lets the
+per-hop tables key by it.  The empty name (``/``) is the root and is a
+prefix of every name.  Longest-prefix matching over names drives
 FIB lookups; exact matching drives PIT and content-store lookups.
 """
 
@@ -47,8 +49,10 @@ class Name:
         else:
             components = tuple(str(c) for c in value)
         for component in components:
-            if "/" in component:
-                raise ValueError(f"name component may not contain '/': {component!r}")
+            if not component or "/" in component:
+                raise ValueError(
+                    f"name component may not be empty or contain '/': {component!r}"
+                )
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "_uri", "/" + "/".join(components))
         object.__setattr__(self, "_hash", hash(components))
@@ -89,13 +93,14 @@ class Name:
 
         Built from this name's cached fields, validating only the new
         components (one ``chunk_name`` per client Interest comes through
-        here).  A component that is not a ``str`` or contains ``/``
-        takes the generic constructor, which converts or rejects it.
+        here).  A component that is not a ``str``, is empty or contains
+        ``/`` takes the generic constructor, which converts or rejects
+        it.
         """
         if not components:
             return self
         for component in components:
-            if type(component) is not str or "/" in component:
+            if type(component) is not str or not component or "/" in component:
                 return Name(self.components + components)
         child = object.__new__(Name)
         joined = self.components + components
@@ -117,9 +122,10 @@ class Name:
     # Matching
     # ------------------------------------------------------------------
     def is_prefix_of(self, other: NameLike) -> bool:
-        other = Name(other)
-        n = len(self.components)
-        return other.components[:n] == self.components
+        if type(other) is not Name:
+            other = Name(other)
+        components = self.components
+        return other.components[: len(components)] == components
 
     # ------------------------------------------------------------------
     # Equality / representation

@@ -100,15 +100,19 @@ class Node:  # simlint: disable=SL014 (SimSan patches send/on_interest per insta
     def receive(self, packet: Packet, in_face: Face) -> None:
         """Entry point invoked by links on packet arrival.
 
-        The dispatch checks ``type(...) is`` before ``isinstance`` (the
-        packet classes are never subclassed on the wire), and the rx
-        trace emissions are guarded on an actual subscriber being
-        present — ``emit`` would early-out anyway, but only after the
-        payload kwargs (including ``str(name)``) had been built.
+        The dispatch tests ``type(...) is`` against Interest, then Data
+        (the packet classes are never subclassed on the wire), so a hop
+        makes no ``isinstance`` call; only a subclass takes the
+        fallback.  The rx trace emissions are guarded on an actual
+        subscriber being present — ``emit`` would early-out anyway, but
+        only after the payload kwargs (including ``str(name)``) had
+        been built.
         """
         trace = self.sim.trace
         cls = type(packet)
-        if cls is Interest or isinstance(packet, Interest):
+        if cls is not Interest and cls is not Data:
+            cls = _wire_class(packet)
+        if cls is Interest:
             self.interests_received += 1
             if trace._n_subs and trace.enabled:
                 trace.emit(
@@ -116,7 +120,7 @@ class Node:  # simlint: disable=SL014 (SimSan patches send/on_interest per insta
                     node=self.node_id, content=str(packet.name), nonce=packet.nonce,
                 )
             self.on_interest(packet, in_face)
-        elif cls is Data or isinstance(packet, Data):
+        elif cls is Data:
             self.data_received += 1
             if trace._n_subs and trace.enabled:
                 trace.emit(
@@ -125,7 +129,7 @@ class Node:  # simlint: disable=SL014 (SimSan patches send/on_interest per insta
                     nack=packet.nack.reason.value if packet.nack else None,
                 )
             self.on_data(packet, in_face)
-        elif cls is Nack or isinstance(packet, Nack):
+        else:
             self.nacks_received += 1
             if trace._n_subs and trace.enabled:
                 trace.emit(
@@ -134,8 +138,6 @@ class Node:  # simlint: disable=SL014 (SimSan patches send/on_interest per insta
                     reason=packet.reason.value,
                 )
             self.on_nack(packet, in_face)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown packet type: {type(packet)!r}")
 
     def send(self, face: Face, packet: Packet, delay: float = 0.0) -> None:
         """Send ``packet`` on ``face``, after an optional compute delay."""
@@ -215,17 +217,17 @@ class Node:  # simlint: disable=SL014 (SimSan patches send/on_interest per insta
             )
 
     def trace_span_serve(self, interest: Interest) -> None:
-        """Mark where an Interest span turned around (cache or origin)."""
+        """Mark where an Interest span turned around (cache or origin).
+
+        Call sites test ``sim.trace._n_subs`` first, so a run with no
+        subscriber never enters it.
+        """
         trace = self.sim.trace
-        if trace._n_subs and interest.nonce and trace.wants("span.serve"):
+        if interest.nonce and trace.wants("span.serve"):
             trace.emit(
                 "span.serve", self.sim.now,
                 span=interest.nonce, node=self.node_id,
             )
-
-    def compute_delay(self, op: str) -> float:
-        """Sample the latency of the named operation."""
-        return self.cost_model.sample(op, self.rng)
 
     # ------------------------------------------------------------------
     # Default NDN behaviour (overridden by protocol roles)
@@ -235,7 +237,8 @@ class Node:  # simlint: disable=SL014 (SimSan patches send/on_interest per insta
         if cached is not None:
             cached.tag = interest.tag
             cached.span_id = interest.nonce
-            self.trace_span_serve(interest)
+            if self.sim.trace._n_subs:
+                self.trace_span_serve(interest)
             self.send(in_face, cached)
             return
         record = PitRecord(
@@ -285,6 +288,14 @@ class Node:  # simlint: disable=SL014 (SimSan patches send/on_interest per insta
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.node_id}>"
+
+
+def _wire_class(packet: Packet) -> type:
+    """The packet class a subclass instance dispatches as."""
+    for cls in (Interest, Data, Nack):
+        if isinstance(packet, cls):
+            return cls
+    raise TypeError(f"unknown packet type: {type(packet)!r}")
 
 
 @dataclass(slots=True)
@@ -343,7 +354,7 @@ class AccessPoint(Node):  # simlint: disable=SL014 (Node subclass; same patching
             name = Name(name)
         key = name._uri
         self._purge(key)
-        tag_key = interest.tag.cache_key() if interest.tag is not None else None
+        tag_key = interest.tag._cache_key if interest.tag is not None else None
         self._pending.setdefault(key, []).append(
             _ApPending(
                 nonce=interest.nonce,
@@ -375,7 +386,7 @@ class AccessPoint(Node):  # simlint: disable=SL014 (Node subclass; same patching
             self.send(records[0].face, data)
             return
         if data.tag is not None:
-            tag_key = data.tag.cache_key()
+            tag_key = data.tag._cache_key
             matched = [r for r in records if r.tag_key == tag_key]
             if not matched:
                 matched = records[:]

@@ -125,11 +125,12 @@ class Interest:
         return f"{self.name.to_uri()}#{self.nonce}".encode("utf-8")
 
     def size_bytes(self) -> int:
-        # name._esize is the Name's precomputed TLV size — no per-hop
-        # re-encode (names and tags are immutable in flight).
+        # name._esize and tag._esize are sizes the immutable name and
+        # tag computed at construction — no per-hop call or re-encode.
         size = INTEREST_BASE_SIZE + self.name._esize + ACCESS_PATH_SIZE
-        if self.tag is not None:
-            size += self.tag.encoded_size()
+        tag = self.tag
+        if tag is not None:
+            size += tag._esize
         if self.credentials is not None:
             size += len(self.credentials)
         size += len(self.client_signature)
@@ -207,12 +208,13 @@ class Data:
             + (len(payload) if payload else self.payload_size)
             + SIGNATURE_SIZE
         )
-        if self.tag is not None:
-            size += self.tag.encoded_size()
+        tag = self.tag
+        if tag is not None:
+            size += tag._esize
         if self.nack is not None:
             size += NACK_BASE_SIZE
         if self.tag_response is not None:
-            size += self.tag_response.encoded_size()
+            size += self.tag_response._esize
         if self.wrapped_key is not None:
             size += len(self.wrapped_key)
         return size

@@ -139,7 +139,10 @@ class Pit:
         """
         if type(name) is not Name:
             name = Name(name)
-        entry = self.find(name, now)
+        key = name._uri
+        entry = self._entries.get(key)
+        if entry is not None and now > entry.expires_at:
+            entry = self.find(name, now)  # purges the expired entry
         if entry is None:
             if self.capacity and len(self._entries) >= self.capacity:
                 self.purge_expired(now)
@@ -148,7 +151,7 @@ class Pit:
                     if self.san is not None:
                         self.san.pit_reject(self)
                     return False
-            self._entries[name._uri] = PitEntry(
+            self._entries[key] = PitEntry(
                 name=name,
                 records=[record],
                 created_at=now,
@@ -168,9 +171,12 @@ class Pit:
         """Remove and return the entry for ``name`` (Data arrival)."""
         if type(name) is not Name:
             name = Name(name)
-        entry = self.find(name, now)
+        key = name._uri
+        entry = self._entries.get(key)
+        if entry is not None and now is not None and now > entry.expires_at:
+            entry = self.find(name, now)  # purges the expired entry
         if entry is not None:
-            del self._entries[name._uri]
+            del self._entries[key]
             if self.san is not None:
                 self.san.pit_consume(self, entry)
         return entry

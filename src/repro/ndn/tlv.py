@@ -133,7 +133,10 @@ def decode_name(value: bytes) -> Name:
         if tlv_type != TLV_NAME_COMPONENT:
             raise TlvError(f"unexpected TLV {tlv_type:#x} inside a name")
         components.append(component.decode("utf-8"))
-    return Name(components)
+    try:
+        return Name(components)
+    except ValueError as exc:  # an empty component or one holding '/'
+        raise TlvError(str(exc)) from None
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ class CatalogEntry:
     num_chunks: int
 
     def chunk_name(self, index: int) -> Name:
-        return self.prefix / f"chunk-{index}"
+        return self.prefix.append(f"chunk-{index}")
 
 
 class Catalog:

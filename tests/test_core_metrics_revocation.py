@@ -12,10 +12,10 @@ class TestOpCounters:
     def test_note_reset_records_interval(self):
         counters = OpCounters()
         for _ in range(10):
-            counters.note_request()
+            counters.requests_since_reset += 1
         counters.note_reset()
         for _ in range(20):
-            counters.note_request()
+            counters.requests_since_reset += 1
         counters.note_reset()
         assert counters.reset_intervals == [10, 20]
         assert counters.bf_resets == 2

@@ -26,6 +26,37 @@ class TestRfcVector:
         assert chacha20_decrypt(RFC_KEY, RFC_NONCE, RFC_CIPHERTEXT, counter=1) == RFC_PLAINTEXT
 
 
+#: RFC 8439 section 2.3.2: the block function's test vector (key
+#: 00..1f, nonce 00:00:00:09:00:00:00:4a:00:00:00:00, block counter 1),
+#: as the serialized 64-byte block.
+RFC_BLOCK_NONCE = bytes.fromhex("000000090000004a00000000")
+RFC_BLOCK = bytes.fromhex(
+    "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+    "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+)
+
+#: Two blocks of keystream from counter 2**32 - 1, as the list-based
+#: quarter-round implementation produced them: the second block's
+#: counter wraps to 0 (the counter word is 32 bits).
+WRAP_KEYSTREAM = bytes.fromhex(
+    "ff2941b8d740f6cbb50936bf997ebd5218cb108dc53f41c64841d0218167430c"
+    "a03b770ca74ccb642a28194d1dedd2ed13151e25ec5d7faeb6d060bfb7e6b146"
+    "8adc91fd9ff4f0f51b0fad50ff15d637e40efda206cc52c783a74200503c1582"
+    "cd9833367d0a54d57d3c9e998f490ee69ca34c1ff9e939a75584c52d690a35d4"
+)
+
+
+class TestBlockFunction:
+    def test_block_matches_rfc_section_2_3_2(self):
+        assert ChaCha20(RFC_KEY, RFC_BLOCK_NONCE)._block(1) == RFC_BLOCK
+
+    def test_counter_wraps_at_32_bits(self):
+        keystream = chacha20_encrypt(RFC_KEY, RFC_BLOCK_NONCE, bytes(128), counter=2**32 - 1)
+        assert keystream == WRAP_KEYSTREAM
+        cipher = ChaCha20(RFC_KEY, RFC_BLOCK_NONCE)
+        assert keystream[64:] == cipher._block(0) == cipher._block(2**32)
+
+
 class TestRoundtrip:
     def test_roundtrip_various_lengths(self):
         key, nonce = b"k" * 32, b"n" * 12

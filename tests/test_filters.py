@@ -1,9 +1,11 @@
 """Unit tests for Bloom filters, counting filters, and sizing math."""
 
+import hashlib
 import math
 
 import pytest
 
+from benchmarks.test_bloom_micro import _naive_contains
 from repro.filters import (
     BloomFilter,
     CountingBloomFilter,
@@ -11,6 +13,7 @@ from repro.filters import (
     optimal_num_hashes,
     size_for_capacity,
 )
+from repro.filters.bloom import PROBE_MEMO_SIZE, _probes
 
 
 class TestParams:
@@ -133,6 +136,78 @@ class TestBloomFilter:
         for i in range(50):
             bf.insert(f"t{i}")
         assert 0.0 < bf.fill_ratio() < 1.0
+
+
+def _naive_bits(bloom, items):
+    """The bit array a filter of ``bloom``'s shape holds after inserting
+    ``items``, from the double-hash formula with no memo."""
+    bits = bytearray(len(bloom._bits))
+    for item in items:
+        key = item.encode("utf-8") if isinstance(item, str) else bytes(item)
+        digest = hashlib.blake2b(key, digest_size=16).digest()
+        h1 = int.from_bytes(digest[:8], "big")
+        h2 = int.from_bytes(digest[8:], "big") | 1
+        for i in range(bloom.num_hashes):
+            idx = (h1 + i * h2) % bloom.size_bits
+            bits[idx >> 3] |= 1 << (idx & 7)
+    return bits
+
+
+class TestProbeMemo:
+    """``contains``/``insert`` walk memoized probe positions; they must
+    agree with the unmemoized double hash, cold or warm."""
+
+    def test_repeated_keys_match_the_reference(self):
+        _probes.cache_clear()
+        bloom = BloomFilter(capacity=50, max_fpp=1e-2)
+        keys = [f"tag-{i % 7}".encode() for i in range(60)]
+        for key in keys:
+            bloom.insert(key)
+        assert bloom._bits == _naive_bits(bloom, keys)
+        probes = [f"tag-{i % 13}".encode() for i in range(80)]
+        for _ in range(2):  # the second pass is all memo hits
+            assert [bloom.contains(p) for p in probes] == [
+                _naive_contains(bloom, p) for p in probes
+            ]
+        assert _probes.cache_info().hits > 0
+
+    def test_one_key_in_two_filters_of_different_sizes(self):
+        small = BloomFilter(capacity=10)
+        large = BloomFilter(capacity=1000)
+        assert small.size_bits != large.size_bits
+        key = b"shared-tag"
+        small.insert(key)
+        large.insert(key)
+        assert small._bits == _naive_bits(small, [key])
+        assert large._bits == _naive_bits(large, [key])
+        # A memo entry of one size must not answer for the other.
+        for other in (b"other-%d" % i for i in range(200)):
+            small.insert(other)
+            assert large.contains(other) == _naive_contains(large, other)
+
+    def test_str_and_bytearray_items(self):
+        bloom = BloomFilter(capacity=100)
+        bloom.insert("text-tag")
+        bloom.insert(bytearray(b"buffer-tag"))
+        assert bloom._bits == _naive_bits(bloom, ["text-tag", b"buffer-tag"])
+        for item in ("text-tag", b"text-tag", bytearray(b"text-tag"), "buffer-tag",
+                     bytearray(b"buffer-tag"), "absent", bytearray(b"absent")):
+            key = item.encode("utf-8") if isinstance(item, str) else bytes(item)
+            assert bloom.contains(item) == _naive_contains(bloom, key)
+
+    def test_counting_filter_shares_the_probe_positions(self):
+        cbf = CountingBloomFilter(capacity=100)
+        cbf.insert(bytearray(b"k"))
+        assert cbf.contains("k") and cbf.contains(b"k")
+        assert cbf.remove(b"k") and not cbf.contains(bytearray(b"k"))
+
+    def test_memo_is_bounded(self):
+        bloom = BloomFilter(capacity=100)
+        for i in range(PROBE_MEMO_SIZE + 10):
+            bloom.contains(b"distinct-%d" % i)
+        info = _probes.cache_info()
+        assert info.maxsize == PROBE_MEMO_SIZE
+        assert info.currsize <= PROBE_MEMO_SIZE
 
 
 class TestCountingBloomFilter:

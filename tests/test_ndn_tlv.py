@@ -11,6 +11,7 @@ from repro.crypto.sim_signature import SimulatedKeyPair
 from repro.ndn.name import Name
 from repro.ndn.packets import AttachedNack, Data, Interest, Nack, NackReason
 from repro.ndn.tlv import (
+    TLV_NAME_COMPONENT,
     TlvError,
     decode_data,
     decode_interest,
@@ -98,6 +99,14 @@ class TestNameCodec:
         bogus = encode_tlv(0x99, b"x")
         with pytest.raises(TlvError):
             decode_name(bogus)
+
+    @pytest.mark.parametrize("component", [b"", b"a/b"])
+    def test_component_no_name_can_hold_is_rejected(self, component):
+        body = encode_tlv(TLV_NAME_COMPONENT, b"a") + encode_tlv(
+            TLV_NAME_COMPONENT, component
+        )
+        with pytest.raises(TlvError):
+            decode_name(body)
 
 
 class TestTagCodec:

@@ -39,6 +39,18 @@ name_components = st.lists(
 )
 
 
+# Components as a caller might pass them: any text (empty and "/"
+# included) and numbers, which the constructor converts.
+any_parts = st.lists(
+    st.one_of(
+        st.text(max_size=4),
+        st.text(alphabet="ab/", max_size=3),
+        st.integers(min_value=0, max_value=99),
+    ),
+    max_size=5,
+)
+
+
 class TestNameProperties:
     @given(name_components)
     def test_uri_roundtrip(self, components):
@@ -58,6 +70,21 @@ class TestNameProperties:
     @given(name_components)
     def test_hash_consistent_with_equality(self, components):
         assert hash(Name(components)) == hash(Name(list(components)))
+
+    @given(any_parts, any_parts)
+    def test_every_constructible_name_round_trips_through_its_uri(self, parts, more):
+        # The per-hop tables key by the URI, so it must be one-to-one
+        # with the name however the name was built.
+        try:
+            name = Name(parts)
+        except ValueError:
+            return
+        try:
+            name = name.append(*more)
+        except ValueError:
+            pass
+        assert Name(name.to_uri()) == name
+        assert Name(name.to_uri()).to_uri() == name.to_uri()
 
 
 # Child components for Name.append: plain text (empty allowed), numbers,
@@ -94,8 +121,14 @@ class TestNameAppend:
     def test_edge_cases(self):
         root = Name()
         assert root.append("a").to_uri() == "/a"
-        assert root.append("").to_uri() == Name(("",)).to_uri() == "/"
-        assert Name("/a").append("", "b").components == ("a", "", "b")
+        # An empty component would render as no component at all, so
+        # two different names would share one URI (and one table key).
+        with pytest.raises(ValueError):
+            root.append("")
+        with pytest.raises(ValueError):
+            Name(("",))
+        with pytest.raises(ValueError):
+            Name("/a").append("", "b")
         assert Name("/a").append(7) == Name("/a/7")
         assert Name("/a").append() == Name("/a")
         with pytest.raises(ValueError):

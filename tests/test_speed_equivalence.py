@@ -599,3 +599,46 @@ def test_mixed_entry_shapes_dispatch_in_reference_order(until):
     assert _mixed_dispatch(sanitized, until) == expected
     assert sanitizers[0].stream_digest() == digest
 
+
+
+# ----------------------------------------------------------------------
+# Ties between a link delivery and an Event
+# ----------------------------------------------------------------------
+
+
+def _linked_pair():
+    """Two bare nodes on one lossless link; returns the sim, the
+    sender's face and the list the receiver's arrivals append to."""
+    from repro.ndn.link import Link
+    from repro.ndn.node import Node
+
+    sim = Simulator(seed=1)
+    a, b = Node(sim, "a"), Node(sim, "b")
+    link = Link(sim, a, b, bandwidth_bps=10e6, latency=0.002)
+    order = []
+    b.receive = lambda packet, face: order.append("link")
+    return sim, link.face_of(a), order
+
+
+def _delivery_time() -> float:
+    sim, face, _ = _linked_pair()
+    assert face.send(Interest(name=Name("/p/o/c")))
+    return sim.peek_time()
+
+
+@pytest.mark.parametrize("event_first", [False, True])
+def test_link_delivery_and_event_tie_in_scheduling_order(event_first):
+    # Face.send pushes its delivery onto the heap itself; the entry's
+    # seq must come from the counter Events draw from, or a same-time
+    # Event would be ordered by which counter is further along instead
+    # of by which was scheduled first.
+    arrival = _delivery_time()
+    sim, face, order = _linked_pair()
+    if event_first:
+        sim.schedule_at(arrival, order.append, "event")
+    assert face.send(Interest(name=Name("/p/o/c")))
+    if not event_first:
+        sim.schedule_at(arrival, order.append, "event")
+    assert sim.peek_time() == arrival
+    sim.run()
+    assert order == (["event", "link"] if event_first else ["link", "event"])
