@@ -29,7 +29,6 @@ from benchmarks.conftest import RESULTS_DIR, publish
 from repro.exec import ExperimentEngine
 from repro.experiments.fig5_latency import enumerate_fig5
 from repro.experiments.report import render_table
-from repro.obs.metrics import MetricsRegistry
 
 #: Scaled so the whole tri-modal comparison stays CI-sized; see each
 #: figure module's docstring for the paper-scale parameters.
@@ -55,7 +54,7 @@ def _sweep_specs():
 
 
 def _timed_run(specs, **kwargs):
-    engine = ExperimentEngine(registry=MetricsRegistry(), obs=("simsan",), **kwargs)
+    engine = ExperimentEngine(obs=("simsan",), **kwargs)
     began = time.perf_counter()
     summaries = engine.run_specs(specs)
     return time.perf_counter() - began, summaries

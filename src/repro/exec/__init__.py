@@ -18,7 +18,6 @@ if TYPE_CHECKING:
     from repro.exec.engine import (
         ExecStats,
         ExperimentEngine,
-        default_registry,
         resolve_jobs,
         run_specs,
     )
@@ -35,7 +34,6 @@ _EXPORTS = {
     "code_fingerprint": "cache",
     "ExecStats": "engine",
     "ExperimentEngine": "engine",
-    "default_registry": "engine",
     "resolve_jobs": "engine",
     "run_specs": "engine",
     "ScenarioSpec": "spec",

@@ -14,10 +14,9 @@ rows.  The engine owns everything in between:
   ``RunResult``.  Spawn (not fork) keeps workers free of inherited
   interpreter state, so a worker run is bit-identical to an in-process
   run of the same seed.
-- **Telemetry** — per-run wall clock, run counts by execution mode, and
-  cache hit/miss counters land in a
-  :class:`~repro.obs.metrics.MetricsRegistry` (the module-default one,
-  or any registry passed in).
+- **Counters** — per-run wall clock, run counts by execution mode, and
+  cache hit/miss counts land in the engine's own :class:`ExecStats`
+  (the ``telemetry`` report's ``exec`` block).
 - **Status line** — when its stream (stderr by default) is a TTY, the
   engine redraws one :class:`~repro.obs.fleet.FleetProgress` line per
   probe, dispatch and completion; on a pipe or file it writes nothing.
@@ -59,28 +58,12 @@ from repro.exec.cache import RunCache, cache_key
 from repro.exec.spec import ScenarioSpec
 from repro.exec.summary import RunSummary, summarize
 from repro.obs.instruments import INSTRUMENTS, Obs, make_live, resolve
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ExecStats", "ExperimentEngine", "resolve_jobs", "run_specs"]
 
 #: Environment knobs (documented in docs/PERFORMANCE.md).
 JOBS_ENV = "REPRO_JOBS"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Histogram buckets for per-run wall clock (seconds); runs range from
-#: sub-second CI points to minutes-long paper-scale sweeps.
-WALL_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0)
-
-_default_registry: Optional[MetricsRegistry] = None
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry engine instances record into."""
-    global _default_registry
-    if _default_registry is None:
-        _default_registry = MetricsRegistry()
-    return _default_registry
-
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Explicit argument > ``REPRO_JOBS`` env > 1 (serial).
@@ -132,7 +115,8 @@ def _execute_indexed(
 
 @dataclass
 class ExecStats:
-    """Plain counters mirroring the engine's registry metrics."""
+    """One engine's counters: runs executed by mode, cache probes by
+    result, and every executed run's wall clock."""
 
     serial_runs: int = 0
     parallel_runs: int = 0
@@ -155,8 +139,6 @@ class ExperimentEngine:
     use_cache:
         ``False`` disables the cache even when a directory is known
         (the CLI's ``--no-cache``).
-    registry:
-        Metrics registry to record into (``None`` = the module default).
     obs:
         Instruments to attach to every run (:mod:`repro.obs.instruments`
         names, as an iterable or a comma list; ``None`` = ``REPRO_OBS``
@@ -174,7 +156,6 @@ class ExperimentEngine:
         jobs: Optional[int] = None,
         cache_dir: Optional[Any] = None,
         use_cache: bool = True,
-        registry: Optional[MetricsRegistry] = None,
         obs: Optional[Iterable[str]] = None,
         obs_out: Optional[str] = None,
         stream: Optional[object] = None,
@@ -186,34 +167,16 @@ class ExperimentEngine:
         self.cache: Optional[RunCache] = (
             RunCache(directory) if (use_cache and directory is not None) else None
         )
-        self.registry = registry if registry is not None else default_registry()
         self.obs = resolve(obs, obs_out)
         #: Fleet-merged instrument records by name, folded in submission
         #: order (cache hits included) — bit-identical between serial
-        #: and parallel execution.  The telemetry view starts from this
-        #: engine's exec counters, so its report is the whole-fleet
-        #: snapshot.
+        #: and parallel execution.  The telemetry view also holds this
+        #: engine's :class:`ExecStats`, the ``exec`` block of its report.
         self.fleet: Dict[str, Dict[str, Any]] = {name: {} for name in self.obs.names}
-        if "telemetry" in self.fleet:
-            self.fleet["telemetry"]["exec"] = self.registry
         self.stream = stream if stream is not None else sys.stderr
         self.stats = ExecStats()
-        self._runs_total = self.registry.counter(
-            "exec_runs_total",
-            "Scenario runs executed by the experiment engine, by mode.",
-            labelnames=("mode",),
-        )
-        self._cache_events = self.registry.counter(
-            "exec_cache_events_total",
-            "Run-cache probes by result.",
-            labelnames=("result",),
-        )
-        self._worker_wall = self.registry.histogram(
-            "exec_worker_wall_seconds",
-            "Per-run wall-clock seconds, by execution mode.",
-            labelnames=("mode",),
-            buckets=WALL_BUCKETS,
-        )
+        if "telemetry" in self.fleet:
+            self.fleet["telemetry"]["exec"] = self.stats
 
     # ------------------------------------------------------------------
     # Execution
@@ -255,12 +218,10 @@ class ExperimentEngine:
                     hit.cached = True
                     results[index] = hit
                     self.stats.cache_hits += 1
-                    self._cache_events.labels(result="hit").inc()
                     if progress is not None:
                         progress.spec_cached()
                     continue
                 self.stats.cache_misses += 1
-                self._cache_events.labels(result="miss").inc()
             pending.append((index, spec, key))
 
         def submit() -> None:
@@ -355,8 +316,6 @@ class ExperimentEngine:
             self.stats.serial_runs += 1
         self.stats.worker_wall_total += summary.wall_seconds
         self.stats.per_run_wall.append(summary.wall_seconds)
-        self._runs_total.labels(mode=mode).inc()
-        self._worker_wall.labels(mode=mode).observe(summary.wall_seconds)
 
 
 def run_specs(
@@ -364,7 +323,6 @@ def run_specs(
     jobs: Optional[int] = None,
     cache_dir: Optional[Any] = None,
     use_cache: bool = True,
-    registry: Optional[MetricsRegistry] = None,
     figure: str = "",
     obs: Optional[Iterable[str]] = None,
 ) -> List[RunSummary]:
@@ -373,7 +331,6 @@ def run_specs(
         jobs=jobs,
         cache_dir=cache_dir,
         use_cache=use_cache,
-        registry=registry,
         obs=obs,
     )
     return engine.run_specs(specs, figure=figure)

@@ -2,8 +2,6 @@
 
 One package gathers everything a run can tell you about itself:
 
-- :mod:`repro.obs.metrics` — a labeled metrics registry (counters,
-  gauges, histograms) with JSON and Prometheus-text exporters;
 - :mod:`repro.obs.spans` — Interest-lifecycle spans reconstructed from
   ``span.*`` trace events, decomposing per-request latency into
   queue / serialization / propagation / compute segments;
@@ -18,8 +16,9 @@ One package gathers everything a run can tell you about itself:
 - :mod:`repro.obs.profiler` — a statistical stack sampler emitting
   collapsed-stack flamegraph input, and the wall-clock heartbeat;
 - :mod:`repro.obs.session` — the ``telemetry`` row: one
-  :class:`~repro.obs.session.TelemetrySession` per run bridging the
-  run's counters into a metrics registry;
+  :class:`~repro.obs.session.TelemetrySession` per run reading the
+  run's router operations, user outcomes and client-latency buckets
+  into plain dicts;
 - :mod:`repro.obs.audit` — access-control decision records with a
   ground-truth oracle labeling each one correct / false-positive /
   false-negative (the empirical BF-misauthorization report);
@@ -28,7 +27,7 @@ One package gathers everything a run can tell you about itself:
   demand;
 - :mod:`repro.obs.statescope` — the state-footprint observatory:
   periodic deep-byte accounting over every stateful structure (PIT,
-  CS, Bloom filters, FIB, audit shadows, spans, event heap), linear
+  CS, Bloom filters, FIB, audit shadows, event heap), linear
   trend fitting that flags unbounded growth, and conformance checks
   comparing empirical occupancy against the ``repro.analysis`` closed
   forms;
@@ -49,7 +48,6 @@ if TYPE_CHECKING:
     from repro.obs.audit import DECISION_KINDS, DecisionAudit, DecisionRecord
     from repro.obs.flightrec import FlightRecorder
     from repro.obs.layers import ENTRY_POINTS, LayerTracer
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.profiler import StackSampler, merge_collapsed
     from repro.obs.samplers import PeriodicSampler
     from repro.obs.session import TelemetrySession
@@ -73,7 +71,6 @@ _EXPORTS = {
     "FlightRecorder": "flightrec",
     "ENTRY_POINTS": "layers",
     "LayerTracer": "layers",
-    "MetricsRegistry": "metrics",
     "StackSampler": "profiler",
     "merge_collapsed": "profiler",
     "PeriodicSampler": "samplers",

@@ -22,10 +22,8 @@ runner calls even when the run raises.  ``run`` is the assembled run;
 ``run.instruments`` maps names to its peers, so each finds the one it
 feeds: the audit feeds the flight recorder's ring and a SimSan
 violation triggers its dump, the statescope
-reads the audit's shadow sets, samples back gauges in the telemetry
-registry, the trace carries the statescope timeline, and telemetry
-bridges the audit and gathers its peers' records.  Installs follow
-table order and finalizes run in reverse.
+reads the audit's shadow sets, and the trace carries the statescope
+timeline.  Installs follow table order and finalizes run in reverse.
 """
 
 from __future__ import annotations
@@ -135,10 +133,8 @@ def _count_runs(into: Dict[str, Any], record: Dict[str, Any]) -> Dict[str, Any]:
 #: Every instrument, in install order.  SimSan installs first, right
 #: after the build, so its hooks see every table before a peer touches
 #: it, and finalizes last, so an end-of-run violation raises only after
-#: every peer has finalized.  Telemetry installs before the peers whose
-#: records it gathers (so it finalizes after them), samples after
-#: telemetry (whose registry backs its gauges), and the trace before the
-#: statescope (whose final timeline it carries).
+#: every peer has finalized.  The trace installs before the statescope
+#: (whose final timeline it carries).
 INSTRUMENTS: Dict[str, Instrument] = {
     "simsan": Instrument(_make_simsan, _append_run, _runs_report),
     "audit": Instrument(

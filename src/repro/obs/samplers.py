@@ -3,9 +3,7 @@
 A :class:`PeriodicSampler` schedules a read-only tick every
 ``interval`` virtual seconds up to a horizon and evaluates a list of
 *probes* — named zero-argument callables with a label set.  Samples
-accumulate as ``(time, value)`` series and, when a
-:class:`~repro.obs.metrics.MetricsRegistry` is attached, also back
-callback gauges so the final metrics export carries last-known values.
+accumulate as ``(time, value)`` series.
 
 The tick never touches protocol state or any named RNG stream, so an
 enabled sampler changes ``events_executed`` but **no published figure
@@ -18,10 +16,9 @@ false-positive probability, per-direction link queue depth, and the
 scheduler's pending-event count.
 
 As the ``samples`` row of :mod:`repro.obs.instruments` a sampler
-installs itself on a run with that probe set, ticks every
+installs itself on a run with that probe set and ticks every
 :data:`~repro.obs.instruments.SAMPLE_INTERVAL` virtual seconds up to
-the run's horizon and backs its gauges in the ``telemetry`` peer's
-registry when that row is selected too.
+the run's horizon.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.instruments import SAMPLE_INTERVAL
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 
 
@@ -56,14 +52,12 @@ class PeriodicSampler:
         sim: Optional[Simulator] = None,
         interval: float = SAMPLE_INTERVAL,
         until: Optional[float] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"sample interval must be positive, got {interval!r}")
         self.sim = sim
         self.interval = interval
         self.until = until
-        self.registry = registry
         self.probes: List[Probe] = []
         self.series: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], List[Tuple[float, float]]] = {}
         self.ticks = 0
@@ -73,13 +67,10 @@ class PeriodicSampler:
 
     def install(self, run) -> "PeriodicSampler":
         """Instrument protocol: sample ``run``'s network up to its
-        horizon, backing gauges in the telemetry peer's registry."""
+        horizon."""
         self.sim = run.sim
         self.until = run.horizon
         self.label = run.label
-        telemetry = run.instruments.get("telemetry")
-        if telemetry is not None:
-            self.registry = telemetry.registry
         if run.network is not None:
             self.install_standard_probes(run.network)
         self.start()
@@ -97,11 +88,6 @@ class PeriodicSampler:
         probe = Probe(name=name, fn=fn, labels=dict(labels))
         self.probes.append(probe)
         self.series[probe.key()] = []
-        if self.registry is not None:
-            gauge = self.registry.gauge(
-                name, labelnames=tuple(sorted(probe.labels))
-            )
-            gauge.labels(**probe.labels).set_function(fn)
         return probe
 
     def install_standard_probes(self, network) -> None:

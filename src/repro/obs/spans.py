@@ -229,14 +229,6 @@ class SpanRecorder:
         for event in SPAN_EVENTS:
             self.sim.trace.unsubscribe(event, self.builder.add)
 
-    def state_cost(self) -> Dict[str, int]:
-        """Statescope accounting: open (un-ended) spans + deep bytes of
-        the whole span table — a span leak shows up in ``open``."""
-        from repro.obs.statescope import deep_sizeof
-
-        open_spans = sum(1 for span in self.builder.spans.values() if not span.ended)
-        return {"open": open_spans, "bytes": deep_sizeof(self.builder.spans)}
-
 
 def spans_from_records(records: Iterable[TraceRecord]) -> Dict[int, Span]:
     """Offline reconstruction from a persisted trace (JSONL round-trip)."""

@@ -6,14 +6,14 @@ per-client ACLs.  The rest of the observability stack measures time
 exhaustively; this module measures state.  Two pieces:
 
 1. **Accounting** — every stateful structure (PIT, ContentStore,
-   BloomFilter, FIB, the audit shadow sets, pending spans, the event
-   heap) implements a ``state_cost()`` protocol returning logical
+   BloomFilter, FIB, the audit shadow sets, the event heap)
+   implements a ``state_cost()`` protocol returning logical
    units (entries / records / bits set) plus deep bytes via
    :func:`deep_sizeof`, a memoized recursive sizeof that understands
    ``__slots__`` layouts.  A :class:`StateScope` samples the fleet
    totals every ``interval`` virtual seconds (with an end-of-run
    flush, so short runs are never invisible) and fits a per-series
-   trend, flagging unbounded growth — a PIT-record or span leak — as a
+   trend, flagging unbounded growth — a PIT-record leak — as a
    typed finding.
 
 2. **Conformance** — at finalize the scope walks the live structures
@@ -61,8 +61,6 @@ STATESCOPE_SERIES = (
     "state.fib.bytes",
     "state.audit.shadow",
     "state.audit.bytes",
-    "state.spans.open",
-    "state.spans.bytes",
     "state.heap.pending",
     "state.heap.bytes",
     "state.total.bytes",
@@ -74,7 +72,6 @@ STATESCOPE_SERIES = (
 GROWTH_SERIES = (
     "state.pit.entries",
     "state.pit.records",
-    "state.spans.open",
     "state.heap.pending",
 )
 
@@ -286,7 +283,6 @@ class StateScope:
         self._network: Optional[Any] = None
         self._config: Optional[Any] = None
         self._audit: Optional[Any] = None
-        self._spans: Optional[Any] = None
         self._pits: List[Tuple[str, Any]] = []
         self._stores: List[Tuple[str, Any]] = []
         self._blooms: List[Tuple[str, Any]] = []
@@ -394,14 +390,6 @@ class StateScope:
             self.track("state.audit.shadow", now, 0.0)
             self.track("state.audit.bytes", now, 0.0)
 
-        if self._spans is not None and hasattr(self._spans, "state_cost"):
-            cost = self._spans.state_cost()
-            self.track("state.spans.open", now, float(cost["open"]))
-            self.track("state.spans.bytes", now, float(cost["bytes"]))
-        else:
-            self.track("state.spans.open", now, 0.0)
-            self.track("state.spans.bytes", now, 0.0)
-
         heap = getattr(self.sim, "_heap", None)
         pending = self.sim.pending() if hasattr(self.sim, "pending") else 0
         self.track("state.heap.pending", now, float(pending))
@@ -417,7 +405,6 @@ class StateScope:
             + values["state.bf.bytes"]
             + values["state.fib.bytes"]
             + values["state.audit.bytes"]
-            + values["state.spans.bytes"]
             + values["state.heap.bytes"],
         )
 

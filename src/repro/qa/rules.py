@@ -79,7 +79,6 @@ _CALLBACK_FACTORIES = {"partial", "methodcaller", "attrgetter", "itemgetter"}
 #: assignment to one of them declares every string in its value.
 _REGISTRIES: Dict[str, Tuple[str, ...]] = {
     "events": ("KNOWN_EVENTS", "SPAN_EVENTS"),
-    "metrics": ("METRIC_NAMES",),
     "decisions": ("DECISION_KINDS",),  # repro.obs.audit
     "statescope": ("STATESCOPE_SERIES",),  # repro.obs.statescope
 }
@@ -480,8 +479,8 @@ class RegistryRow:
 
 #: Every registry check, one row per call family.  A typo'd name at any
 #: of these call sites doesn't error: it silently forks a namespace that
-#: downstream consumers key on (trace subscribers, metric families, the
-#: audit report, the statescope series), so each is checked against its
+#: downstream consumers key on (trace subscribers, the audit report,
+#: the statescope series), so each is checked against its
 #: declared registry.  A check stays quiet when the scan saw no
 #: declaration of its registry, so linting a lone snippet without its
 #: registries stays clean.
@@ -493,13 +492,6 @@ REGISTRY_ROWS: Tuple[RegistryRow, ...] = (
         "events",
         "event name {name!r} is not declared in any event registry "
         "(KNOWN_EVENTS / SPAN_EVENTS)",
-    ),
-    RegistryRow(
-        "SL003",
-        frozenset({"counter", "gauge", "histogram", "add_probe"}),
-        None,
-        "metrics",
-        "metric name {name!r} is not declared in METRIC_NAMES",
     ),
     RegistryRow(
         "SL008",
@@ -660,8 +652,8 @@ FILE_RULES: Sequence[Rule] = (
     StdlibRandomRule(),
     RegistryRule(
         "SL003",
-        "event/metric names must be declared in a registry",
-        "SL003: every emitted event / registered metric name is declared.",
+        "event names must be declared in a registry",
+        "SL003: every emitted or subscribed event name is declared.",
     ),
     MutableDefaultRule(),
     ScheduleMisuseRule(),

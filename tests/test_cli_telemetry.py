@@ -3,7 +3,7 @@
 These tests run real (tiny) scenarios through ``python -m repro``'s
 ``main``, through the engine and through ``run_scenario`` with the
 telemetry rows attached, then check the three acceptance properties:
-parseable artifacts, bridged counters equal to the figures'
+parseable artifacts, telemetry counts equal to the figures'
 OpCounters, and zero change to published values when telemetry is on.
 """
 
@@ -15,11 +15,11 @@ import pytest
 
 from repro.__main__ import main
 from repro.exec import ExperimentEngine, ScenarioSpec
+from repro.exec.summary import OP_FIELDS
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
 from repro.obs.instruments import INSTRUMENTS, OBS_ENV, OBS_OUT_ENV, make_live, resolve
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.session import ROUTER_OPS, TelemetrySession
+from repro.obs.session import LATENCY_BUCKETS
 
 #: The flags the ``telemetry``, ``trace``, ``samples``, ``profile``,
 #: ``flame`` and ``heartbeat`` rows replaced.
@@ -64,22 +64,23 @@ class TestCliFlags:
         assert "events/sec" in captured.err  # layer table went to stderr
 
         document = json.loads((out / "telemetry.json").read_text())
-        assert "exec_runs_total" in document["metrics"]
         assert document["runs"]
+        assert document["exec"]["serial_runs"] == len(document["runs"])
         run = document["runs"][0]
         assert run["wall_seconds"] > 0
         assert run["virtual_seconds"] > 0
-        assert "tactic_router_ops_total" in run["metrics"]
-        assert run["profile"]["events"] == run["events_executed"]
-        layers = run["profile"]["layers"]
+        assert {node["role"] for node in run["router_ops"].values()} == {"edge", "core"}
+        profile = json.loads((out / "profile.json").read_text())
+        assert [r["events"] for r in profile["runs"]] == [
+            r["events_executed"] for r in document["runs"]
+        ]
+        layers = profile["runs"][0]["layers"]
         assert "sim.loop" in layers
         own = sum(row["self_s"] for row in layers.values())
         assert own == pytest.approx(layers["sim.loop"]["total_s"], rel=0.01)
-        assert run["samples"], "sampler produced no series"
-        profile = json.loads((out / "profile.json").read_text())
-        assert [r["layers"] for r in profile["runs"]] == [
-            r["profile"]["layers"] for r in document["runs"]
-        ]
+        samples = json.loads((out / "samples.json").read_text())
+        assert len(samples["runs"]) == len(document["runs"])
+        assert all(r["series"] for r in samples["runs"]), "sampler produced no series"
 
         files = sorted((out / "trace").iterdir())
         assert len(files) == len(document["runs"])
@@ -112,38 +113,33 @@ class TestCliFlags:
             assert name in INSTRUMENTS
 
 
+def _telemetry_run():
+    obs = resolve(("telemetry",))
+    result = run_scenario(_tiny_scenario(), instruments=make_live(obs))
+    return result, result.instruments["telemetry"]
+
+
 class TestBridgedCounters:
     def test_router_ops_match_figure_counters(self):
-        session = TelemetrySession()
-        result = run_scenario(_tiny_scenario(), instruments=[session])
-        snapshot = session.registry.snapshot()
-        samples = snapshot["tactic_router_ops_total"]["samples"]
-
+        result, record = _telemetry_run()
+        ops = record["router_ops"]
         for edge in (True, False):
             role = "edge" if edge else "core"
             merged = result.metrics.merged_counters(edge=edge)
-            totals = {op: 0.0 for op in ROUTER_OPS}
-            for sample in samples:
-                if sample["labels"]["role"] == role:
-                    totals[sample["labels"]["op"]] += sample["value"]
-            for op in ROUTER_OPS:
-                assert totals[op] == getattr(merged, op), (role, op)
+            for op in OP_FIELDS:
+                total = sum(node[op] for node in ops.values() if node["role"] == role)
+                assert total == getattr(merged, op), (role, op)
 
     def test_user_outcomes_match_collector(self):
-        session = TelemetrySession()
-        result = run_scenario(_tiny_scenario(), instruments=[session])
-        snapshot = session.registry.snapshot()
-        values = {
-            (s["labels"]["population"], s["labels"]["kind"]): s["value"]
-            for s in snapshot["user_outcomes_total"]["samples"]
-        }
-        assert values[("clients", "chunks_requested")] == (
+        result, record = _telemetry_run()
+        outcomes = record["user_outcomes"]
+        assert outcomes["clients"]["chunks_requested"] == (
             result.metrics.total_requested(False)
         )
-        assert values[("attackers", "chunks_received")] == (
+        assert outcomes["attackers"]["chunks_received"] == (
             result.metrics.total_received(True)
         )
-        latency = snapshot["client_latency_seconds"]["samples"][0]
+        latency = record["client_latency"]
         client_samples = [
             latency_value
             for user in result.metrics.users.values()
@@ -152,6 +148,14 @@ class TestBridgedCounters:
         ]
         assert latency["count"] == len(client_samples)
         assert latency["sum"] == pytest.approx(sum(client_samples))
+        # Each sample sits in the first bucket whose bound it does not
+        # exceed, counted here by a plain scan of the bounds.
+        expected = dict.fromkeys(latency["buckets"], 0)
+        for value in client_samples:
+            bound = next((b for b in LATENCY_BUCKETS if value <= b), None)
+            expected[repr(bound) if bound is not None else "+Inf"] += 1
+        assert latency["buckets"] == expected
+        assert list(expected) == [repr(b) for b in LATENCY_BUCKETS] + ["+Inf"]
 
 
 class TestZeroBehaviourChange:
@@ -178,8 +182,7 @@ class TestZeroBehaviourChange:
             for seed in (3, 4)
         ]
         engine = ExperimentEngine(
-            jobs=1, use_cache=False, registry=MetricsRegistry(),
-            obs=("telemetry", "trace"), obs_out=str(tmp_path),
+            jobs=1, use_cache=False, obs=("telemetry", "trace"), obs_out=str(tmp_path),
         )
         engine.run_specs(specs)
         document = json.loads((tmp_path / "telemetry.json").read_text())

@@ -23,8 +23,7 @@ from repro.exec import (
 )
 from repro.exec.engine import _execute_spec
 from repro.obs.instruments import INSTRUMENTS, OBS_ENV, OBS_OUT_ENV, Obs, resolve
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.session import telemetry_report
+from repro.obs.session import COUNT_KEYS, telemetry_report
 
 #: Small enough for CI, large enough that every figure quantity is
 #: non-trivial (clients request, attackers probe, filters fill).
@@ -123,10 +122,8 @@ class TestRunSummary:
 class TestSerialParallelEquivalence:
     def test_jobs4_matches_jobs1_bit_for_bit(self):
         specs = [fast_spec(seed=seed) for seed in (1, 2)]
-        serial = run_specs(specs, jobs=1, use_cache=False,
-                           registry=MetricsRegistry(), obs=("simsan",))
-        parallel = run_specs(specs, jobs=4, use_cache=False,
-                             registry=MetricsRegistry(), obs=("simsan",))
+        serial = run_specs(specs, jobs=1, use_cache=False, obs=("simsan",))
+        parallel = run_specs(specs, jobs=4, use_cache=False, obs=("simsan",))
         assert [s.metrics_dict() for s in serial] == \
             [p.metrics_dict() for p in parallel]
         digests = [s.instruments["simsan"]["digest"] for s in serial]
@@ -151,8 +148,7 @@ class TestSerialParallelEquivalence:
 
     def test_results_keep_submission_order(self, tmp_path):
         specs = [fast_spec(seed=seed) for seed in (3, 1, 2)]
-        summaries = run_specs(specs, jobs=1, cache_dir=tmp_path,
-                              registry=MetricsRegistry())
+        summaries = run_specs(specs, jobs=1, cache_dir=tmp_path)
         assert [s.seed for s in summaries] == [3, 1, 2]
 
 
@@ -161,14 +157,14 @@ class TestSerialParallelEquivalence:
 # ---------------------------------------------------------------------------
 class TestPoolTeardown:
     def test_no_worker_left_after_a_run(self):
-        engine = ExperimentEngine(jobs=2, use_cache=False, registry=MetricsRegistry())
+        engine = ExperimentEngine(jobs=2, use_cache=False)
         assert len(engine.run_specs([fast_spec(seed=seed) for seed in (1, 2)])) == 2
         assert engine.stats.parallel_runs == 2
         assert multiprocessing.active_children() == []
 
     def test_no_worker_left_after_a_worker_build_raises(self):
         broken = fast_spec(seed=2, overrides=dict(no_such_field=1))
-        engine = ExperimentEngine(jobs=2, use_cache=False, registry=MetricsRegistry())
+        engine = ExperimentEngine(jobs=2, use_cache=False)
         with pytest.raises(TypeError, match="no_such_field"):
             engine.run_specs([fast_spec(seed=1), broken])
         assert multiprocessing.active_children() == []
@@ -180,13 +176,13 @@ class TestPoolTeardown:
 class TestRunCache:
     def test_hit_returns_without_executing(self, tmp_path, monkeypatch):
         spec = fast_spec()
-        first = run_specs([spec], cache_dir=tmp_path, registry=MetricsRegistry())
+        first = run_specs([spec], cache_dir=tmp_path)
 
         def explode(_spec):
             raise AssertionError("cache hit must not execute the scenario")
 
         monkeypatch.setattr("repro.exec.engine._execute_spec", explode)
-        engine = ExperimentEngine(cache_dir=tmp_path, registry=MetricsRegistry())
+        engine = ExperimentEngine(cache_dir=tmp_path)
         second = engine.run_specs([spec])
         assert second == first  # provenance excluded; measurements equal
         assert second[0].cached and not first[0].cached
@@ -195,10 +191,8 @@ class TestRunCache:
 
     def test_cache_round_trips_exactly(self, tmp_path):
         spec = fast_spec()
-        first = run_specs([spec], cache_dir=tmp_path, registry=MetricsRegistry(),
-                          obs=("simsan",))
-        cached = run_specs([spec], cache_dir=tmp_path, registry=MetricsRegistry(),
-                           obs=("simsan",))
+        first = run_specs([spec], cache_dir=tmp_path, obs=("simsan",))
+        cached = run_specs([spec], cache_dir=tmp_path, obs=("simsan",))
         assert cached[0].cached
         assert cached[0].metrics_dict() == first[0].metrics_dict()
         assert cached[0].instruments["simsan"] == first[0].instruments["simsan"]
@@ -206,10 +200,10 @@ class TestRunCache:
     def test_stale_code_fingerprint_invalidates(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "build-1")
         spec = fast_spec()
-        run_specs([spec], cache_dir=tmp_path, registry=MetricsRegistry())
+        run_specs([spec], cache_dir=tmp_path)
 
         monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "build-2")
-        engine = ExperimentEngine(cache_dir=tmp_path, registry=MetricsRegistry())
+        engine = ExperimentEngine(cache_dir=tmp_path)
         engine.run_specs([spec])
         assert engine.stats.cache_hits == 0
         assert engine.stats.cache_misses == 1
@@ -217,9 +211,8 @@ class TestRunCache:
 
     def test_no_cache_bypasses(self, tmp_path):
         spec = fast_spec()
-        run_specs([spec], cache_dir=tmp_path, registry=MetricsRegistry())
-        engine = ExperimentEngine(cache_dir=tmp_path, use_cache=False,
-                                  registry=MetricsRegistry())
+        run_specs([spec], cache_dir=tmp_path)
+        engine = ExperimentEngine(cache_dir=tmp_path, use_cache=False)
         engine.run_specs([spec])
         assert engine.cache is None
         assert engine.stats.serial_runs == 1
@@ -247,10 +240,10 @@ class TestRunCache:
 # ---------------------------------------------------------------------------
 def _stable(name, merged):
     """The part of a fleet view that must not depend on execution mode:
-    the telemetry view's exec counters are labelled by mode; profile and
+    the telemetry view's exec counters count runs by mode; profile and
     flame views are wall-clock measurements."""
     if name == "telemetry":
-        return merged["registry"].to_json()
+        return json.dumps({key: merged[key] for key in COUNT_KEYS}, sort_keys=True)
     if name == "profile":
         return [(run["label"], run["events"]) for run in merged["runs"]]
     if name == "flame":
@@ -273,8 +266,8 @@ def _per_run(name, record):
 
 
 def _exec_runs(merged):
-    snapshot = telemetry_report(merged)["metrics"]
-    return sum(sample["value"] for sample in snapshot["exec_runs_total"]["samples"])
+    stats = telemetry_report(merged)["exec"]
+    return stats["serial_runs"] + stats["parallel_runs"]
 
 
 def _bundles_on_disk(out):
@@ -308,9 +301,11 @@ _FLEET_CHECKS = {
     "flightrec": lambda m, out: m["runs"] == 2
     and len(set(m["bundles"])) == 2
     and _bundles_on_disk(out) == sorted(m["bundles"]),
-    # The fleet view counts every execution, serial or parallel, and
-    # the report carries every run's record.
-    "telemetry": lambda m, out: "tactic_router_ops_total" in m["registry"].snapshot()
+    # The fleet view counts every execution, serial or parallel, sums
+    # every run's counts, and the report carries every run's record.
+    "telemetry": lambda m, out: m["router_ops"]
+    and m["client_latency"]["count"]
+    == sum(run["client_latency"]["count"] for run in m["runs"])
     and _exec_runs(m) == 2
     and len(json.loads((out / "telemetry.json").read_text())["runs"]) == 2,
     "trace": _trace_check,
@@ -333,7 +328,6 @@ _FLEET_CHECKS = {
 
 def _engine(name, tmp_path, **kwargs):
     kwargs.setdefault("use_cache", False)
-    kwargs.setdefault("registry", MetricsRegistry())
     kwargs.setdefault("obs_out", str(tmp_path / "obs"))
     return ExperimentEngine(obs=(name,), **kwargs)
 
@@ -376,8 +370,7 @@ def _cache_hit_replays_record_without_executing(name, tmp_path, monkeypatch):
 
 def _off_ships_nothing(name, tmp_path):
     others = tuple(other for other in INSTRUMENTS if other != name)
-    engine = ExperimentEngine(jobs=1, use_cache=False, registry=MetricsRegistry(),
-                              obs=others, obs_out=str(tmp_path))
+    engine = ExperimentEngine(jobs=1, use_cache=False, obs=others, obs_out=str(tmp_path))
     (summary,) = engine.run_specs([fast_spec()])
     assert set(summary.instruments) == set(others)
     assert name not in engine.fleet
@@ -426,9 +419,9 @@ def _record_excluded_from_equality_and_round_trips(name, tmp_path):
 def _env_selects(name, monkeypatch, tmp_path):
     monkeypatch.setenv(OBS_ENV, name)
     monkeypatch.setenv(OBS_OUT_ENV, str(tmp_path))
-    assert ExperimentEngine(registry=MetricsRegistry()).obs.names == (name,)
+    assert ExperimentEngine().obs.names == (name,)
     # An explicit selection wins over the environment.
-    assert ExperimentEngine(registry=MetricsRegistry(), obs=()).obs.names == ()
+    assert ExperimentEngine(obs=()).obs.names == ()
 
 
 class TestFleetTelemetry:
@@ -454,10 +447,9 @@ class TestFleetTelemetry:
         # session would produce: bridged router ops equal OpCounters.
         summary = _execute_spec(fast_spec(), resolve(("telemetry",)))
         envelope = summary.instruments["telemetry"]
-        ops = envelope["metrics"]["tactic_router_ops_total"]["samples"]
         edge_lookups = sum(
-            s["value"] for s in ops
-            if s["labels"]["role"] == "edge" and s["labels"]["op"] == "bf_lookups"
+            node["bf_lookups"] for node in envelope["router_ops"].values()
+            if node["role"] == "edge"
         )
         assert edge_lookups == summary.edge_ops["bf_lookups"]
         assert envelope["events_executed"] == summary.events_executed
@@ -478,6 +470,18 @@ class TestFleetTelemetry:
         assert engine.stats.cache_hits == len(specs)
         assert labels["serial"] == labels["parallel"] == labels["cached"]
         assert len(labels["serial"]) == len(specs)
+
+    def test_report_counts_only_this_engines_runs(self, tmp_path):
+        # Two engines in one process (``python -m repro all`` builds one
+        # per artifact): each report's exec block counts its own runs.
+        spec = fast_spec()
+        for _ in range(2):
+            engine = _engine("telemetry", tmp_path, jobs=1, obs_out=str(tmp_path))
+            engine.run_specs([spec])
+        document = json.loads((tmp_path / "telemetry.json").read_text())
+        assert len(document["runs"]) == 1
+        assert document["exec"]["serial_runs"] + document["exec"]["parallel_runs"] == 1
+        assert document["exec"] == dataclasses.asdict(engine.stats)
 
     def test_reports_hold_every_finished_run_when_a_later_run_fails(
         self, tmp_path, monkeypatch
@@ -509,14 +513,11 @@ class TestFleetTelemetry:
         parallel.run_specs(specs)
 
         def cache_events(engine):
-            snap = telemetry_report(engine.fleet["telemetry"])["metrics"]
-            return {
-                tuple(sorted(s["labels"].items())): s["value"]
-                for s in snap["exec_cache_events_total"]["samples"]
-            }
+            stats = telemetry_report(engine.fleet["telemetry"])["exec"]
+            return stats["cache_hits"], stats["cache_misses"]
 
-        expected = {(("result", "hit"),): 2}
-        assert cache_events(serial) == cache_events(parallel) == expected
+        assert cache_events(serial) == cache_events(parallel) == (2, 0)
+        assert serial.stats.cache_hits == parallel.stats.cache_hits == 2
         assert _stable("telemetry", serial.fleet["telemetry"]) == \
             _stable("telemetry", parallel.fleet["telemetry"])
 
@@ -603,7 +604,7 @@ class TestObsSelection:
         assert resolve() == Obs()
         monkeypatch.setenv(OBS_ENV, "statescope, audit")
         monkeypatch.setenv(OBS_OUT_ENV, str(tmp_path))
-        engine = ExperimentEngine(registry=MetricsRegistry())
+        engine = ExperimentEngine()
         assert engine.obs.names == ("audit", "statescope")  # table order
         assert engine.obs.out == str(tmp_path)
         assert resolve("telemetry").names == ("telemetry",)
@@ -614,14 +615,13 @@ class TestObsSelection:
                 resolve(names, out)
         monkeypatch.setenv(OBS_ENV, "nope")
         with pytest.raises(ValueError, match="nope"):
-            ExperimentEngine(registry=MetricsRegistry())
+            ExperimentEngine()
 
     def test_explicit_opt_out_beats_env(self, monkeypatch):
         from repro.experiments.runner import run_scenario
 
         monkeypatch.setenv(OBS_ENV, "audit,statescope")
-        engine = ExperimentEngine(jobs=1, use_cache=False,
-                                  registry=MetricsRegistry(), obs=())
+        engine = ExperimentEngine(jobs=1, use_cache=False, obs=())
         (summary,) = engine.run_specs([fast_spec()])
         assert summary.instruments == {}
         assert engine.fleet == {}
@@ -635,14 +635,12 @@ class TestObsSelection:
 
         def audited(cache, out):
             engine = ExperimentEngine(jobs=1, cache_dir=tmp_path / cache,
-                                      registry=MetricsRegistry(),
                                       obs=("audit",), obs_out=str(tmp_path / out))
             engine.run_specs(specs, figure="fig6")
             return json.loads((tmp_path / out / "audit.json").read_text()), engine
 
         # Seed 1 cached without auditing, then an audited pass over both.
-        run_specs(specs[:1], jobs=1, cache_dir=tmp_path / "warm",
-                  registry=MetricsRegistry(), obs=())
+        run_specs(specs[:1], jobs=1, cache_dir=tmp_path / "warm", obs=())
         warm, engine = audited("warm", "warm-out")
         assert engine.stats.cache_misses == 2  # the unaudited entry re-ran
         cold, _ = audited("cold", "cold-out")
@@ -670,23 +668,20 @@ class TestEngineKnobs:
 
     def test_cache_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        engine = ExperimentEngine(registry=MetricsRegistry())
+        engine = ExperimentEngine()
         assert engine.cache is not None
         assert engine.cache.directory == tmp_path
 
     def test_registry_counters_move(self, tmp_path):
-        registry = MetricsRegistry()
         spec = fast_spec()
-        run_specs([spec], cache_dir=tmp_path, registry=registry)
-        run_specs([spec], cache_dir=tmp_path, registry=registry)
-        snap = registry.snapshot()
-        flat = {
-            (name, tuple(sorted(sample["labels"].items()))): sample.get("value")
-            for name, family in snap.items()
-            for sample in family["samples"]
-        }
-        assert flat[("exec_runs_total", (("mode", "serial"),))] == 1
-        assert flat[("exec_cache_events_total", (("result", "miss"),))] == 1
-        assert flat[("exec_cache_events_total", (("result", "hit"),))] == 1
-        wall = snap["exec_worker_wall_seconds"]["samples"][0]
-        assert wall["count"] == 1 and wall["sum"] > 0.0
+        cold = ExperimentEngine(cache_dir=tmp_path)
+        cold.run_specs([spec])
+        warm = ExperimentEngine(cache_dir=tmp_path)
+        warm.run_specs([spec])
+        assert (cold.stats.serial_runs, cold.stats.parallel_runs) == (1, 0)
+        assert (cold.stats.cache_hits, cold.stats.cache_misses) == (0, 1)
+        assert len(cold.stats.per_run_wall) == 1
+        assert cold.stats.worker_wall_total == cold.stats.per_run_wall[0] > 0.0
+        assert (warm.stats.serial_runs, warm.stats.parallel_runs) == (0, 0)
+        assert (warm.stats.cache_hits, warm.stats.cache_misses) == (1, 0)
+        assert warm.stats.per_run_wall == []

@@ -18,6 +18,7 @@ from repro.obs.audit import (
     LABEL_CORRECT,
     LABEL_FALSE_NEGATIVE,
     LABEL_FALSE_POSITIVE,
+    audit_report,
     fp_confidence,
     merge_audit_summaries,
     render_audit_report,
@@ -354,23 +355,28 @@ class TestZeroCostOff:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry bridge
+# Fleet report
 # ---------------------------------------------------------------------------
-class TestTelemetryBridge:
-    def test_audit_tallies_become_labeled_metrics(self):
-        from repro.obs.session import TelemetrySession
-
+class TestAuditReport:
+    def test_report_keeps_per_node_tallies_and_fp_rates(self):
         scenario = Scenario.paper_topology(1, duration=2.0, seed=5, scale=0.1)
-        session = TelemetrySession()
-        result = run_scenario(scenario, instruments=[session, DecisionAudit()])
-        snapshot = session.registry.snapshot()
-        decisions = snapshot["audit_decisions_total"]["samples"]
-        assert decisions
-        assert sum(s["value"] for s in decisions) == \
-            result.instruments["audit"]["totals"]["decisions"]
-        rates = snapshot["audit_bf_misauth_rate"]["samples"]
-        assert rates and all(s["value"] == 0.0 for s in rates)
-        assert "audit_bf_expected_rate" in snapshot
+        result = run_scenario(scenario, instruments=[DecisionAudit()])
+        summary = result.instruments["audit"]
+        document = audit_report(summary, "fig6", 1)
+        nodes = document["summary"]["nodes"]
+        assert nodes
+        assert sum(
+            count for node in nodes.values() for count in node["decisions"].values()
+        ) == summary["totals"]["decisions"]
+        rates = document["confidence"]["nodes"]
+        assert sorted(rates) == sorted(nodes)
+        for node_id, node in nodes.items():
+            lookups = node["bf_negative_lookups"]
+            entry = rates[node_id]
+            assert entry["lookups"] == lookups
+            if lookups:
+                assert entry["empirical_rate"] == node["bf_false_positives"] / lookups
+                assert entry["expected_rate"] == node["expected_fp_sum"] / lookups
 
 
 # ---------------------------------------------------------------------------

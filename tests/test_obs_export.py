@@ -10,7 +10,6 @@ from repro.exec import ExperimentEngine
 from repro.experiments.fig5_latency import enumerate_fig5
 from repro.experiments.tracelog import read_jsonl
 from repro.obs.export import chrome_trace_events, write_chrome_trace
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.tracing import TraceRecord
 
 
@@ -19,8 +18,7 @@ def _traced_fig5(tmp_path):
     engine's Chrome report and the run's JSONL file."""
     spec = enumerate_fig5(duration=2.0, scale=0.1)[0]
     engine = ExperimentEngine(
-        jobs=1, use_cache=False, registry=MetricsRegistry(),
-        obs=("trace",), obs_out=str(tmp_path),
+        jobs=1, use_cache=False, obs=("trace",), obs_out=str(tmp_path),
     )
     engine.run_specs([spec])
     (path,) = (tmp_path / "trace").iterdir()

@@ -1,7 +1,7 @@
 """The per-layer tracer behind ``--obs profile`` (``repro.obs.layers``):
 exact self-time arithmetic, traced runs that compute what untraced runs
-compute, shim install and restore, flamegraph sampling, and the
-telemetry record that gathers both."""
+compute, shim install and restore, flamegraph sampling, and the run
+records both leave in ``RunResult.instruments``."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from repro.experiments.scenario import Scenario
 from repro.filters.bloom import BloomFilter
 from repro.obs.layers import ENTRY_POINTS, LayerTracer, resolve
 from repro.obs.profiler import Heartbeat, StackSampler, collapsed_text, merge_collapsed
-from repro.obs.session import TelemetrySession
 from repro.qa.simsan import SimSan
 from repro.sim.engine import Simulator
 
@@ -349,26 +348,18 @@ class TestStackSampler:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry record
+# Run records (the envelope a worker ships home)
 # ---------------------------------------------------------------------------
 class TestTelemetryEnvelope:
     def test_collect_mode_run_carries_perf_report(self):
-        result = run_scenario(
-            _tiny_scenario(), instruments=[TelemetrySession(), LayerTracer()]
-        )
-        profile = result.instruments["telemetry"]["profile"]
-        assert profile is not None
+        result = run_scenario(_tiny_scenario(), instruments=[LayerTracer()])
+        profile = result.instruments["profile"]
         assert profile["events"] == result.sim.events_executed
         assert profile["layers"]["sim.loop"]["calls"] == 1
-        assert result.instruments["profile"]["layers"] == profile["layers"]
 
     def test_collect_mode_flame_rides_envelope(self):
-        result = run_scenario(
-            _tiny_scenario(),
-            instruments=[TelemetrySession(), StackSampler(interval=0.001)],
-        )
-        flame = result.instruments["telemetry"]["flame"]
-        assert flame is not None
+        sampler = StackSampler(interval=0.001)
+        result = run_scenario(_tiny_scenario(), instruments=[sampler])
+        flame = result.instruments["flame"]
         assert flame["samples"] >= 0
-        assert isinstance(flame["stacks"], dict)
-        assert result.instruments["flame"]["stacks"] == flame["stacks"]
+        assert flame["stacks"] == sampler.collapsed

@@ -13,10 +13,8 @@ from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
 from repro.obs.instruments import SAMPLE_INTERVAL
 from repro.obs.layers import LayerTracer
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import Heartbeat
 from repro.obs.samplers import PeriodicSampler
-from repro.obs.session import TelemetrySession
 from repro.sim.engine import Simulator
 from tests.conftest import attach_client, bare_run, build_mini_net
 
@@ -115,10 +113,9 @@ class TestSimProfiler:
 
 
 class TestPeriodicSampler:
-    def test_series_and_registry_gauges(self):
+    def test_series_follow_live_value(self):
         sim = Simulator(seed=2)
-        registry = MetricsRegistry()
-        sampler = PeriodicSampler(sim, interval=1.0, until=5.0, registry=registry)
+        sampler = PeriodicSampler(sim, interval=1.0, until=5.0)
         state = {"v": 0.0}
         sampler.add_probe("queue_depth", lambda: state["v"], node="edge-0")
 
@@ -137,9 +134,6 @@ class TestPeriodicSampler:
         assert times == [1.0, 2.0, 3.0, 4.0, 5.0]
         values = [v for _, v in series[0]["samples"]]
         assert values == [1.0, 2.0, 3.0, 4.0, 5.0]
-        # The registry gauge reads the live value at snapshot time.
-        snap = registry.snapshot()
-        assert snap["queue_depth"]["samples"][0]["value"] == state["v"]
 
     def test_horizon_bounds_ticking(self):
         sim = Simulator(seed=2)
@@ -241,17 +235,16 @@ class TestPeriodicSampler:
         with pytest.raises(ValueError):
             PeriodicSampler(Simulator(), interval=0.0)
 
-    def test_samples_row_backs_telemetry_gauges(self):
+    def test_samples_row_ticks_at_sample_interval(self):
         scenario = Scenario.paper_topology(1, duration=2.0, seed=3, scale=0.1)
-        telemetry, sampler = TelemetrySession(), PeriodicSampler()
-        result = run_scenario(scenario, instruments=[sampler, telemetry])
+        sampler = PeriodicSampler()
+        result = run_scenario(scenario, instruments=[sampler])
         assert sampler.interval == SAMPLE_INTERVAL
         record = result.instruments["samples"]
         pending = [s for s in record["series"] if s["name"] == "sim_pending_events"]
         times = [t for t, _ in pending[0]["samples"]]
         assert times[:2] == [SAMPLE_INTERVAL, 2 * SAMPLE_INTERVAL]
-        assert result.instruments["telemetry"]["samples"] == record["series"]
-        assert "pit_entries" in telemetry.registry.snapshot()
+        assert any(s["name"] == "pit_entries" for s in record["series"])
 
 
 class TestSchedulerObservability:

@@ -19,7 +19,6 @@ from repro.ndn.packets import Data
 from repro.ndn.pit import Pit, PitRecord
 from repro.obs.audit import DecisionAudit
 from repro.obs.instruments import INSTRUMENTS, OBS_ENV, SAMPLE_INTERVAL, resolve
-from repro.obs.spans import SpanRecorder
 from repro.obs.statescope import (
     GROWTH_SERIES,
     STATESCOPE_SERIES,
@@ -184,12 +183,6 @@ class TestStateCost:
         cost = DecisionAudit().state_cost()
         assert set(cost) == {"shadow", "issued", "revoked", "bytes"}
         assert cost["shadow"] == 0
-
-    def test_span_recorder(self):
-        recorder = SpanRecorder(Simulator(seed=1))
-        cost = recorder.state_cost()
-        assert cost["open"] == 0
-        assert cost["bytes"] > 0
 
 
 # ---------------------------------------------------------------------------

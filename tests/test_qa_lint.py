@@ -118,13 +118,12 @@ class TestStdlibRandom:
 
 
 # ---------------------------------------------------------------------------
-# SL003: undeclared event / metric names
+# SL003: undeclared event names
 # ---------------------------------------------------------------------------
 class TestUndeclaredNames:
     REGISTRY = textwrap.dedent(
         """
         KNOWN_EVENTS = ("node.rx.interest", "pit.timeout")
-        METRIC_NAMES = ("pit_entries",)
         """
     )
 
@@ -155,19 +154,6 @@ class TestUndeclaredNames:
             ),
         )
         assert findings == []
-
-    def test_undeclared_metric_flagged(self, tmp_path):
-        findings = run_lint(
-            tmp_path,
-            self.REGISTRY
-            + textwrap.dedent(
-                """
-                def build(registry):
-                    return registry.gauge("pit_entrees", "typo'd family")
-                """
-            ),
-        )
-        assert codes(findings) == ["SL003"]
 
     def test_only_exact_registry_names_declare(self, tmp_path):
         # A ``*_EVENTS`` name that is not a registry declares nothing.
