@@ -188,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "--obs-out", metavar="DIR", default=None,
-        help="write each instrument's fleet report to DIR/<name>.json "
-        "(flame: DIR/flame.txt), flight-recorder bundles under "
+        help="write each instrument's fleet report to DIR/<name>.json, "
+        "flight-recorder bundles under "
         "DIR/flightrec/ and per-run trace files under DIR/trace/ "
         "(equivalent to REPRO_OBS_OUT)",
     )

@@ -289,24 +289,19 @@ class ExperimentEngine:
 
     def _write_reports(self, figure: str, names: Iterable[str]) -> None:
         """Write the fleet report of each selected instrument in
-        ``names`` to ``<obs-out>/<name>.json`` (``.txt`` for a text
-        report), aside and renamed into place, so a killed invocation
-        leaves parseable reports of every run folded so far."""
+        ``names`` to ``<obs-out>/<name>.json``, aside and renamed into
+        place, so a killed invocation leaves parseable reports of every
+        run folded so far."""
         os.makedirs(self.obs.out, exist_ok=True)
         for name in names:
             report = INSTRUMENTS[name].report
             if report is None or name not in self.fleet:
                 continue
-            document = report(self.fleet[name], figure, self.jobs)
-            text = isinstance(document, str)
-            path = os.path.join(self.obs.out, f"{name}.{'txt' if text else 'json'}")
+            path = os.path.join(self.obs.out, f"{name}.json")
             scratch = f"{path}.{os.getpid()}"
             with open(scratch, "w", encoding="utf-8") as fh:
-                if text:
-                    fh.write(document)
-                else:
-                    json.dump(document, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                json.dump(report(self.fleet[name], figure, self.jobs), fh, indent=2, sort_keys=True)
+                fh.write("\n")
             os.replace(scratch, path)
 
     def _note_run(self, mode: str, summary: RunSummary) -> None:

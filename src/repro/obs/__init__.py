@@ -5,16 +5,11 @@ One package gathers everything a run can tell you about itself:
 - :mod:`repro.obs.spans` — Interest-lifecycle spans reconstructed from
   ``span.*`` trace events, decomposing per-request latency into
   queue / serialization / propagation / compute segments;
-- :mod:`repro.obs.samplers` — periodic virtual-time sampling of live
-  state (PIT occupancy, CS hit ratio, Bloom-filter fill, link queues,
-  pending events);
 - :mod:`repro.obs.layers` — the per-layer tracer (the ``profile`` row):
   call-through shims over the public entry points of every layer
   (event loop, NDN forwarding, TACTIC enforcement, crypto, engine)
   with exact per-layer self times, the same table as perfbench's
   traced run;
-- :mod:`repro.obs.profiler` — a statistical stack sampler emitting
-  collapsed-stack flamegraph input, and the wall-clock heartbeat;
 - :mod:`repro.obs.session` — the ``telemetry`` row: one
   :class:`~repro.obs.session.TelemetrySession` per run reading the
   run's router operations, user outcomes and client-latency buckets
@@ -27,7 +22,8 @@ One package gathers everything a run can tell you about itself:
   demand;
 - :mod:`repro.obs.statescope` — the state-footprint observatory:
   periodic deep-byte accounting over every stateful structure (PIT,
-  CS, Bloom filters, FIB, audit shadows, event heap), linear
+  CS, Bloom filters, FIB, audit shadows, event heap) with per-node
+  PIT/CS/Bloom-filter and per-link queue series, linear
   trend fitting that flags unbounded growth, and conformance checks
   comparing empirical occupancy against the ``repro.analysis`` closed
   forms;
@@ -48,8 +44,6 @@ if TYPE_CHECKING:
     from repro.obs.audit import DECISION_KINDS, DecisionAudit, DecisionRecord
     from repro.obs.flightrec import FlightRecorder
     from repro.obs.layers import ENTRY_POINTS, LayerTracer
-    from repro.obs.profiler import StackSampler, merge_collapsed
-    from repro.obs.samplers import PeriodicSampler
     from repro.obs.session import TelemetrySession
     from repro.obs.spans import SPAN_EVENTS, Span, SpanBuilder, SpanRecorder
     from repro.obs.statescope import (
@@ -71,9 +65,6 @@ _EXPORTS = {
     "FlightRecorder": "flightrec",
     "ENTRY_POINTS": "layers",
     "LayerTracer": "layers",
-    "StackSampler": "profiler",
-    "merge_collapsed": "profiler",
-    "PeriodicSampler": "samplers",
     "TelemetrySession": "session",
     "SPAN_EVENTS": "spans",
     "Span": "spans",

@@ -1,20 +1,32 @@
 """The instrument table: one row per opt-in observability layer.
 
-:data:`INSTRUMENTS` has a row each for the SimSan runtime sanitizer,
-the decision audit, the flight recorder, telemetry, the packet trace,
-periodic samples, the statescope, the layer profile, stack samples and
-the heartbeat, and the whole stack reads it.  ``--obs NAME[,NAME...]``/
-``--obs-out DIR`` (or ``REPRO_OBS``/``REPRO_OBS_OUT``) select rows
-through :func:`resolve`; the engine ships the resulting :class:`Obs` to
-every run, ``make(obs)`` builds the live object that
-:func:`~repro.experiments.runner.run_scenario` installs, its
-``finalize()`` record rides home (and into the run cache) in
-``RunSummary.instruments[name]``, and the engine folds the records into
-``ExperimentEngine.fleet[name]`` with ``merge`` in submission order and
-writes ``report(merged, figure, jobs)`` to ``<obs-out>/<name>.json``
-(``<name>.txt`` when the report is text).  That fold is the only
-writer of fleet files, so serial, ``--jobs N`` and cache-hit runs leave
-the same ones.
+:data:`INSTRUMENTS` has seven rows, and the whole stack reads it:
+
+- ``simsan``: did a run break a simulator invariant, and what is its
+  event-stream digest?
+- ``audit``: was each access decision right, against a ground-truth
+  oracle?
+- ``flightrec``: what were the last events before a run ended or
+  failed?
+- ``telemetry``: how many router operations, user outcomes and client
+  latencies did each run have?
+- ``trace``: which hops did each Interest take, and where did its
+  latency go?
+- ``statescope``: how much state do the PIT, CS, Bloom filters and FIB
+  hold, node by node and tick by tick, and does it match the capacity
+  models?
+- ``profile``: which layer does the wall time go to?
+
+``--obs NAME[,NAME...]``/``--obs-out DIR`` (or ``REPRO_OBS``/
+``REPRO_OBS_OUT``) select rows through :func:`resolve`; the engine
+ships the resulting :class:`Obs` to every run, ``make(obs)`` builds the
+live object that :func:`~repro.experiments.runner.run_scenario`
+installs, its ``finalize()`` record rides home (and into the run cache)
+in ``RunSummary.instruments[name]``, and the engine folds the records
+into ``ExperimentEngine.fleet[name]`` with ``merge`` in submission
+order and writes ``report(merged, figure, jobs)`` to
+``<obs-out>/<name>.json``.  That fold is the only writer of fleet
+files, so serial, ``--jobs N`` and cache-hit runs leave the same ones.
 
 A live object has a ``name``, ``install(run)``, ``finalize() -> dict``
 and, when it holds resources, an idempotent ``close()`` that the
@@ -30,13 +42,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "INSTRUMENTS",
     "OBS_ENV",
     "OBS_OUT_ENV",
-    "SAMPLE_INTERVAL",
     "Instrument",
     "Obs",
     "make_live",
@@ -46,9 +57,6 @@ __all__ = [
 #: Environment fallback for ``--obs`` and ``--obs-out``.
 OBS_ENV = "REPRO_OBS"
 OBS_OUT_ENV = "REPRO_OBS_OUT"
-
-#: Virtual seconds between the ``samples`` and ``statescope`` ticks.
-SAMPLE_INTERVAL = 1.0
 
 
 @dataclass(frozen=True)
@@ -69,12 +77,12 @@ class Instrument:
     #: ``merge(into, record)`` folds one run's record into the fleet view.
     merge: Callable[[Dict[str, Any], Dict[str, Any]], Any]
     #: ``report(merged, figure, jobs)`` -> the ``<obs-out>/<name>.json``
-    #: document, or the text of ``<obs-out>/<name>.txt``.
-    report: Optional[Callable[[Dict[str, Any], str, int], Union[dict, str]]] = None
+    #: document.
+    report: Optional[Callable[[Dict[str, Any], str, int], dict]] = None
     #: Whether a cached record stands in for a run.  A row that writes
     #: files during the run (flight-recorder bundles, trace files) or
-    #: measures the execution itself (profile, stack samples) is not: a
-    #: cached summary is re-executed when it is selected.
+    #: measures the execution itself (profile) is not: a cached summary
+    #: is re-executed when it is selected.
     replayable: bool = True
 
 
@@ -125,11 +133,6 @@ def _runs_report(merged: Dict[str, Any], figure: str, jobs: int) -> Dict[str, An
     return {"runs": merged.get("runs", [])}
 
 
-def _count_runs(into: Dict[str, Any], record: Dict[str, Any]) -> Dict[str, Any]:
-    into["runs"] = into.get("runs", 0) + record.get("runs", 0)
-    return into
-
-
 #: Every instrument, in install order.  SimSan installs first, right
 #: after the build, so its hooks see every table before a peer touches
 #: it, and finalizes last, so an end-of-run violation raises only after
@@ -156,11 +159,6 @@ INSTRUMENTS: Dict[str, Instrument] = {
         _lazy("export", "trace_report"),
         replayable=False,
     ),
-    "samples": Instrument(
-        _new("samplers", "PeriodicSampler"),
-        _append_run,
-        _runs_report,
-    ),
     "statescope": Instrument(
         _new("statescope", "StateScope"),
         _lazy("statescope", "merge_statescope"),
@@ -172,13 +170,6 @@ INSTRUMENTS: Dict[str, Instrument] = {
         _runs_report,
         replayable=False,
     ),
-    "flame": Instrument(
-        _new("profiler", "StackSampler"),
-        _lazy("profiler", "merge_flame"),
-        _lazy("profiler", "flame_report"),
-        replayable=False,
-    ),
-    "heartbeat": Instrument(_new("profiler", "Heartbeat"), _count_runs),
 }
 
 #: Rows that write files into ``--obs-out`` during the run.

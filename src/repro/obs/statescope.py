@@ -14,7 +14,10 @@ exhaustively; this module measures state.  Two pieces:
    totals every ``interval`` virtual seconds (with an end-of-run
    flush, so short runs are never invisible) and fits a per-series
    trend, flagging unbounded growth — a PIT-record leak — as a
-   typed finding.
+   typed finding.  The same tick records each node's readings (PIT
+   and CS entries, CS hit ratio, Bloom-filter fill and FPP) and each
+   link direction's queue, as the per-node series of
+   ``record["nodes"]``.
 
 2. **Conformance** — at finalize the scope walks the live structures
    and compares empirical BF fill ratio, saturation-reset cadence, CS
@@ -42,9 +45,10 @@ import json
 import math
 import sys
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.obs.instruments import SAMPLE_INTERVAL
+#: Virtual seconds between ticks.
+SAMPLE_INTERVAL = 1.0
 
 #: Registry of every state series a scope may emit (simlint SL016: a
 #: literal passed to ``StateScope.track`` must appear here, so a typo'd
@@ -287,6 +291,9 @@ class StateScope:
         self._stores: List[Tuple[str, Any]] = []
         self._blooms: List[Tuple[str, Any]] = []
         self._fibs: List[Tuple[str, Any]] = []
+        #: Per-node series: ``{"name", "labels", "samples": [[t, v], ...]}``.
+        self.nodes: List[Dict[str, Any]] = []
+        self._readers: List[Tuple[Callable[[], float], List[List[float]]]] = []
         self._until: Optional[float] = None
         self._last_sample: Optional[float] = None
         self._sampling: Optional[Dict[str, float]] = None
@@ -309,19 +316,43 @@ class StateScope:
         if network is not None:
             for node_id, node in network.nodes.items():
                 pit = getattr(node, "pit", None)
-                if pit is not None and hasattr(pit, "state_cost"):
-                    self._pits.append((node_id, pit))
+                if pit is not None:
+                    self._watch("pit_entries", pit.__len__, node=node_id)
+                    if hasattr(pit, "state_cost"):
+                        self._pits.append((node_id, pit))
                 cs = getattr(node, "cs", None)
-                if cs is not None and hasattr(cs, "state_cost"):
-                    self._stores.append((node_id, cs))
+                if cs is not None:
+                    if cs.capacity > 0:
+                        self._watch("cs_entries", cs.__len__, node=node_id)
+                        self._watch("cs_hit_ratio", cs.hit_ratio, node=node_id)
+                    if hasattr(cs, "state_cost"):
+                        self._stores.append((node_id, cs))
                 bloom = getattr(node, "bloom", None)
-                if bloom is not None and hasattr(bloom, "state_cost"):
-                    self._blooms.append((node_id, bloom))
+                if bloom is not None:
+                    self._watch("bf_fill_ratio", bloom.fill_ratio, node=node_id)
+                    self._watch("bf_current_fpp", bloom.current_fpp, node=node_id)
+                    if hasattr(bloom, "state_cost"):
+                        self._blooms.append((node_id, bloom))
                 fib = getattr(node, "fib", None)
                 if fib is not None and hasattr(fib, "state_cost"):
                     self._fibs.append((node_id, fib))
+            for link in network.links:
+                a, b = link._nodes
+                for src, dst in ((a, b), (b, a)):
+                    self._watch(
+                        "link_queue_seconds",
+                        lambda link=link, src=src: link.utilization(src),
+                        src=src.node_id,
+                        dst=dst.node_id,
+                    )
         self.start(horizon=run.horizon)
         return self
+
+    def _watch(self, name: str, read: Callable[[], float], **labels: str) -> None:
+        """Add one per-node series, read at every sample."""
+        samples: List[List[float]] = []
+        self.nodes.append({"name": name, "labels": labels, "samples": samples})
+        self._readers.append((read, samples))
 
     def start(self, horizon: Optional[float] = None) -> None:
         """Schedule the first tick; ``horizon`` bounds rescheduling."""
@@ -408,6 +439,9 @@ class StateScope:
             + values["state.heap.bytes"],
         )
 
+        for read, samples in self._readers:
+            samples.append([now, float(read())])
+
         self._sampling = None
         self.timeline.append((now, values))
         self._last_sample = now
@@ -465,6 +499,7 @@ class StateScope:
             "series": series_summary,
             "findings": findings,
             "conformance": self._conformance(findings),
+            "nodes": self.nodes,
         }
         self._record = record
         return record
@@ -684,12 +719,13 @@ def merge_statescope(into: Dict[str, Any], record: Dict[str, Any]) -> Dict[str, 
     so serial and ``--jobs N`` runs produce bit-identical merges.
     Series peaks/lasts sum (the fleet's aggregate footprint); findings
     and conformance checks concatenate, each stamped with the run
-    label.
+    label, and each run's per-node series append to ``runs`` as
+    ``{label, nodes}``.
     """
     if not into:
         into.update(
             {
-                "runs": 0,
+                "runs": [],
                 "series": {
                     name: {"samples": 0.0, "peak": 0.0, "last": 0.0}
                     for name in STATESCOPE_SERIES
@@ -703,8 +739,8 @@ def merge_statescope(into: Dict[str, Any], record: Dict[str, Any]) -> Dict[str, 
                 },
             }
         )
-    into["runs"] += 1
     label = record.get("label")
+    into["runs"].append({"label": label, "nodes": record.get("nodes", [])})
     for name, row in record.get("series", {}).items():
         slot = into["series"].setdefault(
             name, {"samples": 0.0, "peak": 0.0, "last": 0.0}
@@ -771,7 +807,7 @@ def render_statescope_report(record: Dict[str, Any]) -> List[str]:
     runs = record.get("runs")
     header = "statescope"
     if runs is not None:
-        header += f" ({runs} runs, fleet-merged)"
+        header += f" ({len(runs)} runs, fleet-merged)"
     elif record.get("label"):
         header += f" ({record['label']})"
     lines.append(header)

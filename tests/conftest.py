@@ -68,6 +68,12 @@ def bare_run(sim: Simulator, network: Network = None, **fields) -> SimpleNamespa
     return SimpleNamespace(**run)
 
 
+def trace_detached(recorder) -> bool:
+    """Has a trace row let go of every hub subscription it took?"""
+    hub = recorder.sim.trace
+    return not any(recorder._on_record in subs for subs in hub._subs.values())
+
+
 def build_mini_net(config: TacticConfig = None) -> MiniNet:
     """Construct the linear topology with zero-cost computation."""
     config = config or TacticConfig(

@@ -21,8 +21,8 @@ from repro.experiments.scenario import Scenario
 from repro.obs.instruments import INSTRUMENTS, OBS_ENV, OBS_OUT_ENV, make_live, resolve
 from repro.obs.session import LATENCY_BUCKETS
 
-#: The flags the ``telemetry``, ``trace``, ``samples``, ``profile``,
-#: ``flame`` and ``heartbeat`` rows replaced.
+#: Flags of earlier versions: each became an ``--obs`` row or went with
+#: a removed one.
 REMOVED_FLAGS = (
     ("--metrics-out", "m.json"),
     ("--trace-out", "t.jsonl"),
@@ -36,6 +36,10 @@ REMOVED_FLAGS = (
     ("--engine-events", "e.jsonl"),
     ("--history-dir", "h"),
 )
+
+#: Rows that were folded into another (``samples`` into ``statescope``)
+#: or deleted; selecting one is an unknown-instrument error.
+REMOVED_ROWS = ("flame", "heartbeat", "samples")
 
 
 def _tiny_scenario(seed: int = 3) -> Scenario:
@@ -54,7 +58,7 @@ class TestCliFlags:
                 "table4",
                 "--duration", "2",
                 "--scale", "0.1",
-                "--obs", "telemetry,trace,profile,samples",
+                "--obs", "telemetry,trace,profile,statescope",
                 "--obs-out", str(out),
             ]
         )
@@ -78,9 +82,9 @@ class TestCliFlags:
         assert "sim.loop" in layers
         own = sum(row["self_s"] for row in layers.values())
         assert own == pytest.approx(layers["sim.loop"]["total_s"], rel=0.01)
-        samples = json.loads((out / "samples.json").read_text())
-        assert len(samples["runs"]) == len(document["runs"])
-        assert all(r["series"] for r in samples["runs"]), "sampler produced no series"
+        state = json.loads((out / "statescope.json").read_text())["record"]
+        assert len(state["runs"]) == len(document["runs"])
+        assert all(r["nodes"] for r in state["runs"]), "statescope produced no node series"
 
         files = sorted((out / "trace").iterdir())
         assert len(files) == len(document["runs"])
@@ -109,8 +113,27 @@ class TestCliFlags:
         for flag in REMOVED_FLAGS:
             with pytest.raises(SystemExit):
                 main(["fig7", "--duration", "1", "--scale", "0.1", *flag])
-        for name in ("telemetry", "trace", "samples", "profile", "flame", "heartbeat"):
+        for name in ("telemetry", "trace", "statescope", "profile"):
             assert name in INSTRUMENTS
+
+    def test_removed_rows_rejected(self, monkeypatch, capsys):
+        # main() forwards --obs through the environment; restore it.
+        monkeypatch.setenv(OBS_ENV, "")
+        kept = ", ".join(INSTRUMENTS)
+        assert len(INSTRUMENTS) == 7
+        for name in REMOVED_ROWS:
+            assert name not in INSTRUMENTS
+            with pytest.raises(ValueError, match=f"'{name}'.*{kept}"):
+                resolve(name)
+            with pytest.raises(ValueError, match=f"'{name}'.*{kept}"):
+                resolve(("telemetry", name))
+            with pytest.raises(SystemExit) as exit_info:
+                main(["fig7", "--duration", "1", "--scale", "0.1", "--obs", name])
+            assert exit_info.value.code == 2
+            assert kept in capsys.readouterr().err
+        monkeypatch.setenv(OBS_ENV, "samples")
+        with pytest.raises(ValueError, match=f"'samples'.*{kept}"):
+            resolve()
 
 
 def _telemetry_run():
@@ -161,7 +184,7 @@ class TestBridgedCounters:
 class TestZeroBehaviourChange:
     def test_published_values_identical_with_telemetry_on(self, tmp_path):
         plain = run_scenario(_tiny_scenario())
-        obs = resolve(("telemetry", "trace", "samples", "profile"), str(tmp_path))
+        obs = resolve(("telemetry", "trace", "statescope", "profile"), str(tmp_path))
         telemetered = run_scenario(
             _tiny_scenario(),
             instruments=make_live(obs),

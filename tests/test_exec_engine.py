@@ -240,26 +240,22 @@ class TestRunCache:
 # ---------------------------------------------------------------------------
 def _stable(name, merged):
     """The part of a fleet view that must not depend on execution mode:
-    the telemetry view's exec counters count runs by mode; profile and
-    flame views are wall-clock measurements."""
+    the telemetry view's exec counters count runs by mode; the profile
+    view is a wall-clock measurement."""
     if name == "telemetry":
         return json.dumps({key: merged[key] for key in COUNT_KEYS}, sort_keys=True)
     if name == "profile":
         return [(run["label"], run["events"]) for run in merged["runs"]]
-    if name == "flame":
-        return sorted(merged)
     return json.dumps(merged, sort_keys=True)
 
 
 def _per_run(name, record):
     """The part of one run's record that must not depend on execution
-    mode (wall times, stack samples, and the trace file's directory)."""
+    mode (wall times and the trace file's directory)."""
     if name == "telemetry":
         return {key: value for key, value in record.items() if key != "wall_seconds"}
     if name == "profile":
         return record["label"], record["events"], sorted(record["layers"])
-    if name == "flame":
-        return record["label"]
     if name == "trace":
         return {**record, "path": os.path.basename(record["path"])}
     return record
@@ -309,17 +305,14 @@ _FLEET_CHECKS = {
     and _exec_runs(m) == 2
     and len(json.loads((out / "telemetry.json").read_text())["runs"]) == 2,
     "trace": _trace_check,
-    "samples": lambda m, out: len(m["runs"]) == 2
-    and all(run["series"] for run in m["runs"])
-    and json.loads((out / "samples.json").read_text()) == {"runs": m["runs"]},
-    "statescope": lambda m, out: m["runs"] == 2
+    # Every run's per-node series, in submission order.
+    "statescope": lambda m, out: len(m["runs"]) == 2
+    and all(run["nodes"] for run in m["runs"])
     and m["conformance"]["pass"] is True
     and m["series"]["state.total.bytes"]["peak"] > 0,
     "profile": lambda m, out: len(m["runs"]) == 2
     and all("sim.loop" in run["layers"] for run in m["runs"])
     and len(json.loads((out / "profile.json").read_text())["runs"]) == 2,
-    "flame": lambda m, out: (out / "flame.txt").read_text().strip() != "",
-    "heartbeat": lambda m, out: m["runs"] == 2,
     # One distinct digest per run, and the report carries them all.
     "simsan": lambda m, out: len({run["digest"] for run in m["runs"]}) == 2
     and json.loads((out / "simsan.json").read_text()) == {"runs": m["runs"]},
@@ -354,14 +347,15 @@ def _serial_and_parallel_merges_bit_for_bit(name, tmp_path):
 
 def _cache_hit_replays_record_without_executing(name, tmp_path, monkeypatch):
     spec = fast_spec()
-    first = _engine(name, tmp_path, use_cache=True, cache_dir=tmp_path)
+    cached = dict(use_cache=True, cache_dir=tmp_path)
+    first = _engine(name, tmp_path, obs_out=str(tmp_path / "cold"), **cached)
     original = first.run_specs([spec])
 
     def explode(_spec, _obs=None):
         raise AssertionError("cache hit must not execute the scenario")
 
     monkeypatch.setattr("repro.exec.engine._execute_spec", explode)
-    second = _engine(name, tmp_path, use_cache=True, cache_dir=tmp_path)
+    second = _engine(name, tmp_path, obs_out=str(tmp_path / "warm"), **cached)
     replayed = second.run_specs([spec])
     assert replayed[0].cached
     assert replayed[0].instruments[name] == original[0].instruments[name]
@@ -383,7 +377,6 @@ _RUN_OUTPUT = {
     == [os.path.basename(record["path"])],
     "profile": lambda out, record: record["events"] > 0
     and len(json.loads((out / "profile.json").read_text())["runs"]) == 1,
-    "flame": lambda out, record: (out / "flame.txt").exists(),
 }
 
 
@@ -405,7 +398,7 @@ def _record_excluded_from_equality_and_round_trips(name, tmp_path):
     plain = _execute_spec(fast_spec())
     assert plain.instruments == {}
     assert dataclasses.replace(observed, instruments={}) == observed
-    if name not in ("statescope", "samples"):  # ticks are events of their own
+    if name != "statescope":  # ticks are events of their own
         assert observed == plain
     assert name not in observed.metrics_dict()
     assert name not in plain.metrics_dict()
@@ -551,9 +544,21 @@ class TestFleetAudit:
 class TestFleetStateScope:
     def test_serial_and_parallel_fleet_statescope_bit_for_bit(self, tmp_path):
         _serial_and_parallel_merges_bit_for_bit("statescope", tmp_path)
+        # The fleet files, per-node series included, differ only in the
+        # pool size they name.
+        serial, parallel = (
+            (tmp_path / mode / "obs" / "statescope.json").read_text()
+            for mode in ("serial", "parallel")
+        )
+        assert '"nodes": [' in serial
+        assert serial.replace('"jobs": 1,', '"jobs": 4,', 1) == parallel
 
     def test_cache_hit_replays_statescope_record(self, tmp_path, monkeypatch):
         _cache_hit_replays_record_without_executing("statescope", tmp_path, monkeypatch)
+        cold, warm = (
+            (tmp_path / pass_ / "statescope.json").read_text() for pass_ in ("cold", "warm")
+        )
+        assert '"nodes": [' in cold and cold == warm
 
     def test_statescope_off_by_default(self, tmp_path):
         _off_ships_nothing("statescope", tmp_path)
@@ -569,14 +574,14 @@ class TestFleetStateScope:
         engine.run_specs([fast_spec()], figure="fig6")
         payload = json.loads((tmp_path / "statescope.json").read_text())
         assert payload["figure"] == "fig6"
-        assert payload["record"]["runs"] == 1
+        assert len(payload["record"]["runs"]) == 1
         assert payload["record"]["conformance"]["pass"] is True
         assert any("conformance" in line for line in payload["report"])
 
 
 #: The rows without a class of their own above.
 @pytest.mark.parametrize(
-    "name", ["simsan", "flightrec", "trace", "profile", "flame", "samples", "heartbeat"]
+    "name", ["simsan", "flightrec", "trace", "profile"]
 )
 class TestInstrumentRoundTrip:
     def test_serial_and_parallel_merges_bit_for_bit(self, name, tmp_path, capsys):

@@ -1,26 +1,25 @@
 """The per-layer tracer behind ``--obs profile`` (``repro.obs.layers``):
 exact self-time arithmetic, traced runs that compute what untraced runs
-compute, shim install and restore, flamegraph sampling, and the run
-records both leave in ``RunResult.instruments``."""
+compute, shim install and restore, and the run record it leaves in
+``RunResult.instruments``."""
 
 from __future__ import annotations
 
 import importlib.util
-import io
 import pathlib
-import threading
 
 import pytest
 
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
 from repro.filters.bloom import BloomFilter
+from repro.obs.instruments import make_live
+from repro.obs.instruments import resolve as resolve_obs
 from repro.obs.layers import ENTRY_POINTS, LayerTracer, resolve
-from repro.obs.profiler import Heartbeat, StackSampler, collapsed_text, merge_collapsed
 from repro.qa.simsan import SimSan
 from repro.sim.engine import Simulator
 
-from tests.conftest import bare_run
+from tests.conftest import bare_run, trace_detached
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -169,19 +168,6 @@ class TestObservedLoop:
         assert traced.stream_digest() == reference.stream_digest()
         assert tracer.events == 10
 
-    def test_observed_composes_with_profiler(self):
-        sim, log = self._sim_with_work()
-        sampler = StackSampler(interval=0.001)
-        sampler.start()
-        try:
-            with LayerTracer() as tracer:
-                sim.run()
-        finally:
-            sampler.stop()
-        assert log == list(range(10))
-        assert tracer.events == 10
-        assert sampler.report()["samples"] == sampler.samples
-
     def test_step_observed_matches_run_phases(self):
         def run_all(step):
             sim = Simulator(seed=1)
@@ -261,7 +247,7 @@ class TestInstallation:
         spec.loader.exec_module(spans)
         assert spans.ENTRY_POINTS == ENTRY_POINTS
 
-    def test_entry_points_restored_after_run_and_after_raise(self):
+    def test_entry_points_restored_after_run_and_after_raise(self, tmp_path):
         originals = _current()
         with LayerTracer() as tracer:
             run_scenario(_tiny_scenario())
@@ -272,14 +258,13 @@ class TestInstallation:
                 run_scenario(_tiny_scenario(), instruments=[_Boom()])
         assert _current() == originals
         # The profile row restores them too when the run raises, and
-        # the heartbeat row's thread stops.
+        # the trace row lets go of the hub without writing its file.
+        (trace,) = make_live(resolve_obs(("trace",), str(tmp_path)))
         with pytest.raises(RuntimeError):
-            run_scenario(
-                _tiny_scenario(),
-                instruments=[LayerTracer(), Heartbeat(0.001, io.StringIO()), _Boom()],
-            )
+            run_scenario(_tiny_scenario(), instruments=[LayerTracer(), trace, _Boom()])
         assert _current() == originals
-        assert not any(t.name == "repro-heartbeat" for t in threading.enumerate())
+        assert trace_detached(trace)
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -310,44 +295,6 @@ class TestZeroBehaviourChange:
 
 
 # ---------------------------------------------------------------------------
-# Stack sampling / flamegraphs
-# ---------------------------------------------------------------------------
-class TestStackSampler:
-    def test_samples_own_thread_and_writes_collapsed(self):
-        sampler = StackSampler(interval=0.001)
-        sampler.start()
-        deadline = 200_000
-        total = 0
-        while total < deadline or sampler.samples == 0:
-            total += 1
-            if total > 50_000_000:  # pragma: no cover - CI safety valve
-                break
-        sampler.stop()
-        assert sampler.samples > 0
-        assert sampler.collapsed
-        for stack, count in sampler.collapsed.items():
-            assert ";" in stack or "." in stack
-            assert count >= 1
-        lines = collapsed_text(sampler.collapsed).strip().splitlines()
-        assert lines
-        for line in lines:
-            stack, _, count = line.rpartition(" ")
-            assert stack
-            assert int(count) >= 1
-        report = sampler.report()
-        assert report["samples"] == sampler.samples
-        assert report["stacks"] == sampler.collapsed
-
-    def test_merge_collapsed_sums_counts(self):
-        into = {"a;b": 2}
-        merge_collapsed(into, {"a;b": 3, "c": 1})
-        assert into == {"a;b": 5, "c": 1}
-
-    def test_write_collapsed_module_fn_sorted(self):
-        assert collapsed_text({"b;c": 1, "a;b": 2}) == "a;b 2\nb;c 1\n"
-
-
-# ---------------------------------------------------------------------------
 # Run records (the envelope a worker ships home)
 # ---------------------------------------------------------------------------
 class TestTelemetryEnvelope:
@@ -356,10 +303,3 @@ class TestTelemetryEnvelope:
         profile = result.instruments["profile"]
         assert profile["events"] == result.sim.events_executed
         assert profile["layers"]["sim.loop"]["calls"] == 1
-
-    def test_collect_mode_flame_rides_envelope(self):
-        sampler = StackSampler(interval=0.001)
-        result = run_scenario(_tiny_scenario(), instruments=[sampler])
-        flame = result.instruments["flame"]
-        assert flame["samples"] >= 0
-        assert flame["stacks"] == sampler.collapsed

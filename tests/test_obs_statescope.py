@@ -4,6 +4,7 @@ the ``python -m repro.obs.statescope`` CLI exit contract."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from types import SimpleNamespace
@@ -18,9 +19,10 @@ from repro.ndn.name import Name
 from repro.ndn.packets import Data
 from repro.ndn.pit import Pit, PitRecord
 from repro.obs.audit import DecisionAudit
-from repro.obs.instruments import INSTRUMENTS, OBS_ENV, SAMPLE_INTERVAL, resolve
+from repro.obs.instruments import INSTRUMENTS, OBS_ENV, resolve
 from repro.obs.statescope import (
     GROWTH_SERIES,
+    SAMPLE_INTERVAL,
     STATESCOPE_SERIES,
     StateScope,
     deep_sizeof,
@@ -33,7 +35,17 @@ from repro.obs.statescope import (
 )
 from repro.sim.engine import Simulator
 
-from tests.conftest import bare_run
+from tests.conftest import attach_client, bare_run, build_mini_net
+
+#: sha256 of ``json.dumps(series, sort_keys=True)`` over the per-node
+#: series that the former ``samples`` row wrote for
+#: ``fast_scenario(seed=3)``, minus its ``sim_pending_events`` series
+#: (the same reading as ``state.heap.pending``).  Both rows ticked back
+#: to back at the same instants, so ``record["nodes"]`` must match it.
+SAMPLES_NODES_SHA256 = "2a8f5d79960851302874e5b0abc9a79f5503be58a1201b86eb30810a478f40a8"
+
+#: A network with no nodes and no links.
+EMPTY_NETWORK = SimpleNamespace(nodes={}, links=[])
 
 
 def fast_scenario(**kwargs):
@@ -206,7 +218,7 @@ def leaky_pit_scope(horizon=20.0, interval=1.0):
             sim.schedule(0.5, leak)
 
     sim.schedule(0.5, leak)
-    network = SimpleNamespace(nodes={"r0": SimpleNamespace(pit=pit)})
+    network = SimpleNamespace(nodes={"r0": SimpleNamespace(pit=pit)}, links=[])
     scope = StateScope(interval=interval)
     scope.install(bare_run(sim, network, label="leaky", horizon=horizon))
     sim.run(until=horizon)
@@ -215,7 +227,7 @@ def leaky_pit_scope(horizon=20.0, interval=1.0):
 
 class TestStateScope:
     def test_interval_env_and_validation(self, monkeypatch):
-        # One sampling period, shared with the samples row; no env knob.
+        # One sampling period; no env knob.
         monkeypatch.setenv("REPRO_STATESCOPE_INTERVAL", "0.25")
         assert StateScope().interval == SAMPLE_INTERVAL == 1.0
         assert StateScope(interval=0.25).interval == 0.25
@@ -235,7 +247,6 @@ class TestStateScope:
         scope = INSTRUMENTS["statescope"].make(obs)
         assert isinstance(scope, StateScope)
         assert scope.interval == SAMPLE_INTERVAL
-        assert INSTRUMENTS["samples"].make(obs).interval == SAMPLE_INTERVAL
 
     def test_scoped_run_produces_clean_record(self):
         scope = StateScope()
@@ -285,12 +296,106 @@ class TestStateScope:
     def test_flush_samples_partial_tail(self):
         sim = Simulator(seed=1)
         scope = StateScope(interval=1.0)
-        scope.install(bare_run(sim, SimpleNamespace(nodes={}), horizon=10.0))
+        scope.install(bare_run(sim, EMPTY_NETWORK, horizon=10.0))
         sim.run(until=2.5)  # 2 ticks; tail 2.0..2.5 unsampled
         assert len(scope.series["state.total.bytes"]) == 2
         scope.finalize()
         samples = scope.record()["series"]["state.total.bytes"]["samples"]
         assert samples == 3  # flush added the 2.5 tail sample
+
+    def test_flush_idempotent_per_instant(self):
+        sim = Simulator(seed=2)
+        scope = StateScope(interval=1.0)
+        scope.install(bare_run(sim, EMPTY_NETWORK))
+        sim.run(until=1.5)
+        assert scope.flush() == 1
+        assert scope.flush() == 0  # same instant: no duplicate sample
+        assert [t for t, _ in scope.series["state.heap.pending"]] == [1.0, 1.5]
+
+    def test_flush_noop_on_tick_boundary(self):
+        sim = Simulator(seed=2)
+        scope = StateScope(interval=1.0)
+        scope.install(bare_run(sim, EMPTY_NETWORK))
+        sim.run(until=3.0)
+        # The tick at t=3.0 already sampled this instant.
+        assert scope.flush() == 0
+        assert len(scope.timeline) == 3
+
+    def test_finalize_flushes_then_silences(self):
+        sim = Simulator(seed=2)
+        scope = StateScope(interval=1.0)
+        scope.install(bare_run(sim, EMPTY_NETWORK))
+        sim.run(until=0.4)  # shorter than one interval: only the flush sees it
+        scope.finalize()
+        assert [t for t, _ in scope.timeline] == [0.4]
+        assert scope.flush() == 0  # finalized: flush is inert
+        sim.run(until=5.0)
+        assert len(scope.timeline) == 1  # no further ticks
+
+    def test_horizon_bounds_ticking(self):
+        sim = Simulator(seed=2)
+        scope = StateScope(interval=1.0)
+        scope.install(bare_run(sim, EMPTY_NETWORK, horizon=3.0))
+        sim.run(until=10.0)
+        assert [t for t, _ in scope.timeline] == [1.0, 2.0, 3.0]
+        assert sim.pending() == 0  # no stray tick left queued
+
+    def test_nodes_cover_tables_and_links(self):
+        net = build_mini_net()
+        scope = StateScope(interval=1.0)
+        scope.install(bare_run(net.sim, net.network, horizon=4.0))
+        wired = len(net.network.links)  # the client's link comes later
+        client = attach_client(net, "alice")
+        client.start(at=0.0, until=3.0)
+        net.sim.run(until=6.0)
+        assert {row["name"] for row in scope.nodes} == {
+            "pit_entries",
+            "cs_entries",
+            "cs_hit_ratio",
+            "bf_fill_ratio",
+            "bf_current_fpp",
+            "link_queue_seconds",
+        }
+        links = [row["labels"] for row in scope.nodes if row["name"] == "link_queue_seconds"]
+        assert len(links) == 2 * wired
+        assert {"src": "ap-0", "dst": "edge-0"} in links
+        for row in scope.nodes:
+            assert [t for t, _ in row["samples"]] == [1.0, 2.0, 3.0, 4.0]
+
+    def test_nodes_reproduce_the_samples_series(self):
+        scope = StateScope()
+        run_scenario(fast_scenario(seed=3), instruments=[scope])
+        blob = json.dumps(scope.record()["nodes"], sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == SAMPLES_NODES_SHA256
+
+    def test_node_series_sum_to_fleet_totals(self):
+        scope = StateScope()
+        run_scenario(fast_scenario(seed=3), instruments=[scope])
+        nodes = scope.record()["nodes"]
+        for name, total in (
+            ("pit_entries", "state.pit.entries"),
+            ("cs_entries", "state.cs.entries"),
+        ):
+            rows = [row["samples"] for row in nodes if row["name"] == name]
+            fleet = scope.series[total]
+            assert max(value for _, value in fleet) > 0, total
+            # At every tick, the per-node readings add up to the total.
+            for at, tick in zip(fleet, zip(*rows)):
+                assert {t for t, _ in tick} == {at[0]}
+                assert sum(value for _, value in tick) == at[1], (total, at[0])
+            assert len(fleet) == len(rows[0])
+
+    def test_sampling_does_not_change_published_values(self):
+        def measure(with_scope):
+            net = build_mini_net()
+            if with_scope:
+                StateScope(interval=0.5).install(bare_run(net.sim, net.network, horizon=8.0))
+            client = attach_client(net, "alice")
+            client.start(at=0.0, until=5.0)
+            net.sim.run(until=8.0)
+            return [latency for _, latency in client.stats.latency_samples]
+
+        assert measure(True) == measure(False)
 
     def test_off_state_schedules_nothing(self):
         sim = Simulator(seed=1)
@@ -317,7 +422,8 @@ class TestMergeAndMetrics:
         merged = {}
         merge_statescope(merged, a)
         merge_statescope(merged, b)
-        assert merged["runs"] == 2
+        assert [run["label"] for run in merged["runs"]] == ["run-a", "run-b"]
+        assert merged["runs"][0]["nodes"] == a["nodes"]
         total = merged["series"]["state.total.bytes"]
         assert total["peak"] == pytest.approx(
             a["series"]["state.total.bytes"]["peak"]
